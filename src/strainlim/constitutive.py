@@ -277,6 +277,33 @@ def g_jacobian(model, T):
     return J
 
 
+def tangent_inverse_blocks(model, T):
+    """Per-point inverse of the constitutive tangent, as dense m-by-m blocks.
+
+    The tangent has the tangential eigenvalue on the orthogonal
+    complement of T and the radial one along T; its inverse follows by
+    inverting the eigenvalues.  Serves both the midpoint Newton Jacobian
+    and the chain rule dT = DG_n(T)^{-1} dE of manufactured forcing.
+    Eigenvalues are floored at a tiny value: in the Jacobian this only
+    regularizes the Newton direction, never the solution.
+    """
+    T = np.atleast_2d(T)
+    nq, mcomp = T.shape
+    tang, radial = jacobian_eigenvalues(model, T)
+    tang = np.maximum(np.atleast_1d(tang), 1e-12)
+    radial = np.maximum(np.atleast_1d(radial), 1e-12)
+    blocks = np.zeros((nq, mcomp, mcomp))
+    ii = np.arange(mcomp)
+    blocks[:, ii, ii] = (1.0 / tang)[:, None]
+    nrm = st.norm(T)
+    mask = nrm > 0.0
+    if np.any(mask):
+        that = T[mask] / nrm[mask, None]
+        coef = 1.0 / radial[mask] - 1.0 / tang[mask]
+        blocks[mask] += coef[:, None, None] * that[:, :, None] * that[:, None, :]
+    return blocks
+
+
 def jacobian_norm_bound_check(model, T, const=3.0):
     """Check |g_jacobian(T)|_op <= const * (1/n + 1/(1+|T|)).
 

@@ -206,7 +206,9 @@ def _run_or_annotate(scenario, space, config, label, **kw):
     try:
         return dyn.run(scenario, space, config, **kw)
     except Exception as exc:
-        raise type(exc)(f"{exc} [study case {label}]") from exc
+        # annotate in place: exception types differ in their constructors
+        exc.args = (f"{exc} [study case {label}]",) + exc.args[1:]
+        raise
 
 
 def regularization_sweep(scenario, space, config, n_list):

@@ -48,6 +48,10 @@ MODELS = ("prototype", "powerlaw", "linear")
 SCHEMES = (dy.SCHEME_RK4, dy.SCHEME_MIDPOINT)
 STUDIES = ("regularization", "refinement", "refinement-dt", "stability")
 
+# failures of a run that started from a valid config: exit code 2
+RUNTIME_ERRORS = (con.SupercriticalStrainError, con.NewtonConvergenceError,
+                  dy.MidpointNoConvergence, dy.NonFiniteStrainError)
+
 
 def _parse_int(s):
     try:
@@ -58,9 +62,12 @@ def _parse_int(s):
 
 def _parse_float(s):
     try:
-        return float(s)
+        x = float(s)
     except ValueError:
         raise ValueError(f"expected a number, got {s!r}")
+    if not np.isfinite(x):
+        raise ValueError(f"expected a finite number, got {s!r}")
+    return x
 
 
 def _parse_floats(s):
@@ -312,7 +319,7 @@ def _prepare(cfg):
         print(f"invalid configuration: {exc}")
         return None, None, 1
     margin = sc.safety_margin(scenario, space)
-    if margin <= 0.0:
+    if not margin > 0.0:
         print(f"safety strain condition violated: margin = {margin:.6g} "
               f"(strain expression of the data reaches the response limit)")
         return None, None, 1
@@ -338,8 +345,7 @@ def cmd_run(cfg):
     try:
         dy.run(scenario, space, cfg.solver_config(),
                observers=(energy, monitor, keep))
-    except (con.SupercriticalStrainError, con.NewtonConvergenceError,
-            dy.MidpointNoConvergence) as exc:
+    except RUNTIME_ERRORS as exc:
         print(f"run failed: {exc}")
         return 2
     _write_table(os.path.join(out, "energy.csv"), energy.table())
@@ -403,13 +409,12 @@ def cmd_sweep(cfg):
             report = dg.stability_study(scenario, space, solver,
                                         list(cfg.values["delta_list"]),
                                         seed=cfg.values["seed"])
+    except RUNTIME_ERRORS as exc:
+        print(f"sweep failed: {exc}")
+        return 2
     except ValueError as exc:
         print(f"invalid configuration: {exc}")
         return 1
-    except (con.SupercriticalStrainError, con.NewtonConvergenceError,
-            dy.MidpointNoConvergence) as exc:
-        print(f"sweep failed: {exc}")
-        return 2
     path = os.path.join(out, "report.csv")
     _write_csv(path, ["axis_value", "error_or_diff", "fitted_order"],
                _report_rows(report))

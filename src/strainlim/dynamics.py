@@ -25,6 +25,10 @@ SCHEME_RK4 = "rk4"
 SCHEME_MIDPOINT = "midpoint"
 
 
+class NonFiniteStrainError(RuntimeError):
+    """The strain expression at some quadrature point overflowed or is NaN."""
+
+
 class MidpointNoConvergence(RuntimeError):
     """Midpoint Newton iteration failed; carries the residual trace."""
 
@@ -89,15 +93,36 @@ def evaluate_fields(scenario, space, t, U, V, warm=None, tol_inv=1e-12):
     eps = space.strain_at_qp(U) + scenario.lift.strain(t, qp)
     deps = space.strain_at_qp(V) + scenario.lift.dt_strain(t, qp)
     E = m.alpha * eps + m.beta * deps
-    try:
-        T = con.invert(m, E, warm_stress=warm, tol=tol_inv)
-    except (con.SupercriticalStrainError, con.NewtonConvergenceError) as exc:
-        k = int(np.argmax(st.norm(E)))
-        raise type(exc)(
-            f"{exc} [t={t:.6g}, worst qp #{k} at x={space.qp[k]}, "
-            f"|strain expression|={float(st.norm(E[k])):.6g}]"
-        ) from exc
+    T = _invert_at(m, E, warm, tol_inv, space, "t", t)
     return {"eps": eps, "deps": deps, "E": E, "stress": T}
+
+
+def _invert_at(model, E, warm, tol_inv, space, stage, t):
+    """Stress at every quadrature point; failures name the stage, its time
+    and the worst qp.
+
+    A non-finite strain expression (an unstable step has blown up)
+    raises NonFiniteStrainError; inversion failures keep their type.
+    """
+    try:
+        return con.invert(model, E, warm_stress=warm, tol=tol_inv)
+    except (con.SupercriticalStrainError, con.NewtonConvergenceError) as exc:
+        nrm = st.norm(E)
+        k = int(np.argmax(nrm))
+        raise type(exc)(
+            f"{exc} [{stage}={t:.6g}, worst qp #{k} at x={space.qp[k]}, "
+            f"|strain expression|={float(nrm[k]):.6g}]"
+        ) from exc
+    except ValueError as exc:
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(st.norm(E))
+        if np.all(finite):
+            raise
+        k = int(np.argmin(finite))
+        raise NonFiniteStrainError(
+            f"non-finite strain expression [{stage}={t:.6g}, worst qp #{k} "
+            f"at x={space.qp[k]}]"
+        ) from exc
 
 
 def _loads(scenario, space, t):
@@ -149,45 +174,30 @@ def step_rk4(scenario, space, state, dt, tol_inv=1e-12):
     return State(t + dt, Un, Vn, fields["stress"]), fields
 
 
-def _tangent_inverse_blocks(model, T):
-    """Per-qp inverse of the constitutive tangent, as dense m-by-m blocks.
-
-    The tangent has the tangential eigenvalue on the orthogonal
-    complement of T and the radial one along T; its inverse follows by
-    inverting the eigenvalues.  Eigenvalues are floored at a tiny value:
-    this only regularizes the Newton direction, never the solution.
-    """
-    T = np.atleast_2d(T)
-    nq, mcomp = T.shape
-    tang, radial = con.jacobian_eigenvalues(model, T)
-    tang = np.maximum(np.atleast_1d(tang), 1e-12)
-    radial = np.maximum(np.atleast_1d(radial), 1e-12)
-    blocks = np.zeros((nq, mcomp, mcomp))
-    ii = np.arange(mcomp)
-    blocks[:, ii, ii] = (1.0 / tang)[:, None]
-    nrm = st.norm(T)
-    mask = nrm > 0.0
-    if np.any(mask):
-        that = T[mask] / nrm[mask, None]
-        coef = 1.0 / radial[mask] - 1.0 / tang[mask]
-        blocks[mask] += coef[:, None, None] * that[:, :, None] * that[:, None, :]
-    return blocks
+# contraction order of B_e^T A_e B_e: (B_e^T A_e) first, then B_e; a fixed
+# path skips einsum's per-call path search
+_ELEMENT_PATH = ["einsum_path", (0, 1), (0, 1)]
 
 
 def _assemble_midpoint_jacobian(space, mass, factor, model, T):
-    """M + factor * B^T W diag-blocks(tangent inverse) B, factored."""
-    blocks = _tangent_inverse_blocks(model, T)
-    nq, mcomp, _ = blocks.shape
-    data = blocks * space.qw[:, None, None]
-    idx = np.arange(nq * mcomp).reshape(nq, mcomp)
-    rows = np.broadcast_to(idx[:, :, None], (nq, mcomp, mcomp))
-    cols = np.broadcast_to(idx[:, None, :], (nq, mcomp, mcomp))
-    Ablk = sp.coo_matrix(
-        (data.ravel(), (rows.ravel(), cols.ravel())),
-        shape=(nq * mcomp, nq * mcomp),
-    ).tocsr()
-    J = (mass + factor * (space.B.T @ (Ablk @ space.B))).tocsc()
-    return spla.splu(J)
+    """M + factor * B^T W diag-blocks(tangent inverse) B, factored.
+
+    mass is the space's mass matrix, whose entries the space's fixed
+    coupling pattern places; only the numeric values are formed here.
+    The Jacobian is SPD with a symmetric pattern, so the LU uses a
+    symmetric fill-reducing ordering.
+    """
+    pat = space.coupling_pattern
+    A = con.tangent_inverse_blocks(model, T) * space.qw[:, None, None]
+    ne, mcomp, _ = pat.strain.shape
+    A_e = A.reshape(ne, -1, mcomp, mcomp).sum(axis=1)
+    K_e = np.einsum("eai,eab,ebj->eij", pat.strain, A_e, pat.strain,
+                    optimize=_ELEMENT_PATH)
+    data = np.bincount(pat.slot, weights=factor * K_e.ravel(), minlength=pat.nnz + 1)
+    data = data[:pat.nnz]
+    data[pat.mass_slot] += mass.data
+    J = sp.csc_matrix((data, pat.indices, pat.indptr), shape=mass.shape)
+    return spla.splu(J, permc_spec="MMD_AT_PLUS_A")
 
 
 def step_midpoint(scenario, space, state, dt, newton_tol=1e-11,
@@ -218,14 +228,7 @@ def step_midpoint(scenario, space, state, dt, newton_tol=1e-11,
         Um = state.U + 0.5 * dt * Vm
         E = m.alpha * (space.strain_at_qp(Um) + eps_l) \
             + m.beta * (space.strain_at_qp(Vm) + deps_l)
-        try:
-            T = con.invert(m, E, warm_stress=warm, tol=tol_inv)
-        except (con.SupercriticalStrainError, con.NewtonConvergenceError) as exc:
-            k = int(np.argmax(st.norm(E)))
-            raise type(exc)(
-                f"{exc} [midpoint stage t={t_mid:.6g}, worst qp #{k}, "
-                f"|strain expression|={float(st.norm(E[k])):.6g}]"
-            ) from exc
+        T = _invert_at(m, E, warm, tol_inv, space, "midpoint stage t", t_mid)
         warm = T
         R = mass @ (Vm - state.V) + 0.5 * dt * space.load_from_stress(T) + const_load
         if lu is None:

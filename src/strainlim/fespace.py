@@ -109,6 +109,28 @@ _QP_2D = np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
 _QW_2D = np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0])
 
 
+@dataclass(frozen=True)
+class CouplingPattern:
+    """Fixed CSC sparsity of M + B^T A B over the interior dofs of a space.
+
+    P1 strains are constant per element, so B^T A B is a sum of element
+    blocks B_e^T A_e B_e.  ``slot`` gives the data position of every
+    entry of those blocks, flattened (element, row, column), with the
+    out-of-range position nnz for pairs that touch a boundary dof;
+    ``mass_slot`` places the entries of the space's mass matrix.
+    """
+
+    strain: np.ndarray        # (ne, m, (d+1)*d) local strain matrices B_e
+    indptr: np.ndarray
+    indices: np.ndarray
+    slot: np.ndarray
+    mass_slot: np.ndarray
+
+    @property
+    def nnz(self):
+        return self.indices.size
+
+
 class FESpace:
     """Vector P1 space with Dirichlet mask, quadrature, and assembly ops."""
 
@@ -157,6 +179,7 @@ class FESpace:
         self._build_operators(nloc, grads, k)
         self._mass = None
         self._mass_lu = None
+        self._coupling = None
 
     # -- sparse operator construction ------------------------------------
 
@@ -195,23 +218,25 @@ class FESpace:
             shape=(self.n_qp * d, self.ndof),
         )
 
-        # B: (nq*m, ndof) packed strains of the vector basis functions
-        g = grads[e_idx, v_idx]                               # (N, d)
-        brows = []
-        bcols = []
-        bvals = []
+        # local strain matrices B_e (ne, m, nl) of the element's vector basis
+        # functions, local dof l = v*d + c; P1 strains are constant per element
+        nl = nv * d
         eye = np.eye(d)
-        for c in range(d):
-            mat = 0.5 * (eye[c][:, None] * g[:, None, :] + g[:, :, None] * eye[c][None, :])
-            packed = st.pack(mat)                             # (N, m)
-            for j in range(m):
-                brows.append(qp_glob[ok] * m + j)
-                bcols.append(node_dof[ok] * d + c)
-                bvals.append(packed[ok, j])
+        g = grads[:, :, None, :]                              # (ne, nv, 1, d)
+        mat = 0.5 * (eye[:, :, None] * g[..., None, :] + g[..., :, None] * eye[:, None, :])
+        self._strain_local = st.pack(mat).reshape(ne, nl, m).transpose(0, 2, 1)
+        self._ldof = np.where(keep[:, :, None], dofs[:, :, None] * d + np.arange(d),
+                              -1).reshape(ne, nl)
+
+        # B: (nq*m, ndof) packed strains; each qp repeats its element's B_e
+        shape4 = (ne, k, m, nl)
+        brows = np.broadcast_to(
+            (np.arange(ne * k).reshape(ne, k, 1, 1) * m + np.arange(m)[:, None]), shape4)
+        bcols = np.broadcast_to(self._ldof[:, None, None, :], shape4)
+        bvals = np.broadcast_to(self._strain_local[:, None], shape4)
+        bok = bcols >= 0
         self.B = sp.csr_matrix(
-            (np.concatenate(bvals), (np.concatenate(brows), np.concatenate(bcols))),
-            shape=(self.n_qp * m, self.ndof),
-        )
+            (bvals[bok], (brows[bok], bcols[bok])), shape=(self.n_qp * m, self.ndof))
 
         self._w_d = np.repeat(self.qw, d)
         self._w_m = np.repeat(self.qw, m)
@@ -250,6 +275,34 @@ class FESpace:
         if self._mass_lu is None:
             self._mass_lu = splu(self.mass)
         return self._mass_lu.solve(b)
+
+    @property
+    def coupling_pattern(self):
+        """CouplingPattern of this space, built on first use."""
+        if self._coupling is None:
+            self._coupling = self._build_coupling()
+        return self._coupling
+
+    def _build_coupling(self):
+        ne, nl = self._ldof.shape
+        ndof = self.ndof
+        rows = np.broadcast_to(self._ldof[:, :, None], (ne, nl, nl)).ravel()
+        cols = np.broadcast_to(self._ldof[:, None, :], (ne, nl, nl)).ravel()
+        ok = (rows >= 0) & (cols >= 0)
+        mass = self.mass
+        mcols = np.repeat(np.arange(ndof), np.diff(mass.indptr))
+        # column-major keys, so sorted keys are CSC order
+        keys = np.concatenate([cols[ok] * ndof + rows[ok], mcols * ndof + mass.indices])
+        uniq, pos = np.unique(keys, return_inverse=True)
+        nnz = uniq.size
+        slot = np.full(rows.size, nnz)
+        slot[ok] = pos[:np.count_nonzero(ok)]
+        # int32 indices are what scipy keeps, so matrices share these arrays
+        indptr = np.zeros(ndof + 1, dtype=np.int32)
+        np.cumsum(np.bincount(uniq // ndof, minlength=ndof), out=indptr[1:])
+        return CouplingPattern(strain=self._strain_local, indptr=indptr,
+                               indices=(uniq % ndof).astype(np.int32),
+                               slot=slot, mass_slot=pos[np.count_nonzero(ok):])
 
     def mass_full_scalar(self):
         """Scalar one-component mass on all nodes (no Dirichlet mask)."""

@@ -14,7 +14,8 @@ analytic lift u0.  Two constructions are provided:
 Scenarios bundle a constitutive model, lift, forcing, and optional
 exact solution.  Manufactured scenarios derive the forcing
 f = dtt_u - div T from a chosen exact solution, with the stress
-divergence computed by Richardson-extrapolated central differences.
+divergence exact by the chain rule d_k T = DG_n(T)^{-1} d_k E, which
+needs the exact solution's second spatial derivatives.
 """
 
 from __future__ import annotations
@@ -43,24 +44,26 @@ class AnalyticField:
     """Smooth space-time field with analytic derivatives.
 
     Callables take (t, X) with X of shape (n, dim) and return values of
-    shape (n, dim), gradients (n, dim, dim) with grad[i, j] = d u_i / d x_j.
+    shape (n, dim), gradients (n, dim, dim) with grad[i, j] = d u_i / d x_j,
+    and Hessians (n, dim, dim, dim) with hess[i, j, k] = d_j d_k u_i.
     Missing derivative callables default to zero.
     """
 
     def __init__(self, dim, value, grad=None, dt_value=None, dt_grad=None,
-                 dtt_value=None, smoothness=2):
+                 dtt_value=None, hess=None, dt_hess=None, smoothness=2):
         self.dim = dim
         self._value = value
         self._grad = grad
         self._dt_value = dt_value
         self._dt_grad = dt_grad
         self._dtt_value = dtt_value
+        self._hess = hess
+        self._dt_hess = dt_hess
         self.smoothness = smoothness
 
     def _zeros(self, X, rank):
         n = np.asarray(X).shape[0]
-        shape = (n, self.dim) if rank == 1 else (n, self.dim, self.dim)
-        return np.zeros(shape)
+        return np.zeros((n,) + (self.dim,) * rank)
 
     def value(self, t, X):
         return np.asarray(self._value(t, np.asarray(X, dtype=float)), dtype=float)
@@ -85,6 +88,22 @@ class AnalyticField:
             return self._zeros(X, 1)
         return np.asarray(self._dtt_value(t, np.asarray(X, dtype=float)), dtype=float)
 
+    def hess(self, t, X):
+        if self._hess is None:
+            return self._zeros(X, 3)
+        return np.asarray(self._hess(t, np.asarray(X, dtype=float)), dtype=float)
+
+    def dt_hess(self, t, X):
+        if self._dt_hess is None:
+            return self._zeros(X, 3)
+        return np.asarray(self._dt_hess(t, np.asarray(X, dtype=float)), dtype=float)
+
+    @property
+    def has_second_derivatives(self):
+        """Whether every declared gradient has its declared Hessian."""
+        return ((self._grad is None or self._hess is not None)
+                and (self._dt_grad is None or self._dt_hess is not None))
+
     def strain(self, t, X):
         """Packed symmetric gradient."""
         return st.sym_part(self.grad(t, X))
@@ -94,7 +113,8 @@ class AnalyticField:
 
     def fd_consistency(self, t, X, h=1e-6):
         """Max relative mismatch between declared derivatives and finite
-        differences of value/grad; a data-entry check for hand-coded fields."""
+        differences of value/grad/dt_grad; a data-entry check for
+        hand-coded fields.  Hessians are checked only where declared."""
         X = np.asarray(X, dtype=float)
         worst = 0.0
 
@@ -108,12 +128,18 @@ class AnalyticField:
         worst = max(worst, rel(fd_dtt, self.dtt_value(t, X)))
         fd_dtg = (self.grad(t + h, X) - self.grad(t - h, X)) / (2 * h)
         worst = max(worst, rel(fd_dtg, self.dt_grad(t, X)))
-        g = self.grad(t, X)
+        # (function, its declared spatial derivative, last axis = direction)
+        pairs = [(self.value, self.grad(t, X))]
+        if self._hess is not None:
+            pairs.append((self.grad, self.hess(t, X)))
+        if self._dt_hess is not None:
+            pairs.append((self.dt_grad, self.dt_hess(t, X)))
         for j in range(self.dim):
             dX = np.zeros_like(X)
             dX[:, j] = h
-            fd = (self.value(t, X + dX) - self.value(t, X - dX)) / (2 * h)
-            worst = max(worst, rel(fd, g[:, :, j]))
+            for f, deriv in pairs:
+                fd = (f(t, X + dX) - f(t, X - dX)) / (2 * h)
+                worst = max(worst, rel(fd, deriv[..., j]))
         return worst
 
 
@@ -244,24 +270,20 @@ def exact_stress(model, u_exact, t, X):
     return con.invert(model, E)
 
 
-def _stress_divergence(model, u_exact, t, X, h):
-    """div T by two-step Richardson central differences, per point."""
-    X = np.asarray(X, dtype=float)
-    d = X.shape[1]
+def stress_divergence(model, u_exact, t, X):
+    """div T of an exact solution by the chain rule, per point.
 
-    def div_at(step):
-        out = np.zeros((X.shape[0], d))
-        for j in range(d):
-            dX = np.zeros_like(X)
-            dX[:, j] = step
-            Tp = st.unpack(exact_stress(model, u_exact, t, X + dX), d)
-            Tm = st.unpack(exact_stress(model, u_exact, t, X - dX), d)
-            out += (Tp[:, :, j] - Tm[:, :, j]) / (2.0 * step)
-        return out
-
-    d1 = div_at(h)
-    d2 = div_at(h / 2.0)
-    return (4.0 * d2 - d1) / 3.0
+    d_k T = DG_n(T)^{-1} d_k E with d_k E the packed symmetric part of
+    alpha*d_k grad u + beta*d_k dt_grad u, so one inversion gives T and
+    the closed-form tangent inverse at T does the rest.
+    """
+    d = u_exact.dim
+    T = exact_stress(model, u_exact, t, X)
+    Ainv = con.tangent_inverse_blocks(model, T)
+    dgrad = model.alpha * u_exact.hess(t, X) + model.beta * u_exact.dt_hess(t, X)
+    dE = st.sym_part(np.moveaxis(dgrad, -1, 1))               # (n, k, m)
+    dT = st.unpack(np.einsum("nab,nkb->nka", Ainv, dE), d)   # (n, k, i, j)
+    return np.einsum("nkik->ni", dT)
 
 
 def manufactured(u_exact, model, domain, name="manufactured", t_end=1.0,
@@ -270,13 +292,18 @@ def manufactured(u_exact, model, domain, name="manufactured", t_end=1.0,
 
     f = dtt_u - div T with T from the model's own (possibly regularized)
     inverse map; the strain expression must stay below 0.95 L so the
-    unregularized inverse also exists.  u_exact must keep its boundary
-    values fixed in time: the lift freezes the t=0 profile (static
-    recipe), so the interior coefficients carry the full evolution and
-    discretization errors are actually exercised.
+    unregularized inverse also exists.  u_exact must declare the second
+    spatial derivatives of every gradient it declares, and it must keep
+    its boundary values fixed in time: the lift freezes the t=0 profile
+    (static recipe), so the interior coefficients carry the full
+    evolution and discretization errors are actually exercised.
     """
     dim = u_exact.dim
     dom = canon_domain(dim, domain)
+    if not u_exact.has_second_derivatives:
+        raise InvalidDataError(
+            "exact solution lacks the second spatial derivatives (hess, dt_hess) "
+            "that the exact stress divergence needs")
     lo = np.asarray(dom, dtype=float)
     L = con.limit_L(model)
     if np.isfinite(L):
@@ -285,10 +312,9 @@ def manufactured(u_exact, model, domain, name="manufactured", t_end=1.0,
             raise InvalidDataError(
                 f"exact strain expression reaches {sup:.4f}, beyond 0.95*L = {0.95 * L:.4f}"
             )
-    h_fd = 1e-4 * float(np.max(lo[:, 1] - lo[:, 0]))
 
     def forcing_value(t, X):
-        return u_exact.dtt_value(t, X) - _stress_divergence(model, u_exact, t, X, h_fd)
+        return u_exact.dtt_value(t, X) - stress_divergence(model, u_exact, t, X)
 
     forcing = AnalyticField(dim, forcing_value, smoothness=u_exact.smoothness)
 
@@ -431,8 +457,16 @@ def _standing_wave_field(dim, domain, amplitude=0.05, omega=np.pi):
         def dtt_value(t, X):
             return -amplitude * omega**2 * np.sin(kx * (X[:, :1] - a)) * np.cos(omega * t)
 
+        def hess(t, X):
+            return -amplitude * kx**2 * np.sin(kx * (X[:, :1, None, None] - a)) * np.cos(omega * t)
+
+        def dt_hess(t, X):
+            return amplitude * omega * kx**2 * np.sin(kx * (X[:, :1, None, None] - a)) \
+                * np.sin(omega * t)
+
         return AnalyticField(1, value, grad=grad, dt_value=dt_value,
-                             dt_grad=dt_grad, dtt_value=dtt_value, smoothness=10)
+                             dt_grad=dt_grad, dtt_value=dtt_value, hess=hess,
+                             dt_hess=dt_hess, smoothness=10)
 
     c, d2 = lo[1]
     ky = np.pi / (d2 - c)
@@ -444,6 +478,15 @@ def _standing_wave_field(dim, domain, amplitude=0.05, omega=np.pi):
         gx = kx * np.cos(kx * (X[:, 0] - a)) * np.sin(ky * (X[:, 1] - c))
         gy = ky * np.sin(kx * (X[:, 0] - a)) * np.cos(ky * (X[:, 1] - c))
         return gx, gy
+
+    def shape_hess(X):
+        out = np.empty((X.shape[0], 2, 2))
+        sxy = shape(X)
+        out[:, 0, 0] = -kx**2 * sxy
+        out[:, 1, 1] = -ky**2 * sxy
+        out[:, 0, 1] = out[:, 1, 0] = \
+            kx * ky * np.cos(kx * (X[:, 0] - a)) * np.cos(ky * (X[:, 1] - c))
+        return out
 
     def value2(t, X):
         out = np.zeros((X.shape[0], 2))
@@ -474,8 +517,19 @@ def _standing_wave_field(dim, domain, amplitude=0.05, omega=np.pi):
         out[:, 0] = -amplitude * omega**2 * shape(X) * np.cos(omega * t)
         return out
 
+    def hess2(t, X):
+        out = np.zeros((X.shape[0], 2, 2, 2))
+        out[:, 0] = amplitude * np.cos(omega * t) * shape_hess(X)
+        return out
+
+    def dt_hess2(t, X):
+        out = np.zeros((X.shape[0], 2, 2, 2))
+        out[:, 0] = -amplitude * omega * np.sin(omega * t) * shape_hess(X)
+        return out
+
     return AnalyticField(2, value2, grad=grad2, dt_value=dt_value2,
-                         dt_grad=dt_grad2, dtt_value=dtt_value2, smoothness=10)
+                         dt_grad=dt_grad2, dtt_value=dtt_value2, hess=hess2,
+                         dt_hess=dt_hess2, smoothness=10)
 
 
 def _constant_strain_field(dim, domain, slope=0.3):

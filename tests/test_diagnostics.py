@@ -252,3 +252,11 @@ def test_stability_study_validation():
         dg.stability_study(scen, space, cfg, [1e-3, 1e-5])
     with pytest.raises(ValueError):
         dg.stability_study(scen, space, cfg, [1e-3, 0.0, 1e-7])
+
+
+def test_study_failure_keeps_type_and_names_case():
+    scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.02)
+    cfg = dy.SolverConfig(dt=1e-2, t_end=0.02, newton_tol=1e-30, newton_max=3)
+    with pytest.raises(dy.MidpointNoConvergence, match=r"\[study case base\]") as err:
+        dg.stability_study(scen, interval_space(16), cfg, [1e-3, 1e-5, 1e-7])
+    assert len(err.value.trace) == 3

@@ -187,6 +187,49 @@ def test_cmd_run_blowup_exits_2(tmp_path, capsys):
     assert "run failed" in capsys.readouterr().out
 
 
+def test_cmd_run_explicit_overflow_exits_2(tmp_path, capsys):
+    # an unregularized linear model with an RK4 step far beyond its
+    # stability limit overflows instead of tripping the strain limit
+    text = ("dim = 1\ndomain = 0.0 1.0\ncells = 64\nmodel = linear\n"
+            "beta = 0.1\nreg_n = none\nscheme = rk4\ndt = 0.05\nt_end = 5\n"
+            f"scenario = gaussian-pluck\nout_dir = {tmp_path / 'b'}\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_main(tmp_path, text, "run") == 2
+    out = capsys.readouterr().out
+    assert "run failed: non-finite strain expression" in out
+    assert "t=" in out and "worst qp #" in out
+
+
+def test_cmd_sweep_explicit_overflow_exits_2(tmp_path, capsys):
+    text = ("dim = 1\ndomain = 0.0 1.0\ncells = 64\nmodel = linear\n"
+            "beta = 0.1\nreg_n = none\nscheme = rk4\ndt = 0.05\nt_end = 5\n"
+            "scenario = gaussian-pluck\nstudy = stability\ndelta_list = 0.001 1e-05 1e-07\n"
+            f"out_dir = {tmp_path / 'b'}\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_main(tmp_path, text, "sweep") == 2
+    assert "sweep failed: non-finite strain expression" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("old,new,key,line", [
+    ("t_end = 0.02", "t_end = inf", "t_end", 9),
+    ("beta = 0.1", "beta = inf", "beta", 6),
+    ("domain = 0.0 1.0", "domain = 0.0 inf", "domain", 2),
+], ids=["t_end", "beta", "domain"])
+def test_non_finite_number_exits_1(tmp_path, capsys, old, new, key, line):
+    text = base_cfg(f"out_dir = {tmp_path / 'o'}\n").replace(old, new)
+    with pytest.raises(dr.RangeError, match=rf"'{key}' at line {line}: .*finite"):
+        dr.parse_config(text)
+    assert run_main(tmp_path, text, "run") == 1
+    assert f"'{key}' at line {line}" in capsys.readouterr().out
+    assert not (tmp_path / "o").exists()
+
+
+def test_nan_safety_margin_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dr.sc, "safety_margin", lambda scen, space: float("nan"))
+    assert run_main(tmp_path, base_cfg(f"out_dir = {tmp_path / 'o'}\n"), "run") == 1
+    assert "safety strain condition" in capsys.readouterr().out
+
+
 def test_cmd_run_bad_config_exits_1(tmp_path, capsys):
     assert run_main(tmp_path, base_cfg("width = 3\n"), "run") == 1
     assert "unknown key" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from strainlim import constitutive as con
 from strainlim import dynamics as dy
@@ -176,6 +177,65 @@ def test_midpoint_no_convergence_error():
         dy.step_midpoint(scen, space, state, 1e-2, newton_tol=1e-30,
                          newton_max=3)
     assert len(err.value.trace) == 3
+
+
+def _coo_midpoint_jacobian(space, factor, model, T):
+    # reference: the per-qp block-diagonal tangent inverse through a COO
+    # matrix, then M + factor * B^T A B
+    blocks = con.tangent_inverse_blocks(model, T) * space.qw[:, None, None]
+    nq, mcomp, _ = blocks.shape
+    idx = np.arange(nq * mcomp).reshape(nq, mcomp)
+    rows = np.broadcast_to(idx[:, :, None], blocks.shape)
+    cols = np.broadcast_to(idx[:, None, :], blocks.shape)
+    A = sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
+                      shape=(nq * mcomp, nq * mcomp)).tocsr()
+    return (space.mass + factor * (space.B.T @ (A @ space.B))).tocsc()
+
+
+def _captured_jacobian(monkeypatch, space, factor, model, T):
+    seen = []
+    real = dy.spla.splu
+
+    def spy(J, **kw):
+        seen.append(J)
+        return real(J, **kw)
+
+    monkeypatch.setattr(dy.spla, "splu", spy)
+    lu = dy._assemble_midpoint_jacobian(space, space.mass, factor, model, T)
+    monkeypatch.setattr(dy.spla, "splu", real)
+    return seen[0], lu
+
+
+@pytest.mark.parametrize("space", [
+    fe.FESpace(fe.interval_mesh(0.0, 1.0, 256)),
+    fe.FESpace(fe.rectangle_mesh(0.0, 1.0, 0.0, 1.0, 16, 16)),
+], ids=["1d-256", "2d-16x16"])
+def test_midpoint_jacobian_matches_coo_assembly(monkeypatch, space):
+    m = proto_model(reg_n=16)
+    T = 0.7 * np.random.default_rng(4).standard_normal((space.n_qp, space.m))
+    factor = 0.5e-3 * (m.beta + 0.5e-3 * m.alpha)
+    J, lu = _captured_jacobian(monkeypatch, space, factor, m, T)
+    ref = _coo_midpoint_jacobian(space, factor, m, T)
+    assert J.format == "csc" and J.shape == ref.shape
+    assert abs(J - ref).max() <= 1e-13 * abs(ref).max()
+    b = np.linspace(-1.0, 1.0, space.ndof)
+    assert np.max(np.abs(ref @ lu.solve(b) - b)) < 1e-12
+
+
+def test_midpoint_jacobian_pattern_built_once(monkeypatch):
+    space = fe.FESpace(fe.rectangle_mesh(0.0, 1.0, 0.0, 1.0, 4, 4))
+    assert space._coupling is None          # lazy: not built with the space
+    m = proto_model()
+    T = 0.3 * np.ones((space.n_qp, space.m))
+    dy._assemble_midpoint_jacobian(space, space.mass, 1e-3, m, T)
+    pat = space.coupling_pattern
+    built = []
+    monkeypatch.setattr(fe.FESpace, "_build_coupling",
+                        lambda self: built.append(self) or pat)
+    J, _ = _captured_jacobian(monkeypatch, space, 1e-3, m, 2.0 * T)
+    assert built == [] and space.coupling_pattern is pat
+    assert np.shares_memory(J.indices, pat.indices)
+    assert np.shares_memory(J.indptr, pat.indptr)
 
 
 # ---------------------------------------------------------------------------

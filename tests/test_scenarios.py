@@ -201,8 +201,15 @@ def test_manufactured_linear_model_symbolic():
     def dtt_value(t, X):
         return -np.sin(np.pi * X[:, :1]) * np.cos(t)
 
+    def hess(t, X):
+        return -np.pi**2 * np.sin(np.pi * X[:, :1, None, None]) * np.cos(t)
+
+    def dt_hess(t, X):
+        return np.pi**2 * np.sin(np.pi * X[:, :1, None, None]) * np.sin(t)
+
     u = sc.AnalyticField(1, value, grad=grad, dt_value=dt_value,
-                         dt_grad=dt_grad, dtt_value=dtt_value)
+                         dt_grad=dt_grad, dtt_value=dtt_value, hess=hess,
+                         dt_hess=dt_hess)
     s = sc.manufactured(u, m, (0.0, 1.0), t_end=1.0)
     X = np.linspace(0.0, 1.0, 37)[:, None]
     for t in (0.0, 0.4, 0.9):
@@ -210,6 +217,60 @@ def test_manufactured_linear_model_symbolic():
         ref = (-np.sin(np.pi * X) * np.cos(t)
                + np.pi**2 * np.sin(np.pi * X) * (alpha * np.cos(t) - beta * np.sin(t)))
         assert np.max(np.abs(f - ref)) < 1e-7
+
+
+def _richardson_divergence(model, u_exact, t, X, h=1e-4):
+    # reference: two-step Richardson central differences of the exact stress
+    d = X.shape[1]
+
+    def div_at(step):
+        out = np.zeros((X.shape[0], d))
+        for j in range(d):
+            dX = np.zeros_like(X)
+            dX[:, j] = step
+            Tp = st.unpack(sc.exact_stress(model, u_exact, t, X + dX), d)
+            Tm = st.unpack(sc.exact_stress(model, u_exact, t, X - dX), d)
+            out += (Tp[:, :, j] - Tm[:, :, j]) / (2.0 * step)
+        return out
+
+    return (4.0 * div_at(h / 2.0) - div_at(h)) / 3.0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stress_divergence_matches_richardson(dim):
+    rng = np.random.default_rng(17)
+    u = sc._standing_wave_field(dim, ((0.0, 1.0),) * dim)
+    models = [proto_model(), con.ConstitutiveModel(con.PrototypePotential(2.0),
+                                                   alpha=1.0, beta=0.1, reg_n=16)]
+    for m in models:
+        X = sample_points(dim, rng, n=40)
+        for t in (0.0, 0.37, 0.8):
+            exact = sc.stress_divergence(m, u, t, X)
+            assert exact.shape == (40, dim)
+            assert np.max(np.abs(exact - _richardson_divergence(m, u, t, X))) <= 1e-9
+
+
+def test_manufactured_requires_second_derivatives():
+    u = sc._standing_wave_field(1, ((0.0, 1.0),))
+    no_hess = sc.AnalyticField(1, u.value, grad=u.grad, dt_value=u.dt_value,
+                               dt_grad=u.dt_grad, dtt_value=u.dtt_value)
+    with pytest.raises(sc.InvalidDataError, match="second spatial derivatives"):
+        sc.manufactured(no_hess, proto_model(), (0.0, 1.0))
+    no_dt_hess = sc.AnalyticField(1, u.value, grad=u.grad, dt_value=u.dt_value,
+                                  dt_grad=u.dt_grad, dtt_value=u.dtt_value,
+                                  hess=u.hess)
+    with pytest.raises(sc.InvalidDataError):
+        sc.manufactured(no_dt_hess, proto_model(), (0.0, 1.0))
+
+
+def test_fd_consistency_flags_wrong_hessian():
+    u = sc._standing_wave_field(2, ((0.0, 1.0), (0.0, 1.0)))
+    X = sample_points(2, np.random.default_rng(2))
+    assert u.fd_consistency(0.3, X) < 1e-6
+    bad = sc.AnalyticField(2, u.value, grad=u.grad, dt_value=u.dt_value,
+                           dt_grad=u.dt_grad, dtt_value=u.dtt_value,
+                           hess=lambda t, X: 2.0 * u.hess(t, X), dt_hess=u.dt_hess)
+    assert bad.fd_consistency(0.3, X) > 1e-2
 
 
 def test_manufactured_rejects_supercritical_exact():
