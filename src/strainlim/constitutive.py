@@ -407,11 +407,14 @@ def invert(model, E, warm_stress=None, tol=1e-12, max_iter=100, method="radial")
     cross-checks.
     """
     E = np.asarray(E, dtype=float)
-    if not np.all(np.isfinite(E)):
+    # a finite E whose |E|^2 overflows is rejected like a non-finite one
+    with np.errstate(over="ignore"):
+        s = st.norm(E)
+    if not np.all(np.isfinite(s)):
         raise ValueError("non-finite strain input")
     L = model.potential.limit
     if model.reg_n is None and np.isfinite(L):
-        smax = float(np.max(st.norm(E)))
+        smax = float(np.max(s))
         if smax >= L * (1.0 - 1e-12):
             raise SupercriticalStrainError(
                 f"no regularizer and strain magnitude {smax:.6g} at or beyond limit {L:.6g}"
@@ -419,7 +422,6 @@ def invert(model, E, warm_stress=None, tol=1e-12, max_iter=100, method="radial")
     if method == "tensor":
         return _invert_tensor(model, E, tol=tol, max_iter=max_iter)
 
-    s = st.norm(E)
     warm = st.norm(warm_stress) if warm_stress is not None else None
     r = invert_radius(model, s, warm=warm, tol=tol, max_iter=max_iter)
     out = np.zeros_like(E)

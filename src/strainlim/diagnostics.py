@@ -219,18 +219,21 @@ def regularization_sweep(scenario, space, config, n_list):
         raise ValueError("regularization sweep needs at least 3 levels")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
-    trajs = []
+    diffs, max_t_diffs = [], []
+    prev = None
     for n in n_list:
         scen_n = scenario.with_model(scenario.model.with_reg(n))
-        trajs.append(_run_or_annotate(scen_n, space, config, f"n={n}"))
-    diffs, max_t_diffs = [], []
-    for ta, tb in zip(trajs, trajs[1:]):
-        per_step = [
-            space.l2_norm_qp(space.value_at_qp(ub - ua))
-            for ua, ub in zip(ta.Us, tb.Us)
-        ]
-        diffs.append(per_step[-1])
-        max_t_diffs.append(max(per_step))
+        Us = []
+        _run_or_annotate(scen_n, space, config, f"n={n}",
+                         observers=(lambda state, fields: Us.append(state.U),))
+        if prev is not None:
+            per_step = [
+                space.l2_norm_qp(space.value_at_qp(ub - ua))
+                for ua, ub in zip(prev, Us)
+            ]
+            diffs.append(per_step[-1])
+            max_t_diffs.append(max(per_step))
+        prev = Us
     diffs = np.array(diffs)
     cauchy = bool(np.all(np.diff(diffs) < 0.0))
     return ConvergenceReport(
@@ -269,11 +272,10 @@ def refinement_study(scenario, axis, levels, config, cells=256):
         hs, errs = [], []
         for c in cellcounts:
             sp_c = _space_for(scenario, c)
-            traj = _run_or_annotate(scenario, sp_c, config, f"cells={c}")
-            t_end = float(traj.ts[-1])
-            vals = (sp_c.value_at_qp(traj.Us[-1])
-                    + scenario.lift.value(t_end, sp_c.qp)
-                    - scenario.exact.value(t_end, sp_c.qp))
+            final, _ = _run_or_annotate(scenario, sp_c, config, f"cells={c}")
+            vals = (sp_c.value_at_qp(final.U)
+                    + scenario.lift.value(final.t, sp_c.qp)
+                    - scenario.exact.value(final.t, sp_c.qp))
             errs.append(sp_c.l2_norm_qp(vals))
             dom = np.asarray(scenario.domain, dtype=float)
             hs.append(float(np.max(dom[:, 1] - dom[:, 0])) / c)
@@ -286,13 +288,13 @@ def refinement_study(scenario, axis, levels, config, cells=256):
         dts = [float(d) for d in levels]
         space = _space_for(scenario, cells)
         dt_ref = min(dts) / 4.0
-        ref = _run_or_annotate(scenario, space, replace(config, dt=dt_ref),
-                               f"dt_ref={dt_ref:g}")
+        ref, _ = _run_or_annotate(scenario, space, replace(config, dt=dt_ref),
+                                  f"dt_ref={dt_ref:g}")
         errs = []
         for d in dts:
-            traj = _run_or_annotate(scenario, space, replace(config, dt=d),
-                                    f"dt={d:g}")
-            errs.append(space.l2_norm_qp(space.value_at_qp(traj.Us[-1] - ref.Us[-1])))
+            final, _ = _run_or_annotate(scenario, space, replace(config, dt=d),
+                                        f"dt={d:g}")
+            errs.append(space.l2_norm_qp(space.value_at_qp(final.U - ref.U)))
         return ConvergenceReport(
             axis_name="dt", axis=np.array(dts), values=np.array(errs),
             fitted_order=fit_order(dts, errs),
@@ -317,21 +319,21 @@ def stability_study(scenario, space, config, delta_list, seed=0):
     if not (np.all(dd > 0) or np.all(dd < 0)):
         raise ValueError("delta_list must be strictly monotone")
 
-    base = _run_or_annotate(scenario, space, config, "base")
+    base, _ = _run_or_annotate(scenario, space, config, "base")
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(space.ndof)
     direction /= np.linalg.norm(direction)
 
     factors = []
     for d in deltas:
-        traj = _run_or_annotate(scenario, space, config, f"delta={d:g}",
-                                V0=d * direction)
-        growth = (np.linalg.norm(traj.Us[-1] - base.Us[-1])
-                  + np.linalg.norm(traj.Vs[-1] - base.Vs[-1])) / d
+        final, _ = _run_or_annotate(scenario, space, config, f"delta={d:g}",
+                                    V0=d * direction)
+        growth = (np.linalg.norm(final.U - base.U)
+                  + np.linalg.norm(final.V - base.V)) / d
         factors.append(float(growth))
     factors = np.array(factors)
 
-    t_end = float(base.ts[-1])
+    t_end = float(base.t)
     g = float(np.mean(factors))
     if t_end > 0.0 and g > 0.0:
         # C e^{C t} is increasing in C, so bracket and bisect

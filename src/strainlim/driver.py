@@ -169,10 +169,9 @@ class RunConfig:
                                  self.values["domain"], self.build_model(),
                                  self.values["t_end"])
 
-    def solver_config(self, record_history=False):
+    def solver_config(self):
         return dy.SolverConfig(dt=self.values["dt"], t_end=self.values["t_end"],
-                               scheme=self.values["scheme"],
-                               record_history=record_history)
+                               scheme=self.values["scheme"])
 
 
 def parse_config(text):
@@ -334,23 +333,21 @@ def cmd_run(cfg):
     os.makedirs(out, exist_ok=True)
     energy = dg.EnergyRecorder(scenario, space)
     monitor = dg.StrainRecorder(scenario, space)
-    last = {}
     snaps = []
 
     def keep(state, fields):
         if not snaps:
             snaps.append((state, fields))
-        last["state"], last["fields"] = state, fields
 
     try:
-        dy.run(scenario, space, cfg.solver_config(),
-               observers=(energy, monitor, keep))
+        final = dy.run(scenario, space, cfg.solver_config(),
+                       observers=(energy, monitor, keep))
     except RUNTIME_ERRORS as exc:
         print(f"run failed: {exc}")
         return 2
     _write_table(os.path.join(out, "energy.csv"), energy.table())
     _write_table(os.path.join(out, "monitor.csv"), monitor.table())
-    for state, fields in (snaps[0], (last["state"], last["fields"])):
+    for state, fields in (snaps[0], final):
         _write_state(os.path.join(out, f"state_{state.t:.6f}.csv"),
                      space, scenario, state, fields)
     print(f"run complete: {len(energy.records)} records in {out}")

@@ -12,7 +12,7 @@ constitutive tangent per quadrature point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,7 +60,6 @@ class SolverConfig:
     tol_inv: float = 1e-12
     newton_tol: float = 1e-11
     newton_max: int = 50
-    record_history: bool = False
 
     def __post_init__(self):
         if not self.dt > 0.0:
@@ -69,20 +68,6 @@ class SolverConfig:
             raise ValueError(f"t_end must be >= 0, got {self.t_end}")
         if self.scheme not in (SCHEME_RK4, SCHEME_MIDPOINT):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-
-
-@dataclass
-class Trajectory:
-    ts: np.ndarray
-    Us: np.ndarray
-    Vs: np.ndarray
-    eps: np.ndarray = None
-    stress: np.ndarray = None
-
-    @property
-    def final(self):
-        return State(float(self.ts[-1]), self.Us[-1], self.Vs[-1],
-                     None if self.stress is None else self.stress[-1])
 
 
 def evaluate_fields(scenario, space, t, U, V, warm=None, tol_inv=1e-12):
@@ -140,14 +125,6 @@ def _accel(scenario, space, t, U, V, warm, tol_inv):
     fields = evaluate_fields(scenario, space, t, U, V, warm, tol_inv)
     resid = _loads(scenario, space, t) - space.load_from_stress(fields["stress"])
     return space.mass_solve(resid), fields
-
-
-def rhs(scenario, space, state, tol_inv=1e-12):
-    """(dU, dV) of the first-order system; updates the stress cache."""
-    dV, fields = _accel(scenario, space, state.t, state.U, state.V,
-                        state.stress, tol_inv)
-    state.stress = fields["stress"]
-    return state.V.copy(), dV
 
 
 def step_rk4(scenario, space, state, dt, tol_inv=1e-12):
@@ -257,13 +234,14 @@ def step_midpoint(scenario, space, state, dt, newton_tol=1e-11,
 
 
 def run(scenario, space, config, observers=(), U0=None, V0=None):
-    """Integrate from t=0 to t_end, recording every state.
+    """Integrate from t=0 to t_end; return the final (state, fields).
 
     Initial interior coefficients are zero (the lift carries initial and
     boundary data) unless U0/V0 override them, as the stability study
     does.  Observers are called with (state, fields) at the initial
     state and after every step; fields holds per-qp eps, deps, the
-    strain expression E, and stress.
+    strain expression E, and stress.  Observers are the only per-step
+    output: a caller that needs a history records it in one.
     """
     ndof = space.ndof
     U = np.zeros(ndof) if U0 is None else np.array(U0, dtype=float)
@@ -273,10 +251,6 @@ def run(scenario, space, config, observers=(), U0=None, V0=None):
     state = State(0.0, U, V, None)
     fields = evaluate_fields(scenario, space, 0.0, U, V, None, config.tol_inv)
     state.stress = fields["stress"]
-
-    ts, Us, Vs = [0.0], [U.copy()], [V.copy()]
-    eps_hist = [fields["eps"]] if config.record_history else None
-    stress_hist = [fields["stress"]] if config.record_history else None
     for obs in observers:
         obs(state, fields)
 
@@ -290,20 +264,9 @@ def run(scenario, space, config, observers=(), U0=None, V0=None):
             state, fields = step_midpoint(scenario, space, state, dtk,
                                           config.newton_tol, config.newton_max,
                                           config.tol_inv)
-        ts.append(state.t)
-        Us.append(state.U.copy())
-        Vs.append(state.V.copy())
-        if config.record_history:
-            eps_hist.append(fields["eps"])
-            stress_hist.append(fields["stress"])
         for obs in observers:
             obs(state, fields)
-
-    return Trajectory(
-        ts=np.array(ts), Us=np.array(Us), Vs=np.array(Vs),
-        eps=None if eps_hist is None else np.array(eps_hist),
-        stress=None if stress_hist is None else np.array(stress_hist),
-    )
+    return state, fields
 
 
 def _exp_weight_factor(x):
@@ -318,27 +281,28 @@ def _exp_weight_factor(x):
     return out
 
 
-def strain_history_residual(trajectory, space, model):
+def strain_history_residual(ts, eps, stress, model):
     """Gap between the final recorded strain and its integrating-factor
     reconstruction from the stress history.
 
-    The constitutive relation at each quadrature point is the linear ODE
-    beta d(eps)/dt + alpha eps = G_n(T), whose solution is
+    ts, eps and stress are the times, per-qp strains and per-qp stresses
+    of a run, recorded at every state (fields["eps"], fields["stress"]
+    of each observer call).  The constitutive relation at each
+    quadrature point is the linear ODE beta d(eps)/dt + alpha eps = G_n(T),
+    whose solution is
     eps(t) = e^{-ct} eps(0) + int_0^t e^{-c(t-s)} G_n(T(s))/beta ds with
     c = alpha/beta.  The integral uses the exact exponential weight
     against piecewise-linear interpolation of the recorded G_n(T), so
     the residual is O(dt^2) and exactly zero for constant histories.
     Returns the max over quadrature points of the tensor-norm gap.
     """
-    if trajectory.eps is None or trajectory.stress is None:
-        raise ValueError("trajectory was recorded without per-qp history")
-    ts = np.asarray(trajectory.ts, dtype=float)
+    ts = np.asarray(ts, dtype=float)
     if len(ts) < 2:
         return 0.0
     c = model.alpha / model.beta
     t_end = ts[-1]
-    G = np.array([con.g_apply(model, T) for T in trajectory.stress])
-    recon = np.exp(-c * (t_end - ts[0])) * trajectory.eps[0]
+    G = np.array([con.g_apply(model, T) for T in stress])
+    recon = np.exp(-c * (t_end - ts[0])) * eps[0]
     for k in range(len(ts) - 1):
         a, b = ts[k], ts[k + 1]
         delta = b - a
@@ -349,5 +313,5 @@ def strain_history_residual(trajectory, space, model):
         I0 = A * np.expm1(x) / c
         I1 = A * delta * _exp_weight_factor(x)
         recon = recon + (G[k] * I0 + (G[k + 1] - G[k]) * I1) / model.beta
-    gap = trajectory.eps[-1] - recon
+    gap = eps[-1] - recon
     return float(np.max(st.norm(gap)))

@@ -18,7 +18,7 @@ integrands exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,11 +50,6 @@ class Mesh:
         e1 = v[:, 1] - v[:, 0]
         e2 = v[:, 2] - v[:, 0]
         return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-
-    def extent(self):
-        """Diameter-like size of the domain (bounding box diagonal)."""
-        span = self.nodes.max(axis=0) - self.nodes.min(axis=0)
-        return float(np.linalg.norm(span))
 
 
 def interval_mesh(a, b, cells):
@@ -149,7 +144,6 @@ class FESpace:
         self.ndof = self.interior_nodes.size * d
 
         verts = mesh.nodes[mesh.elems]             # (ne, nv, d)
-        nv = d + 1
         if d == 1:
             nloc = np.stack([1.0 - _QP_1D, _QP_1D], axis=1)          # (k, nv)
             qp = verts[:, 0, :][:, None, :] + _QP_1D[None, :, None] * (
@@ -172,8 +166,6 @@ class FESpace:
         self.n_qp = ne * k
         self.qp = qp.reshape(self.n_qp, d)
         self.qw = np.repeat(meas, k) * np.tile(wloc, ne)
-        self._elem_of_qp = np.repeat(np.arange(ne), k)
-        self._nloc = nloc
         self._grads = grads
 
         self._build_operators(nloc, grads, k)
@@ -319,58 +311,3 @@ class FESpace:
         out[self.interior_nodes] = np.asarray(U).reshape(-1, self.dim)
         return out
 
-
-@dataclass
-class FEField:
-    """Nodal P1 field (all nodes, boundary included)."""
-
-    space: FESpace
-    nodal: np.ndarray
-    lift: object = field(default=None)
-
-    def value_at_qp(self, t=0.0):
-        vals = self.space.shape_full @ self.nodal
-        if self.lift is not None:
-            vals = vals + self.lift.value(t, self.space.qp)
-        return vals
-
-
-# ---------------------------------------------------------------------------
-# module-level contract surface
-
-
-def assemble_mass(space):
-    return space.mass
-
-
-def strain_at_qp(space, U, lift_strain=None):
-    """Packed strain of lift + interior field at every quadrature point."""
-    eps = space.strain_at_qp(U)
-    if lift_strain is not None:
-        eps = eps + lift_strain
-    return eps
-
-
-def assemble_stress_load(space, stress):
-    return space.load_from_stress(stress)
-
-
-def _values_of(f, t, X):
-    return f.value(t, X) if hasattr(f, "value") else f(t, X)
-
-
-def assemble_forcing(space, f, t):
-    return space.load_from_values(_values_of(f, t, space.qp))
-
-
-def l2_norm(space, vals):
-    return space.l2_norm_qp(vals)
-
-
-def l2_error(space, vals, exact, t):
-    """L2 distance between qp value samples and an analytic field."""
-    return space.l2_norm_qp(np.asarray(vals) - _values_of(exact, t, space.qp))
-
-
-def interpolate(space, f, t):
-    return FEField(space, _values_of(f, t, space.mesh.nodes))

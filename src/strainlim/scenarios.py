@@ -50,7 +50,7 @@ class AnalyticField:
     """
 
     def __init__(self, dim, value, grad=None, dt_value=None, dt_grad=None,
-                 dtt_value=None, hess=None, dt_hess=None, smoothness=2):
+                 dtt_value=None, hess=None, dt_hess=None):
         self.dim = dim
         self._value = value
         self._grad = grad
@@ -59,7 +59,6 @@ class AnalyticField:
         self._dtt_value = dtt_value
         self._hess = hess
         self._dt_hess = dt_hess
-        self.smoothness = smoothness
 
     def _zeros(self, X, rank):
         n = np.asarray(X).shape[0]
@@ -193,7 +192,6 @@ def lift_static_bc(u_init, v_init, alpha, beta):
         dt_value=lambda t, X: np.exp(-a * t) * v_init.value(0.0, X),
         dt_grad=lambda t, X: np.exp(-a * t) * v_init.grad(0.0, X),
         dtt_value=lambda t, X: -a * np.exp(-a * t) * v_init.value(0.0, X),
-        smoothness=max(u_init.smoothness, 2),
     )
 
 
@@ -232,7 +230,6 @@ def lift_timedep_bc(u_ext, v_init, alpha, beta, boundary_points=None, tol=1e-10)
         + np.exp(-a * t) * (v_init.grad(0.0, X) - u_ext.dt_grad(0.0, X)),
         dtt_value=lambda t, X: u_ext.dtt_value(t, X)
         - a * np.exp(-a * t) * (v_init.value(0.0, X) - u_ext.dt_value(0.0, X)),
-        smoothness=max(u_ext.smoothness, 2),
     )
 
 
@@ -316,14 +313,12 @@ def manufactured(u_exact, model, domain, name="manufactured", t_end=1.0,
     def forcing_value(t, X):
         return u_exact.dtt_value(t, X) - stress_divergence(model, u_exact, t, X)
 
-    forcing = AnalyticField(dim, forcing_value, smoothness=u_exact.smoothness)
+    forcing = AnalyticField(dim, forcing_value)
 
     u_init = AnalyticField(dim, lambda t, X: u_exact.value(0.0, X),
-                           grad=lambda t, X: u_exact.grad(0.0, X),
-                           smoothness=u_exact.smoothness)
+                           grad=lambda t, X: u_exact.grad(0.0, X))
     v_init = AnalyticField(dim, lambda t, X: u_exact.dt_value(0.0, X),
-                           grad=lambda t, X: u_exact.dt_grad(0.0, X),
-                           smoothness=u_exact.smoothness)
+                           grad=lambda t, X: u_exact.dt_grad(0.0, X))
     lift = lift_static_bc(u_init, v_init, model.alpha, model.beta)
     return Scenario(
         name=name, dim=dim, domain=dom,
@@ -385,7 +380,7 @@ def _pluck_field(dim, domain, amplitude):
         def grad(t, X):
             return (amplitude / w) * _bump_prime((X[:, 0] - c) / w)[:, None, None]
 
-        return AnalyticField(1, value, grad=grad, smoothness=10)
+        return AnalyticField(1, value, grad=grad)
 
     cx, cy = ctr
     wx, wy = wid
@@ -405,7 +400,7 @@ def _pluck_field(dim, domain, amplitude):
         out[:, 0, 1] = amplitude * _bump(sx) * _bump_prime(sy) / wy
         return out
 
-    return AnalyticField(2, value2, grad=grad2, smoothness=10)
+    return AnalyticField(2, value2, grad=grad2)
 
 
 def _pluck_scenario(name, margin, dim, domain, model, t_end):
@@ -466,7 +461,7 @@ def _standing_wave_field(dim, domain, amplitude=0.05, omega=np.pi):
 
         return AnalyticField(1, value, grad=grad, dt_value=dt_value,
                              dt_grad=dt_grad, dtt_value=dtt_value, hess=hess,
-                             dt_hess=dt_hess, smoothness=10)
+                             dt_hess=dt_hess)
 
     c, d2 = lo[1]
     ky = np.pi / (d2 - c)
@@ -529,7 +524,7 @@ def _standing_wave_field(dim, domain, amplitude=0.05, omega=np.pi):
 
     return AnalyticField(2, value2, grad=grad2, dt_value=dt_value2,
                          dt_grad=dt_grad2, dtt_value=dtt_value2, hess=hess2,
-                         dt_hess=dt_hess2, smoothness=10)
+                         dt_hess=dt_hess2)
 
 
 def _constant_strain_field(dim, domain, slope=0.3):
@@ -546,7 +541,7 @@ def _constant_strain_field(dim, domain, slope=0.3):
         out[:, 0, 0] = slope
         return out
 
-    return AnalyticField(dim, value, grad=grad, smoothness=10)
+    return AnalyticField(dim, value, grad=grad)
 
 
 def _constant_strain_scenario(dim, domain, model, t_end):

@@ -282,9 +282,12 @@ def test_criterion_08_stability_growth():
     rep = dg.stability_study(scen, space, cfg, [1e-3, 1e-5, 1e-7], seed=0)
     growth = np.asarray(rep.values)
     spread = float(np.max(growth) / np.min(growth) - 1.0)
-    tr1 = dy.run(scen, space, cfg)
-    tr2 = dy.run(scen, space, cfg)
-    identical = (np.array_equal(tr1.Us, tr2.Us) and np.array_equal(tr1.Vs, tr2.Vs))
+    tr1, tr2 = [], []
+    for rec in (tr1, tr2):
+        dy.run(scen, space, cfg, observers=(lambda s, f: rec.append((s.U, s.V)),))
+    identical = len(tr1) == len(tr2) and all(
+        np.array_equal(U1, U2) and np.array_equal(V1, V2)
+        for (U1, V1), (U2, V2) in zip(tr1, tr2))
     dt_wall = time.perf_counter() - t0
     ok = spread <= 0.10 and identical and dt_wall < 180.0
     check(8, "stability-growth", ok,
@@ -293,14 +296,24 @@ def test_criterion_08_stability_growth():
           f"{identical}, {dt_wall:.0f}s")
 
 
+def _recorded_history_residual(scen, space, cfg):
+    ts, eps, stress = [], [], []
+
+    def record(state, fields):
+        ts.append(state.t)
+        eps.append(fields["eps"])
+        stress.append(fields["stress"])
+
+    dy.run(scen, space, cfg, observers=(record,))
+    return dy.strain_history_residual(ts, eps, stress, scen.model)
+
+
 def _history_residual(dt, t_end=0.1):
     m = proto_model(q=2.0, beta=0.1, reg_n=64)
     scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), m, t_end)
     space = interval_space(32)
-    cfg = dy.SolverConfig(dt=dt, t_end=t_end, scheme=dy.SCHEME_MIDPOINT,
-                          record_history=True)
-    traj = dy.run(scen, space, cfg)
-    return dy.strain_history_residual(traj, space, scen.model)
+    cfg = dy.SolverConfig(dt=dt, t_end=t_end, scheme=dy.SCHEME_MIDPOINT)
+    return _recorded_history_residual(scen, space, cfg)
 
 
 def test_criterion_09_history_residual():
@@ -309,10 +322,8 @@ def test_criterion_09_history_residual():
     m = con.ConstitutiveModel(con.PrototypePotential(2.0), alpha=1.0, beta=0.1)
     scen = sc.build_scenario("manufactured:constant-strain", 1, (0.0, 1.0), m, 0.1)
     space = interval_space(16)
-    cfg = dy.SolverConfig(dt=2e-3, t_end=0.1, scheme=dy.SCHEME_MIDPOINT,
-                          record_history=True)
-    traj = dy.run(scen, space, cfg)
-    const_resid = dy.strain_history_residual(traj, space, scen.model)
+    cfg = dy.SolverConfig(dt=2e-3, t_end=0.1, scheme=dy.SCHEME_MIDPOINT)
+    const_resid = _recorded_history_residual(scen, space, cfg)
     dt_wall = time.perf_counter() - t0
     ok = 3.4 <= ratio <= 4.6 and const_resid <= 1e-9 and dt_wall < 60.0
     check(9, "history-residual", ok,
@@ -328,8 +339,8 @@ def test_criterion_10_smoke_2d():
     erec = dg.EnergyRecorder(scen, space)
     srec = dg.StrainRecorder(scen, space)
     cfg = dy.SolverConfig(dt=1e-3, t_end=0.2, scheme=dy.SCHEME_MIDPOINT)
-    traj = dy.run(scen, space, cfg, observers=(erec, srec))
-    steps = len(traj.ts) - 1
+    dy.run(scen, space, cfg, observers=(erec, srec))
+    steps = len(erec.records) - 1
     rates = np.array([r.dissipation_rate for r in erec.records])
     tab = srec.table()
     bound_slack = float(np.max(

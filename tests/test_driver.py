@@ -193,8 +193,7 @@ def test_cmd_run_explicit_overflow_exits_2(tmp_path, capsys):
     text = ("dim = 1\ndomain = 0.0 1.0\ncells = 64\nmodel = linear\n"
             "beta = 0.1\nreg_n = none\nscheme = rk4\ndt = 0.05\nt_end = 5\n"
             f"scenario = gaussian-pluck\nout_dir = {tmp_path / 'b'}\n")
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run_main(tmp_path, text, "run") == 2
+    assert run_main(tmp_path, text, "run") == 2
     out = capsys.readouterr().out
     assert "run failed: non-finite strain expression" in out
     assert "t=" in out and "worst qp #" in out
@@ -205,8 +204,7 @@ def test_cmd_sweep_explicit_overflow_exits_2(tmp_path, capsys):
             "beta = 0.1\nreg_n = none\nscheme = rk4\ndt = 0.05\nt_end = 5\n"
             "scenario = gaussian-pluck\nstudy = stability\ndelta_list = 0.001 1e-05 1e-07\n"
             f"out_dir = {tmp_path / 'b'}\n")
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run_main(tmp_path, text, "sweep") == 2
+    assert run_main(tmp_path, text, "sweep") == 2
     assert "sweep failed: non-finite strain expression" in capsys.readouterr().out
 
 

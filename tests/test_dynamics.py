@@ -36,7 +36,7 @@ def self_convergence_order(dts, finals, space):
 
 
 # ---------------------------------------------------------------------------
-# rhs
+# acceleration of the first-order system
 
 
 def test_single_cell_hand_ode():
@@ -45,11 +45,10 @@ def test_single_cell_hand_ode():
     m = linear_model(alpha=1.3, beta=0.4)
     space = interval_space(2)
     scen = zero_scenario(m)
-    state = dy.State(0.0, np.array([0.2]), np.array([-0.1]), None)
-    dU, dV = dy.rhs(scen, space, state)
-    assert abs(dU[0] - (-0.1)) < 1e-15
+    dV, fields = dy._accel(scen, space, 0.0, np.array([0.2]), np.array([-0.1]),
+                           None, 1e-12)
     assert abs(dV[0] - (-12.0 * (1.3 * 0.2 + 0.4 * (-0.1)))) < 1e-12
-    assert state.stress is not None
+    assert fields["stress"].shape == (space.n_qp, space.m)
 
 
 def test_rest_state_is_stationary():
@@ -57,8 +56,8 @@ def test_rest_state_is_stationary():
     space = interval_space(8)
     scen = zero_scenario(m)
     state = dy.State(0.0, np.zeros(space.ndof), np.zeros(space.ndof), None)
-    dU, dV = dy.rhs(scen, space, state)
-    assert np.all(dU == 0.0) and np.max(np.abs(dV)) < 1e-13
+    dV, _ = dy._accel(scen, space, 0.0, state.U, state.V, None, 1e-12)
+    assert np.max(np.abs(dV)) < 1e-13
 
     s1, _ = dy.step_rk4(scen, space, state, 1e-2)
     assert np.max(np.abs(s1.U)) < 1e-14 and np.max(np.abs(s1.V)) < 1e-14
@@ -80,8 +79,7 @@ def test_linear_rhs_matches_hand_assembled_operator():
     rng = np.random.default_rng(7)
     U = rng.standard_normal(n)
     V = rng.standard_normal(n)
-    state = dy.State(0.0, U, V, None)
-    _, dV = dy.rhs(scen, space, state)
+    dV, _ = dy._accel(scen, space, 0.0, U, V, None, 1e-12)
     want = np.linalg.solve(space.mass.toarray(), -K @ (m.alpha * U + m.beta * V))
     assert np.max(np.abs(dV - want)) < 1e-10
 
@@ -112,7 +110,7 @@ def test_rk4_self_convergence_order_4():
     finals = []
     for dt in dts:
         cfg = dy.SolverConfig(dt=dt, t_end=0.1, scheme="rk4")
-        finals.append(dy.run(scen, space, cfg).Us[-1])
+        finals.append(dy.run(scen, space, cfg)[0].U)
     order = self_convergence_order(dts, finals, space)
     assert 3.7 <= order <= 4.3
 
@@ -124,7 +122,7 @@ def test_midpoint_self_convergence_order_2():
     finals = []
     for dt in dts:
         cfg = dy.SolverConfig(dt=dt, t_end=0.1, scheme="midpoint")
-        finals.append(dy.run(scen, space, cfg).Us[-1])
+        finals.append(dy.run(scen, space, cfg)[0].U)
     order = self_convergence_order(dts, finals, space)
     assert 1.8 <= order <= 2.2
 
@@ -132,9 +130,9 @@ def test_midpoint_self_convergence_order_2():
 def test_midpoint_agrees_with_rk4():
     scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.05)
     space = interval_space(32)
-    mid = dy.run(scen, space, dy.SolverConfig(dt=1e-3, t_end=0.05))
-    rk = dy.run(scen, space, dy.SolverConfig(dt=2e-4, t_end=0.05, scheme="rk4"))
-    d = space.l2_norm_qp(space.value_at_qp(mid.Us[-1] - rk.Us[-1]))
+    mid, _ = dy.run(scen, space, dy.SolverConfig(dt=1e-3, t_end=0.05))
+    rk, _ = dy.run(scen, space, dy.SolverConfig(dt=2e-4, t_end=0.05, scheme="rk4"))
+    d = space.l2_norm_qp(space.value_at_qp(mid.U - rk.U))
     assert d < 1e-6
 
 
@@ -147,15 +145,18 @@ def test_midpoint_near_conservation_linear():
     nodes = space.mesh.nodes[space.interior_nodes]
     V0 = np.sin(np.pi * nodes[:, 0])
     cfg = dy.SolverConfig(dt=1e-3, t_end=1.0, scheme="midpoint")
-    traj = dy.run(scen, space, cfg, V0=V0)
 
     def energy(U, V):
         ke = 0.5 * space.l2_norm_qp(space.value_at_qp(V)) ** 2
         ee = 0.5 * m.alpha * space.l2_norm_qp(space.strain_at_qp(U)) ** 2
         return ke + ee
 
-    e0 = energy(traj.Us[0], traj.Vs[0])
-    drift = max(abs(energy(U, V) - e0) for U, V in zip(traj.Us, traj.Vs))
+    energies = []
+    dy.run(scen, space, cfg, V0=V0,
+           observers=(lambda s, f: energies.append(energy(s.U, s.V)),))
+    assert len(energies) == 1001
+    e0 = energies[0]
+    drift = max(abs(e - e0) for e in energies)
     assert drift / e0 <= 1e-6
 
 
@@ -242,29 +243,51 @@ def test_midpoint_jacobian_pattern_built_once(monkeypatch):
 # run loop
 
 
+def _recorded_run(scen, space, cfg, **kw):
+    """Observer records (state, fields) of one run, and run's return value."""
+    seen = []
+    final = dy.run(scen, space, cfg, observers=(lambda s, f: seen.append((s, f)),),
+                   **kw)
+    return seen, final
+
+
 def test_run_t_end_zero_single_record():
     scen = zero_scenario(proto_model())
     space = interval_space(8)
-    traj = dy.run(scen, space, dy.SolverConfig(dt=1e-2, t_end=0.0))
-    assert len(traj.ts) == 1 and traj.ts[0] == 0.0
+    seen, _ = _recorded_run(scen, space, dy.SolverConfig(dt=1e-2, t_end=0.0))
+    assert len(seen) == 1 and seen[0][0].t == 0.0
+
+
+@pytest.mark.parametrize("t_end", [0.0, 5e-3], ids=["t_end-0", "five-steps"])
+def test_run_returns_last_observed_state(t_end):
+    scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.05)
+    space = interval_space(8)
+    seen, (state, fields) = _recorded_run(scen, space,
+                                          dy.SolverConfig(dt=1e-3, t_end=t_end))
+    assert state is seen[-1][0] and fields is seen[-1][1]
+    assert state.t == pytest.approx(t_end, abs=1e-12)
+    assert state.stress is fields["stress"]
 
 
 def test_run_partial_final_step():
     scen = zero_scenario(proto_model())
     space = interval_space(8)
-    traj = dy.run(scen, space, dy.SolverConfig(dt=1e-3, t_end=0.0105))
-    assert len(traj.ts) == 12
-    assert traj.ts[-1] == pytest.approx(0.0105, abs=1e-12)
-    assert traj.ts[-1] - traj.ts[-2] == pytest.approx(5e-4, abs=1e-12)
+    seen, _ = _recorded_run(scen, space, dy.SolverConfig(dt=1e-3, t_end=0.0105))
+    ts = [s.t for s, _ in seen]
+    assert len(ts) == 12
+    assert ts[-1] == pytest.approx(0.0105, abs=1e-12)
+    assert ts[-1] - ts[-2] == pytest.approx(5e-4, abs=1e-12)
 
 
 def test_run_deterministic():
     scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.05)
     space = interval_space(32)
     cfg = dy.SolverConfig(dt=1e-3, t_end=0.05)
-    t1 = dy.run(scen, space, cfg)
-    t2 = dy.run(scen, space, cfg)
-    assert np.array_equal(t1.Us, t2.Us) and np.array_equal(t1.Vs, t2.Vs)
+    r1, _ = _recorded_run(scen, space, cfg)
+    r2, _ = _recorded_run(scen, space, cfg)
+    assert len(r1) == len(r2)
+    assert all(np.array_equal(a.U, b.U) and np.array_equal(a.V, b.V)
+               for (a, _), (b, _) in zip(r1, r2))
 
 
 def test_run_observer_sees_every_state():
@@ -283,7 +306,7 @@ def test_run_strain_bound_with_slack():
     # regularizer slack max|T|/n
     scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.2)
     space = interval_space(32)
-    cfg = dy.SolverConfig(dt=2e-3, t_end=0.2, record_history=True)
+    cfg = dy.SolverConfig(dt=2e-3, t_end=0.2)
     bound_ok = []
 
     def check(state, fields):
@@ -299,40 +322,34 @@ def test_run_strain_bound_with_slack():
 # strain history residual
 
 
+def _history_residual(scen, space, cfg):
+    seen, _ = _recorded_run(scen, space, cfg)
+    return dy.strain_history_residual([s.t for s, _ in seen],
+                                      [f["eps"] for _, f in seen],
+                                      [f["stress"] for _, f in seen], scen.model)
+
+
 def test_history_residual_zero_run():
     scen = zero_scenario(proto_model())
     space = interval_space(8)
-    traj = dy.run(scen, space, dy.SolverConfig(dt=1e-3, t_end=5e-3,
-                                               record_history=True))
-    assert dy.strain_history_residual(traj, space, scen.model) < 1e-15
+    res = _history_residual(scen, space, dy.SolverConfig(dt=1e-3, t_end=5e-3))
+    assert res < 1e-15
 
 
 def test_history_residual_exact_for_constant_strain():
     m = proto_model(reg_n=None)
     scen = sc.build_scenario("manufactured:constant-strain", 1, (0.0, 1.0), m, 0.05)
     space = interval_space(16)
-    traj = dy.run(scen, space, dy.SolverConfig(dt=2.5e-3, t_end=0.05,
-                                               record_history=True))
-    assert dy.strain_history_residual(traj, space, m) <= 1e-9
+    res = _history_residual(scen, space, dy.SolverConfig(dt=2.5e-3, t_end=0.05))
+    assert res <= 1e-9
 
 
 def test_history_residual_order_2():
     scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.1)
     space = interval_space(32)
-    res = []
-    for dt in (1e-3, 5e-4):
-        traj = dy.run(scen, space, dy.SolverConfig(dt=dt, t_end=0.1,
-                                                   record_history=True))
-        res.append(dy.strain_history_residual(traj, space, scen.model))
+    res = [_history_residual(scen, space, dy.SolverConfig(dt=dt, t_end=0.1))
+           for dt in (1e-3, 5e-4)]
     assert 3.4 <= res[0] / res[1] <= 4.6
-
-
-def test_history_residual_requires_history():
-    scen = zero_scenario(proto_model())
-    space = interval_space(8)
-    traj = dy.run(scen, space, dy.SolverConfig(dt=1e-3, t_end=2e-3))
-    with pytest.raises(ValueError):
-        dy.strain_history_residual(traj, space, scen.model)
 
 
 def test_solver_config_validation():

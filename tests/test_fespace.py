@@ -158,7 +158,7 @@ def test_stress_load_linear_stress_1d():
 def test_forcing_load_constant():
     space = fe.FESpace(fe.interval_mesh(0.0, 1.0, 4))
     h = 0.25
-    load = fe.assemble_forcing(space, lambda t, X: np.ones((X.shape[0], 1)), 0.0)
+    load = space.load_from_values(np.ones((space.n_qp, 1)))
     # integral of each interior hat is h
     assert np.allclose(load, h, rtol=0, atol=1e-14)
 
@@ -166,13 +166,13 @@ def test_forcing_load_constant():
 def test_interpolate_reproduces_linears():
     space = fe.FESpace(fe.interval_mesh(0.0, 1.0, 16))
 
-    def lin(t, X):
+    def lin(X):
         return 2.0 * X + 0.5
 
-    f = fe.interpolate(space, lin, 0.0)
-    err = fe.l2_error(space, f.value_at_qp(), lin, 0.0)
+    vals = space.shape_full @ lin(space.mesh.nodes)
+    err = space.l2_norm_qp(vals - lin(space.qp))
     assert err <= 1e-13
-    assert fe.l2_norm(space, np.zeros((space.n_qp, 1))) == 0.0
+    assert space.l2_norm_qp(np.zeros((space.n_qp, 1))) == 0.0
 
 
 def test_interpolation_order_two():
@@ -181,11 +181,11 @@ def test_interpolation_order_two():
     for cells in (16, 32, 64, 128):
         space = fe.FESpace(fe.interval_mesh(0.0, 1.0, cells))
 
-        def f(t, X):
+        def f(X):
             return np.sin(np.pi * X)
 
-        vals = fe.interpolate(space, f, 0.0).value_at_qp()
-        errs.append(fe.l2_error(space, vals, f, 0.0))
+        vals = space.shape_full @ f(space.mesh.nodes)
+        errs.append(space.l2_norm_qp(vals - f(space.qp)))
         hs.append(1.0 / cells)
     order = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert 1.9 <= order <= 2.1
