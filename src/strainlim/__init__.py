@@ -1,6 +1,6 @@
 """Finite element simulator for strain-limiting viscoelastic solids."""
 
-from . import constitutive, diagnostics, driver, dynamics, fespace, scenarios, symtensor
+import importlib
 
 __all__ = [
     "constitutive",
@@ -11,3 +11,11 @@ __all__ = [
     "scenarios",
     "symtensor",
 ]
+
+
+def __getattr__(name):
+    # submodules load on first access, so `python -m strainlim.driver`
+    # does not find its own module already imported by the package
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

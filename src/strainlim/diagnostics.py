@@ -245,13 +245,7 @@ def regularization_sweep(scenario, space, config, n_list):
 
 
 def _space_for(scenario, cells):
-    dom = np.asarray(scenario.domain, dtype=float)
-    if scenario.dim == 1:
-        mesh = fe.interval_mesh(dom[0, 0], dom[0, 1], cells)
-    else:
-        mesh = fe.rectangle_mesh(dom[0, 0], dom[0, 1], dom[1, 0], dom[1, 1],
-                                 cells, cells)
-    return fe.FESpace(mesh)
+    return fe.FESpace(fe.box_mesh(scenario.domain, (cells,) * scenario.dim))
 
 
 def refinement_study(scenario, axis, levels, config, cells=256):

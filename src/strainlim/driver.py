@@ -156,13 +156,10 @@ class RunConfig:
                                      reg_n=self.values["reg_n"])
 
     def build_space(self):
-        dom = self.values["domain"]
-        if self.values["dim"] == 1:
-            mesh = fe.interval_mesh(dom[0], dom[1], self.values["cells"])
-        else:
-            mesh = fe.rectangle_mesh(dom[0], dom[1], dom[2], dom[3],
-                                     self.values["cells_x"], self.values["cells_y"])
-        return fe.FESpace(mesh)
+        v = self.values
+        # parse_config admits only the cell keys of the config's dim
+        cells = [v[k] for k in ("cells", "cells_x", "cells_y") if v[k] is not None]
+        return fe.FESpace(fe.box_mesh(sc.canon_domain(v["dim"], v["domain"]), cells))
 
     def build_scenario(self):
         return sc.build_scenario(self.values["scenario"], self.values["dim"],
@@ -487,32 +484,10 @@ def _verify_jacobian(rng):
                              f"operator norm bound held: {bound_ok}")
 
 
-def _sine_field(amp, freq, rate=0.0):
-    w = freq * np.pi
-
-    def value(t, X):
-        return amp * np.cos(rate * t) * np.sin(w * X)
-
-    def grad(t, X):
-        return (amp * w * np.cos(rate * t) * np.cos(w * X))[..., None]
-
-    def dt_value(t, X):
-        return -amp * rate * np.sin(rate * t) * np.sin(w * X)
-
-    def dt_grad(t, X):
-        return (-amp * w * rate * np.sin(rate * t) * np.cos(w * X))[..., None]
-
-    def dtt_value(t, X):
-        return -amp * rate**2 * np.cos(rate * t) * np.sin(w * X)
-
-    return sc.AnalyticField(1, value, grad=grad, dt_value=dt_value,
-                            dt_grad=dt_grad, dtt_value=dtt_value)
-
-
 def _verify_lifts(rng):
     alpha, beta = 1.3, 0.4
-    u0 = _sine_field(0.5, 1.0)
-    v0 = _sine_field(0.2, 2.0)
+    u0 = sc._standing_wave_field(1, (0.0, 1.0), amplitude=0.5, omega=0.0)
+    v0 = sc._standing_wave_field(1, (0.0, 0.5), amplitude=0.2, omega=0.0)
     lift = sc.lift_static_bc(u0, v0, alpha, beta)
     X = rng.uniform(0.0, 1.0, size=(100, 1))
     worst_data = max(
@@ -524,7 +499,7 @@ def _verify_lifts(rng):
     for t in (0.3, 1.7):
         Et = sc.strain_expression(lift, alpha, beta, t, X)
         worst_id = max(worst_id, float(np.max(np.abs(Et - E0))))
-    u_ext = _sine_field(0.05, 1.0, rate=1.0)
+    u_ext = sc._standing_wave_field(1, (0.0, 1.0), amplitude=0.05, omega=1.0)
     lift2 = sc.lift_timedep_bc(u_ext, sc.zero_field(1), alpha, beta,
                                boundary_points=np.array([[0.0], [1.0]]))
     worst_data = max(worst_data,

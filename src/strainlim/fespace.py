@@ -96,6 +96,12 @@ def rectangle_mesh(a, b, c, d, nx, ny):
     return Mesh(2, nodes, elems, boundary)
 
 
+def box_mesh(domain, cells):
+    """Mesh of a ((lo, hi), ...) box with one cell count per axis."""
+    make = interval_mesh if len(domain) == 1 else rectangle_mesh
+    return make(*[x for pair in domain for x in pair], *cells)
+
+
 # reference quadrature:  1D Gauss-2 on [0,1]; 2D edge midpoints on the
 # unit triangle.  Local weights are fractions of the element measure.
 _QP_1D = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])

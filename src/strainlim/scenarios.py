@@ -20,6 +20,7 @@ needs the exact solution's second spatial derivatives.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -301,10 +302,9 @@ def manufactured(u_exact, model, domain, name="manufactured", t_end=1.0,
         raise InvalidDataError(
             "exact solution lacks the second spatial derivatives (hess, dt_hess) "
             "that the exact stress divergence needs")
-    lo = np.asarray(dom, dtype=float)
     L = con.limit_L(model)
     if np.isfinite(L):
-        sup = _sample_sup_strain(u_exact, model, lo, t_end, guard_samples)
+        sup = _sample_sup_strain(u_exact, model, dom, t_end, guard_samples)
         if sup >= 0.95 * L:
             raise InvalidDataError(
                 f"exact strain expression reaches {sup:.4f}, beyond 0.95*L = {0.95 * L:.4f}"
@@ -328,12 +328,7 @@ def manufactured(u_exact, model, domain, name="manufactured", t_end=1.0,
 
 
 def _sample_sup_strain(u_exact, model, lo, t_end, n):
-    grids = [np.linspace(a, b, 41) for a, b in lo]
-    if len(grids) == 1:
-        X = grids[0][:, None]
-    else:
-        A, B = np.meshgrid(*grids, indexing="ij")
-        X = np.column_stack([A.ravel(), B.ravel()])
+    X = _box_points(lo, 41)
     worst = 0.0
     for t in np.linspace(0.0, t_end, n):
         E = strain_expression(u_exact, model.alpha, model.beta, float(t), X)
@@ -365,42 +360,80 @@ def _bump_prime(s):
     return out
 
 
+def _product_field(dim, profile, amplitude, time=None):
+    """Field whose first component is amplitude * c(t) * prod_j f_j(x_j),
+    the other components zero, with grad and hess by the product rule.
+
+    profile[j] lists the derivatives f_j, f_j', f_j'' of axis j, each as
+    a pair (factor, g) meaning factor * g(x_j), with g None for the
+    constant 1; a g shared between orders is evaluated once per call.
+    hess is declared only when every axis has f_j''.  time is the triple
+    (c, c', c'') of callables of t; None makes the field static (c = 1,
+    no time derivatives declared).
+    """
+    axes = range(dim)
+
+    def build(rank, coef):
+        # every entry u_0,j,k,... is one product over the axes, of the
+        # derivative order it takes along each; its constant factors are
+        # folded here, and entries with a zero factor stay zero
+        evals, terms = [], []
+        for idx in itertools.product(axes, repeat=rank - 1):
+            parts = [profile[i][idx.count(i)] for i in axes]
+            factor = float(np.prod([fac for fac, _ in parts]))
+            if factor == 0.0:
+                continue
+            keys = []
+            for i, (_, g) in zip(axes, parts):
+                if g is not None:
+                    if (i, g) not in evals:
+                        evals.append((i, g))
+                    keys.append(evals.index((i, g)))
+            terms.append(((slice(None), 0) + idx, factor, keys))
+        shape = (dim,) * rank
+
+        def call(t, X):
+            scale = amplitude if coef is None else amplitude * coef(t)
+            vals = [g(X[:, i]) for i, g in evals]
+            out = np.zeros((X.shape[0],) + shape)
+            for slot, factor, keys in terms:
+                prod = scale * factor
+                for k in keys:
+                    prod = prod * vals[k]
+                out[slot] = prod
+            return out
+
+        return call
+
+    second = all(len(p) > 2 for p in profile)
+    if time is None:
+        return AnalyticField(dim, build(1, None), grad=build(2, None),
+                             hess=build(3, None) if second else None)
+    c, dc, ddc = time
+    return AnalyticField(dim, build(1, c), grad=build(2, c), dt_value=build(1, dc),
+                         dt_grad=build(2, dc), dtt_value=build(1, ddc),
+                         hess=build(3, c) if second else None,
+                         dt_hess=build(3, dc) if second else None)
+
+
+def _box_points(lo, n):
+    """(n**dim, dim) tensor grid with n points per axis of the box lo."""
+    grids = np.meshgrid(*[np.linspace(a, b, n) for a, b in lo], indexing="ij")
+    return np.column_stack([g.ravel() for g in grids])
+
+
+def _bump_profile(c, w):
+    return ((1.0, lambda x: _bump((x - c) / w)),
+            (1.0 / w, lambda x: _bump_prime((x - c) / w)))
+
+
 def _pluck_field(dim, domain, amplitude):
-    """Displacement bump (first component in 2D), unit amplitude scaled."""
+    """Displacement bump in the first component, unit amplitude scaled."""
     lo = np.asarray(domain, dtype=float).reshape(dim, 2)
     ctr = lo.mean(axis=1)
     wid = 0.4 * (lo[:, 1] - lo[:, 0])
-
-    if dim == 1:
-        c, w = ctr[0], wid[0]
-
-        def value(t, X):
-            return amplitude * _bump((X[:, 0] - c) / w)[:, None]
-
-        def grad(t, X):
-            return (amplitude / w) * _bump_prime((X[:, 0] - c) / w)[:, None, None]
-
-        return AnalyticField(1, value, grad=grad)
-
-    cx, cy = ctr
-    wx, wy = wid
-
-    def value2(t, X):
-        bx = _bump((X[:, 0] - cx) / wx)
-        by = _bump((X[:, 1] - cy) / wy)
-        out = np.zeros((X.shape[0], 2))
-        out[:, 0] = amplitude * bx * by
-        return out
-
-    def grad2(t, X):
-        sx = (X[:, 0] - cx) / wx
-        sy = (X[:, 1] - cy) / wy
-        out = np.zeros((X.shape[0], 2, 2))
-        out[:, 0, 0] = amplitude * _bump_prime(sx) * _bump(sy) / wx
-        out[:, 0, 1] = amplitude * _bump(sx) * _bump_prime(sy) / wy
-        return out
-
-    return AnalyticField(2, value2, grad=grad2)
+    return _product_field(dim, [_bump_profile(c, w) for c, w in zip(ctr, wid)],
+                          amplitude)
 
 
 def _pluck_scenario(name, margin, dim, domain, model, t_end):
@@ -413,13 +446,7 @@ def _pluck_scenario(name, margin, dim, domain, model, t_end):
         raise InvalidDataError(f"margin {margin} leaves no admissible amplitude")
     dom = canon_domain(dim, domain)
     unit = _pluck_field(dim, dom, 1.0)
-    lo = np.asarray(dom, dtype=float)
-    grids = [np.linspace(a, b, 801 if dim == 1 else 161) for a, b in lo]
-    if dim == 1:
-        X = grids[0][:, None]
-    else:
-        A, B = np.meshgrid(*grids, indexing="ij")
-        X = np.column_stack([A.ravel(), B.ravel()])
+    X = _box_points(dom, 801 if dim == 1 else 161)
     sup = float(np.max(st.norm(unit.strain(0.0, X))))
     amp = target / (model.alpha * sup)
     u_init = _pluck_field(dim, dom, amp)
@@ -431,117 +458,28 @@ def _pluck_scenario(name, margin, dim, domain, model, t_end):
     )
 
 
+def _sine_profile(k, a):
+    def sin(x):
+        return np.sin(k * (x - a))
+
+    return ((1.0, sin), (k, lambda x: np.cos(k * (x - a))), (-k * k, sin))
+
+
 def _standing_wave_field(dim, domain, amplitude=0.05, omega=np.pi):
+    """amplitude cos(omega t) prod_j sin(pi (x_j - a_j) / (b_j - a_j)) in the
+    first component: one half-wave per axis, zero on the boundary."""
     lo = np.asarray(domain, dtype=float).reshape(dim, 2)
-    a, b = lo[0]
-    kx = np.pi / (b - a)
-    if dim == 1:
-
-        def value(t, X):
-            return amplitude * np.sin(kx * (X[:, :1] - a)) * np.cos(omega * t)
-
-        def grad(t, X):
-            return amplitude * kx * np.cos(kx * (X[:, :1, None] - a)) * np.cos(omega * t)
-
-        def dt_value(t, X):
-            return -amplitude * omega * np.sin(kx * (X[:, :1] - a)) * np.sin(omega * t)
-
-        def dt_grad(t, X):
-            return -amplitude * omega * kx * np.cos(kx * (X[:, :1, None] - a)) * np.sin(omega * t)
-
-        def dtt_value(t, X):
-            return -amplitude * omega**2 * np.sin(kx * (X[:, :1] - a)) * np.cos(omega * t)
-
-        def hess(t, X):
-            return -amplitude * kx**2 * np.sin(kx * (X[:, :1, None, None] - a)) * np.cos(omega * t)
-
-        def dt_hess(t, X):
-            return amplitude * omega * kx**2 * np.sin(kx * (X[:, :1, None, None] - a)) \
-                * np.sin(omega * t)
-
-        return AnalyticField(1, value, grad=grad, dt_value=dt_value,
-                             dt_grad=dt_grad, dtt_value=dtt_value, hess=hess,
-                             dt_hess=dt_hess)
-
-    c, d2 = lo[1]
-    ky = np.pi / (d2 - c)
-
-    def shape(X):
-        return np.sin(kx * (X[:, 0] - a)) * np.sin(ky * (X[:, 1] - c))
-
-    def shape_grad(X):
-        gx = kx * np.cos(kx * (X[:, 0] - a)) * np.sin(ky * (X[:, 1] - c))
-        gy = ky * np.sin(kx * (X[:, 0] - a)) * np.cos(ky * (X[:, 1] - c))
-        return gx, gy
-
-    def shape_hess(X):
-        out = np.empty((X.shape[0], 2, 2))
-        sxy = shape(X)
-        out[:, 0, 0] = -kx**2 * sxy
-        out[:, 1, 1] = -ky**2 * sxy
-        out[:, 0, 1] = out[:, 1, 0] = \
-            kx * ky * np.cos(kx * (X[:, 0] - a)) * np.cos(ky * (X[:, 1] - c))
-        return out
-
-    def value2(t, X):
-        out = np.zeros((X.shape[0], 2))
-        out[:, 0] = amplitude * shape(X) * np.cos(omega * t)
-        return out
-
-    def grad2(t, X):
-        gx, gy = shape_grad(X)
-        out = np.zeros((X.shape[0], 2, 2))
-        out[:, 0, 0] = amplitude * gx * np.cos(omega * t)
-        out[:, 0, 1] = amplitude * gy * np.cos(omega * t)
-        return out
-
-    def dt_value2(t, X):
-        out = np.zeros((X.shape[0], 2))
-        out[:, 0] = -amplitude * omega * shape(X) * np.sin(omega * t)
-        return out
-
-    def dt_grad2(t, X):
-        gx, gy = shape_grad(X)
-        out = np.zeros((X.shape[0], 2, 2))
-        out[:, 0, 0] = -amplitude * omega * gx * np.sin(omega * t)
-        out[:, 0, 1] = -amplitude * omega * gy * np.sin(omega * t)
-        return out
-
-    def dtt_value2(t, X):
-        out = np.zeros((X.shape[0], 2))
-        out[:, 0] = -amplitude * omega**2 * shape(X) * np.cos(omega * t)
-        return out
-
-    def hess2(t, X):
-        out = np.zeros((X.shape[0], 2, 2, 2))
-        out[:, 0] = amplitude * np.cos(omega * t) * shape_hess(X)
-        return out
-
-    def dt_hess2(t, X):
-        out = np.zeros((X.shape[0], 2, 2, 2))
-        out[:, 0] = -amplitude * omega * np.sin(omega * t) * shape_hess(X)
-        return out
-
-    return AnalyticField(2, value2, grad=grad2, dt_value=dt_value2,
-                         dt_grad=dt_grad2, dtt_value=dtt_value2, hess=hess2,
-                         dt_hess=dt_hess2)
+    time = (lambda t: np.cos(omega * t), lambda t: -omega * np.sin(omega * t),
+            lambda t: -omega * omega * np.cos(omega * t))
+    return _product_field(dim, [_sine_profile(np.pi / (b - a), a) for a, b in lo],
+                          amplitude, time)
 
 
 def _constant_strain_field(dim, domain, slope=0.3):
-    lo = np.asarray(domain, dtype=float).reshape(dim, 2)
-    a = lo[0, 0]
-
-    def value(t, X):
-        out = np.zeros((X.shape[0], dim))
-        out[:, 0] = slope * (X[:, 0] - a)
-        return out
-
-    def grad(t, X):
-        out = np.zeros((X.shape[0], dim, dim))
-        out[:, 0, 0] = slope
-        return out
-
-    return AnalyticField(dim, value, grad=grad)
+    a = np.asarray(domain, dtype=float).reshape(dim, 2)[0, 0]
+    flat = ((1.0, None), (0.0, None))
+    return _product_field(dim, [((1.0, lambda x: x - a), (1.0, None))] + [flat] * (dim - 1),
+                          slope)
 
 
 def _constant_strain_scenario(dim, domain, model, t_end):

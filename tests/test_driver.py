@@ -1,9 +1,14 @@
 import csv
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
+import strainlim
 from strainlim import driver as dr
 
 
@@ -121,6 +126,30 @@ def test_serialize_round_trip():
     assert dr.parse_config(again.serialize()).values == cfg.values
 
 
+_TOKEN = hs.one_of(
+    hs.floats().map(repr),
+    hs.integers(-3, 300).map(str),
+    hs.sampled_from(["none", "inf", "nan", "1e400", "0x10", "1_0", "prototype",
+                     "linear", "rk4", "midpoint", "gaussian-pluck", "stability", "#", "="]),
+    hs.text(max_size=6),
+)
+_KEY = hs.one_of(hs.sampled_from(sorted(dr._KEYS)), hs.text(max_size=8))
+_LINE = hs.one_of(
+    hs.tuples(_KEY, hs.lists(_TOKEN, max_size=5)).map(
+        lambda kv: f"{kv[0]} = {' '.join(kv[1])}"),
+    hs.text(max_size=20),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(hs.sets(hs.sampled_from(BASE.splitlines())), hs.lists(_LINE, max_size=8))
+def test_parse_config_fails_only_with_config_errors(base_lines, lines):
+    try:
+        dr.parse_config("\n".join(sorted(base_lines) + lines))
+    except dr.ConfigError:
+        pass
+
+
 # ---------------------------------------------------------------------------
 # run command
 
@@ -236,6 +265,25 @@ def test_cmd_run_bad_config_exits_1(tmp_path, capsys):
 def test_missing_config_file_exits_1(tmp_path, capsys):
     assert dr.main(["run", str(tmp_path / "nope.cfg")]) == 1
     assert "cannot read config" in capsys.readouterr().out
+
+
+def test_module_entry_point_keeps_stderr_clean(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dr.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "strainlim.driver", "run", str(tmp_path / "nope.cfg")],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert "cannot read config" in proc.stdout
+
+
+def test_package_resolves_submodules_by_attribute():
+    for name in strainlim.__all__:
+        assert getattr(strainlim, name).__name__ == f"strainlim.{name}"
+    with pytest.raises(AttributeError):
+        strainlim.no_such_module
 
 
 # ---------------------------------------------------------------------------

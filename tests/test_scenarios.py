@@ -59,7 +59,9 @@ def test_builtin_fields_fd_consistent():
         sc._pluck_field(2, ((0.0, 1.0), (0.0, 1.0)), 0.4),
         sc._standing_wave_field(1, ((0.0, 1.0),)),
         sc._standing_wave_field(2, ((0.0, 1.0), (0.0, 1.0))),
+        sc._standing_wave_field(2, ((0.0, 2.0), (-0.5, 1.0)), amplitude=0.3, omega=1.7),
         sc._constant_strain_field(1, ((0.0, 1.0),)),
+        sc._constant_strain_field(2, ((0.2, 1.0), (0.0, 3.0)), slope=0.7),
         sc.lift_static_bc(sc._pluck_field(1, ((0.0, 1.0),), 0.4),
                           sc._pluck_field(1, ((0.0, 1.0),), 0.1),
                           m.alpha, m.beta),
@@ -68,6 +70,185 @@ def test_builtin_fields_fd_consistent():
         X = sample_points(f.dim, rng)
         for t in (0.0, 0.31, 1.7):
             assert f.fd_consistency(t, X) < 1e-6
+
+
+# Hand-written 1D and 2D formulas of the built-in fields, kept here as the
+# reference that `_product_field` must reproduce.
+
+
+def _ref_pluck(dim, domain, amplitude):
+    lo = np.asarray(domain, dtype=float).reshape(dim, 2)
+    ctr = lo.mean(axis=1)
+    wid = 0.4 * (lo[:, 1] - lo[:, 0])
+
+    if dim == 1:
+        c, w = ctr[0], wid[0]
+
+        def value(t, X):
+            return amplitude * sc._bump((X[:, 0] - c) / w)[:, None]
+
+        def grad(t, X):
+            return (amplitude / w) * sc._bump_prime((X[:, 0] - c) / w)[:, None, None]
+
+        return sc.AnalyticField(1, value, grad=grad)
+
+    cx, cy = ctr
+    wx, wy = wid
+
+    def value2(t, X):
+        bx = sc._bump((X[:, 0] - cx) / wx)
+        by = sc._bump((X[:, 1] - cy) / wy)
+        out = np.zeros((X.shape[0], 2))
+        out[:, 0] = amplitude * bx * by
+        return out
+
+    def grad2(t, X):
+        sx = (X[:, 0] - cx) / wx
+        sy = (X[:, 1] - cy) / wy
+        out = np.zeros((X.shape[0], 2, 2))
+        out[:, 0, 0] = amplitude * sc._bump_prime(sx) * sc._bump(sy) / wx
+        out[:, 0, 1] = amplitude * sc._bump(sx) * sc._bump_prime(sy) / wy
+        return out
+
+    return sc.AnalyticField(2, value2, grad=grad2)
+
+
+def _ref_standing_wave(dim, domain, amplitude=0.05, omega=np.pi):
+    lo = np.asarray(domain, dtype=float).reshape(dim, 2)
+    a, b = lo[0]
+    kx = np.pi / (b - a)
+    if dim == 1:
+
+        def value(t, X):
+            return amplitude * np.sin(kx * (X[:, :1] - a)) * np.cos(omega * t)
+
+        def grad(t, X):
+            return amplitude * kx * np.cos(kx * (X[:, :1, None] - a)) * np.cos(omega * t)
+
+        def dt_value(t, X):
+            return -amplitude * omega * np.sin(kx * (X[:, :1] - a)) * np.sin(omega * t)
+
+        def dt_grad(t, X):
+            return -amplitude * omega * kx * np.cos(kx * (X[:, :1, None] - a)) * np.sin(omega * t)
+
+        def dtt_value(t, X):
+            return -amplitude * omega**2 * np.sin(kx * (X[:, :1] - a)) * np.cos(omega * t)
+
+        def hess(t, X):
+            return -amplitude * kx**2 * np.sin(kx * (X[:, :1, None, None] - a)) * np.cos(omega * t)
+
+        def dt_hess(t, X):
+            return amplitude * omega * kx**2 * np.sin(kx * (X[:, :1, None, None] - a)) \
+                * np.sin(omega * t)
+
+        return sc.AnalyticField(1, value, grad=grad, dt_value=dt_value,
+                                dt_grad=dt_grad, dtt_value=dtt_value, hess=hess,
+                                dt_hess=dt_hess)
+
+    c, d2 = lo[1]
+    ky = np.pi / (d2 - c)
+
+    def shape(X):
+        return np.sin(kx * (X[:, 0] - a)) * np.sin(ky * (X[:, 1] - c))
+
+    def shape_grad(X):
+        gx = kx * np.cos(kx * (X[:, 0] - a)) * np.sin(ky * (X[:, 1] - c))
+        gy = ky * np.sin(kx * (X[:, 0] - a)) * np.cos(ky * (X[:, 1] - c))
+        return gx, gy
+
+    def shape_hess(X):
+        out = np.empty((X.shape[0], 2, 2))
+        sxy = shape(X)
+        out[:, 0, 0] = -kx**2 * sxy
+        out[:, 1, 1] = -ky**2 * sxy
+        out[:, 0, 1] = out[:, 1, 0] = \
+            kx * ky * np.cos(kx * (X[:, 0] - a)) * np.cos(ky * (X[:, 1] - c))
+        return out
+
+    def value2(t, X):
+        out = np.zeros((X.shape[0], 2))
+        out[:, 0] = amplitude * shape(X) * np.cos(omega * t)
+        return out
+
+    def grad2(t, X):
+        gx, gy = shape_grad(X)
+        out = np.zeros((X.shape[0], 2, 2))
+        out[:, 0, 0] = amplitude * gx * np.cos(omega * t)
+        out[:, 0, 1] = amplitude * gy * np.cos(omega * t)
+        return out
+
+    def dt_value2(t, X):
+        out = np.zeros((X.shape[0], 2))
+        out[:, 0] = -amplitude * omega * shape(X) * np.sin(omega * t)
+        return out
+
+    def dt_grad2(t, X):
+        gx, gy = shape_grad(X)
+        out = np.zeros((X.shape[0], 2, 2))
+        out[:, 0, 0] = -amplitude * omega * gx * np.sin(omega * t)
+        out[:, 0, 1] = -amplitude * omega * gy * np.sin(omega * t)
+        return out
+
+    def dtt_value2(t, X):
+        out = np.zeros((X.shape[0], 2))
+        out[:, 0] = -amplitude * omega**2 * shape(X) * np.cos(omega * t)
+        return out
+
+    def hess2(t, X):
+        out = np.zeros((X.shape[0], 2, 2, 2))
+        out[:, 0] = amplitude * np.cos(omega * t) * shape_hess(X)
+        return out
+
+    def dt_hess2(t, X):
+        out = np.zeros((X.shape[0], 2, 2, 2))
+        out[:, 0] = -amplitude * omega * np.sin(omega * t) * shape_hess(X)
+        return out
+
+    return sc.AnalyticField(2, value2, grad=grad2, dt_value=dt_value2,
+                            dt_grad=dt_grad2, dtt_value=dtt_value2, hess=hess2,
+                            dt_hess=dt_hess2)
+
+
+def _ref_constant_strain(dim, domain, slope=0.3):
+    a = np.asarray(domain, dtype=float).reshape(dim, 2)[0, 0]
+
+    def value(t, X):
+        out = np.zeros((X.shape[0], dim))
+        out[:, 0] = slope * (X[:, 0] - a)
+        return out
+
+    def grad(t, X):
+        out = np.zeros((X.shape[0], dim, dim))
+        out[:, 0, 0] = slope
+        return out
+
+    return sc.AnalyticField(dim, value, grad=grad)
+
+
+_REF_DOMAINS = {1: ((-0.3, 1.2),), 2: ((0.0, 1.0), (-0.5, 2.0))}
+_REF_CASES = [
+    ("pluck", sc._pluck_field, _ref_pluck, (0.4,), {}),
+    ("standing-wave", sc._standing_wave_field, _ref_standing_wave, (), {}),
+    ("standing-wave-fast", sc._standing_wave_field, _ref_standing_wave, (),
+     {"amplitude": 0.3, "omega": 1.7}),
+    ("constant-strain", sc._constant_strain_field, _ref_constant_strain, (), {"slope": 0.7}),
+]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("name,build,reference,args,kwargs", _REF_CASES,
+                         ids=[c[0] for c in _REF_CASES])
+def test_product_fields_match_hand_written(dim, name, build, reference, args, kwargs):
+    dom = _REF_DOMAINS[dim]
+    field, ref = build(dim, dom, *args, **kwargs), reference(dim, dom, *args, **kwargs)
+    assert field.has_second_derivatives == ref.has_second_derivatives
+    rng = np.random.default_rng(23)
+    X = np.column_stack([rng.uniform(a, b, 200) for a, b in dom])
+    for t in (0.0, 0.37):
+        for which in ("value", "grad", "dt_value", "dt_grad", "dtt_value", "hess", "dt_hess"):
+            got, want = getattr(field, which)(t, X), getattr(ref, which)(t, X)
+            assert got.shape == want.shape, which
+            assert np.max(np.abs(got - want)) <= 1e-15, (which, t)
 
 
 # ---------------------------------------------------------------------------
