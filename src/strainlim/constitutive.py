@@ -33,6 +33,7 @@ REG_LINEAR = "linear"
 REG_POWER = "power"
 
 INF = np.inf
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 class SupercriticalStrainError(ValueError):
@@ -71,6 +72,10 @@ class ScalarPotential:
         """Inverse of dphi on [0, limit); caller guarantees e < limit."""
         raise NotImplementedError
 
+    def dphi_pair(self, s):
+        """(dphi(s), d2phi(s)); subclasses may share work between the two."""
+        return self.dphi(s), self.d2phi(s)
+
 
 class PrototypePotential(ScalarPotential):
     """Bounded-response potential with dphi(s) = s*(1+s^q)^(-1/q), limit 1.
@@ -99,12 +104,37 @@ class PrototypePotential(ScalarPotential):
         return 0.5 * s * s * hyp2f1(1.0 / q, 2.0 / q, (2.0 + q) / q, -(s**q))
 
     def dphi(self, s):
-        s = np.asarray(s, dtype=float)
-        return s * (1.0 + s**self.q) ** (-1.0 / self.q)
+        return self.dphi_pair(s)[0]
 
     def d2phi(self, s):
+        return self.dphi_pair(s)[1]
+
+    def dphi_pair(self, s):
+        """dphi and d2phi from one shared w = 1 + s**q, d2phi = (dphi/s) / w.
+
+        Past s = 1 the shared power is w = 1 + s**-q, where s**q would
+        overflow: then dphi = w**(-1/q) and d2phi = s**-(q+1) * w**(-(q+1)/q).
+        Work arrays are reused in place: fresh temporaries dominate the
+        cost on large batches.
+        """
         s = np.asarray(s, dtype=float)
-        return (1.0 + s**self.q) ** (-(self.q + 1.0) / self.q)
+        if s.ndim == 0:
+            dphi, d2 = self.dphi_pair(s[None])
+            return dphi[0], d2[0]
+        q = self.q
+        big = s > 1.0
+        pw = s ** np.where(big, -q, q)
+        w = pw + 1.0
+        factor = w ** (-1.0 / q)
+        d2 = np.divide(factor, w, out=w)
+        np.divide(pw, s, out=pw, where=big)                 # s**-(q+1) past 1
+        pw *= d2
+        np.copyto(d2, pw, where=big)
+        dphi = np.minimum(s, 1.0)
+        dphi *= factor
+        # held just below the limit where factor rounds to 1
+        np.minimum(dphi, _BELOW_ONE, out=dphi)
+        return dphi, d2
 
     def dphi_inv(self, e):
         e = np.asarray(e, dtype=float)
@@ -200,26 +230,35 @@ def _reg_p(model):
     return model.potential.growth_exponent if model.reg_kind == REG_POWER else 2.0
 
 
+def _regularizer(model, r):
+    """Regularizer term of h and its derivative: (r/n, 1/n), or
+    (r^{p-1}/n, (p-1) r^{p-2}/n) for the power kind; zeros without one."""
+    inv = _inv_n(model)
+    if not inv:
+        return 0.0, 0.0
+    p = _reg_p(model)
+    if p == 2.0:
+        return inv * r, inv
+    return inv * r ** (p - 1.0), inv * (p - 1.0) * r ** (p - 2.0)
+
+
 def response_scalar(model, r):
     """Effective scalar response h(r) = dphi(r) + regularizer, r >= 0."""
     r = np.asarray(r, dtype=float)
-    h = model.potential.dphi(r)
-    inv = _inv_n(model)
-    if inv:
-        p = _reg_p(model)
-        h = h + inv * r if p == 2.0 else h + inv * r ** (p - 1.0)
-    return h
+    return model.potential.dphi(r) + _regularizer(model, r)[0]
 
 
 def response_scalar_deriv(model, r):
     """h'(r); strictly positive for r > 0 on every admissible model."""
     r = np.asarray(r, dtype=float)
-    d = model.potential.d2phi(r)
-    inv = _inv_n(model)
-    if inv:
-        p = _reg_p(model)
-        d = d + inv if p == 2.0 else d + inv * (p - 1.0) * r ** (p - 2.0)
-    return d
+    return model.potential.d2phi(r) + _regularizer(model, r)[1]
+
+
+def _response_pair(model, r):
+    """(h(r), h'(r)) in one pass."""
+    h, d = model.potential.dphi_pair(r)
+    reg, dreg = _regularizer(model, r)
+    return h + reg, d + dreg
 
 
 def g_apply(model, T):
@@ -250,8 +289,8 @@ def jacobian_eigenvalues(model, T):
     radial = np.full(r.shape, h0)
     nz = r > 0.0
     if np.any(nz):
-        tang[nz] = response_scalar(model, r[nz]) / r[nz]
-        radial[nz] = response_scalar_deriv(model, r[nz])
+        h, radial[nz] = _response_pair(model, r[nz])
+        tang[nz] = h / r[nz]
     if scalar_in:
         return float(tang[0]), float(radial[0])
     return tang, radial
@@ -336,7 +375,7 @@ def invert_radius(model, s, warm=None, tol=1e-12, max_iter=100):
     s = np.asarray(s, dtype=float)
     scalar_in = s.ndim == 0
     s = np.atleast_1d(s)
-    if np.any(s < 0.0) or not np.all(np.isfinite(s)):
+    if (s < 0.0).any() or not np.isfinite(s).all():
         raise ValueError("strain magnitude must be finite and >= 0")
 
     pot = model.potential
@@ -354,47 +393,49 @@ def invert_radius(model, s, warm=None, tol=1e-12, max_iter=100):
     p = _reg_p(model)
     hi = s / inv if p == 2.0 else (s / inv) ** (1.0 / (p - 1.0))
     lo = np.zeros_like(s)
-    d0 = float(response_scalar_deriv(model, 0.0))
     if warm is not None:
-        x = np.clip(np.asarray(warm, dtype=float), lo, hi)
-    elif np.isfinite(d0) and d0 > 0.0:
-        x = np.minimum(hi, s / d0)
+        x = np.minimum(np.maximum(warm, 0.0), hi)          # clipped to [0, hi]
     else:
-        x = 0.5 * hi
-    x = np.where(s == 0.0, 0.0, x)
+        d0 = float(response_scalar_deriv(model, 0.0))
+        x = np.minimum(hi, s / d0) if np.isfinite(d0) and d0 > 0.0 else 0.5 * hi
+    done = s == 0.0
+    x = np.where(done, 0.0, x)
 
     target = tol * (1.0 + s)
-    done = s == 0.0
-    for _ in range(max_iter):
-        f = response_scalar(model, x) - s
-        done = done | (np.abs(f) <= target)
-        if np.all(done):
-            break
-        act = ~done
-        pos = act & (f > 0.0)
-        neg = act & (f < 0.0)
-        hi = np.where(pos, x, hi)
-        lo = np.where(neg, x, lo)
-        d = response_scalar_deriv(model, np.where(act, x, 1.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(act & (d > 0.0) & np.isfinite(d), f / d, 0.0)
-        xn = x - step
-        bad = act & ~((xn > lo) & (xn < hi) & np.isfinite(xn))
-        xn = np.where(bad, 0.5 * (lo + hi), xn)
-        x = np.where(act, xn, x)
-    else:
-        worst = float(np.max(np.abs(response_scalar(model, x) - s)))
-        raise NewtonConvergenceError(
-            f"radial inversion stalled after {max_iter} iterations, residual {worst:.3e}"
-        )
-    # two polish steps drive the scalar residual to its roundoff floor,
-    # so the recovered radius is accurate even when h' is O(1/n)
-    for _ in range(2):
-        f = response_scalar(model, x) - s
-        d = response_scalar_deriv(model, np.where(x > 0.0, x, 1.0))
-        d = np.where((x > 0.0) & np.isfinite(d) & (d > 0.0), d, 1.0)
-        step = f / d
-        x = np.maximum(0.0, x - np.where(np.isfinite(step), step, 0.0))
+    mid = np.empty_like(s)
+    # h, h' come fresh from _response_pair, so the loop overwrites them in place
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            f, d = _response_pair(model, x)
+            f -= s
+            done |= np.abs(f) <= target
+            if done.all():
+                break
+            # converged points keep x, so their bracket may go stale
+            np.copyto(hi, x, where=f > 0.0)
+            np.copyto(lo, x, where=f < 0.0)
+            xn = np.subtract(x, np.divide(f, d, out=d), out=d)
+            # bisect wherever the Newton iterate leaves (lo, hi) or is not finite
+            np.add(lo, hi, out=mid)
+            mid *= 0.5
+            np.copyto(mid, xn, where=(xn > lo) & (xn < hi))
+            np.copyto(x, mid, where=~done)
+        else:
+            worst = float(np.max(np.abs(response_scalar(model, x) - s)))
+            raise NewtonConvergenceError(
+                f"radial inversion stalled after {max_iter} iterations, residual {worst:.3e}"
+            )
+        # two polish steps drive the scalar residual to its roundoff floor,
+        # so the recovered radius is accurate even when h' is O(1/n); the
+        # first reuses h - s and h' of the converged iterate
+        for k in range(2):
+            if k:
+                f, d = _response_pair(model, x)
+                f -= s
+            np.copyto(d, 1.0, where=~((x > 0.0) & (d > 0.0) & np.isfinite(d)))
+            step = np.divide(f, d, out=f)
+            np.copyto(step, 0.0, where=~np.isfinite(step))
+            np.maximum(np.subtract(x, step, out=x), 0.0, out=x)
     return float(x[0]) if scalar_in else x
 
 
@@ -410,7 +451,7 @@ def invert(model, E, warm_stress=None, tol=1e-12, max_iter=100, method="radial")
     # a finite E whose |E|^2 overflows is rejected like a non-finite one
     with np.errstate(over="ignore"):
         s = st.norm(E)
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise ValueError("non-finite strain input")
     L = model.potential.limit
     if model.reg_n is None and np.isfinite(L):
@@ -424,15 +465,10 @@ def invert(model, E, warm_stress=None, tol=1e-12, max_iter=100, method="radial")
 
     warm = st.norm(warm_stress) if warm_stress is not None else None
     r = invert_radius(model, s, warm=warm, tol=tol, max_iter=max_iter)
-    out = np.zeros_like(E)
-    nz = np.atleast_1d(s) > 0.0
-    nz = nz.reshape(s.shape) if s.ndim else nz
     if E.ndim == 1:
-        if s > 0.0:
-            out = (r / s) * E
-        return out
-    out[nz] = (np.atleast_1d(r)[nz] / s[nz])[..., None] * E[nz]
-    return out
+        return (r / s) * E if s > 0.0 else np.zeros_like(E)
+    scale = np.divide(r, s, out=np.zeros_like(s), where=s > 0.0)
+    return scale[..., None] * E
 
 
 def _invert_tensor(model, E, tol, max_iter):
@@ -509,18 +545,20 @@ def phi_star_root(potential, e, tol=1e-12):
     return e * r - float(potential.phi(r))
 
 
-def effective_conjugate(model, e, tol=1e-12):
+def effective_conjugate(model, e, tol=1e-12, radius=None):
     """Conjugate of the model's effective scalar potential (with regularizer).
 
     psi(r) = phi(r) + reg integral; psi*(e) = e*r - psi(r) at h(r) = e.
     Without a regularizer this is phi_star (inf sentinel included).
+    radius, when given, is the caller's own solution of h(r) = e and
+    replaces the solve here.
     """
     e = np.asarray(e, dtype=float)
     if model.reg_n is None:
         return phi_star(model.potential, e)
     scalar_in = e.ndim == 0
     e = np.atleast_1d(e)
-    r = invert_radius(model, e, tol=tol)
+    r = invert_radius(model, e, tol=tol) if radius is None else radius
     r = np.atleast_1d(r)
     inv = _inv_n(model)
     p = _reg_p(model)

@@ -108,8 +108,11 @@ def energy_snapshot(state, space, scenario, fields=None, tol_inv=1e-12):
         elastic = np.inf
         rate = np.nan
     else:
-        elastic = float(np.sum(qw * con.effective_conjugate(m, e))) / m.alpha
         T0 = con.invert(m, m.alpha * eps, warm_stress=T, tol=tol_inv)
+        # the conjugate is stationary in the radius at h(r) = e, so the
+        # radius of T0 serves it without a second solve
+        elastic = float(np.sum(qw * con.effective_conjugate(
+            m, e, radius=st.norm(T0)))) / m.alpha
         rate = float(np.sum(qw * con.dissipation_pair(m, T, T0))) / m.beta
 
     if scenario.forcing is None:

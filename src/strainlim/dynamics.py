@@ -121,17 +121,24 @@ def _loads(scenario, space, t):
     return load
 
 
-def _accel(scenario, space, t, U, V, warm, tol_inv):
-    fields = evaluate_fields(scenario, space, t, U, V, warm, tol_inv)
+def _accel(scenario, space, t, U, V, warm, tol_inv, fields=None):
+    """Acceleration at (t, U, V) and the fields there; fields already
+    evaluated at that configuration are used as given."""
+    if fields is None:
+        fields = evaluate_fields(scenario, space, t, U, V, warm, tol_inv)
     resid = _loads(scenario, space, t) - space.load_from_stress(fields["stress"])
     return space.mass_solve(resid), fields
 
 
-def step_rk4(scenario, space, state, dt, tol_inv=1e-12):
-    """Classical four-stage explicit update."""
+def step_rk4(scenario, space, state, dt, tol_inv=1e-12, fields=None):
+    """Classical four-stage explicit update.
+
+    fields, when given, are the fields of state itself (what the previous
+    step returned); the first stage uses them instead of inverting again.
+    """
     t, U, V = state.t, state.U, state.V
     warm = state.stress
-    a1, f1 = _accel(scenario, space, t, U, V, warm, tol_inv)
+    a1, f1 = _accel(scenario, space, t, U, V, warm, tol_inv, fields)
     k1u, k1v = V, a1
     warm = f1["stress"]
     a2, f2 = _accel(scenario, space, t + 0.5 * dt, U + 0.5 * dt * k1u,
@@ -241,7 +248,9 @@ def run(scenario, space, config, observers=(), U0=None, V0=None):
     does.  Observers are called with (state, fields) at the initial
     state and after every step; fields holds per-qp eps, deps, the
     strain expression E, and stress.  Observers are the only per-step
-    output: a caller that needs a history records it in one.
+    output: a caller that needs a history records it in one.  An RK4 step
+    starts from the fields the observers just saw, so they must not
+    modify them.
     """
     ndof = space.ndof
     U = np.zeros(ndof) if U0 is None else np.array(U0, dtype=float)
@@ -259,7 +268,7 @@ def run(scenario, space, config, observers=(), U0=None, V0=None):
     while state.t < t_end - tiny:
         dtk = min(config.dt, t_end - state.t)
         if config.scheme == SCHEME_RK4:
-            state, fields = step_rk4(scenario, space, state, dtk, config.tol_inv)
+            state, fields = step_rk4(scenario, space, state, dtk, config.tol_inv, fields)
         else:
             state, fields = step_midpoint(scenario, space, state, dtk,
                                           config.newton_tol, config.newton_max,

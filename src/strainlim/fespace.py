@@ -170,7 +170,10 @@ class FESpace:
         k = len(wloc)
         ne = mesh.n_elems
         self.n_qp = ne * k
+        # read-only, so data computed at the quadrature points can be kept
+        # for as long as the same array comes back
         self.qp = qp.reshape(self.n_qp, d)
+        self.qp.flags.writeable = False
         self.qw = np.repeat(meas, k) * np.tile(wloc, ne)
         self._grads = grads
 
@@ -238,6 +241,8 @@ class FESpace:
 
         self._w_d = np.repeat(self.qw, d)
         self._w_m = np.repeat(self.qw, m)
+        self._N_T = self.N.T
+        self._B_T = self.B.T
 
     # -- field evaluation -------------------------------------------------
 
@@ -249,11 +254,11 @@ class FESpace:
 
     def load_from_values(self, vals):
         """Assemble the load vector with entries sum_qp w * vals . basis."""
-        return self.N.T @ (self._w_d * np.asarray(vals).ravel())
+        return self._N_T @ (self._w_d * np.asarray(vals).ravel())
 
     def load_from_stress(self, stress):
         """Assemble entries sum_qp w * stress : strain(basis)."""
-        return self.B.T @ (self._w_m * np.asarray(stress).ravel())
+        return self._B_T @ (self._w_m * np.asarray(stress).ravel())
 
     def l2_norm_qp(self, vals):
         vals = np.asarray(vals)

@@ -47,11 +47,14 @@ class AnalyticField:
     Callables take (t, X) with X of shape (n, dim) and return values of
     shape (n, dim), gradients (n, dim, dim) with grad[i, j] = d u_i / d x_j,
     and Hessians (n, dim, dim, dim) with hess[i, j, k] = d_j d_k u_i.
-    Missing derivative callables default to zero.
+    Missing derivative callables default to zero.  strain and dt_strain,
+    when given, return the packed symmetric parts of grad and dt_grad
+    directly; by default they are formed from grad and dt_grad.
     """
 
     def __init__(self, dim, value, grad=None, dt_value=None, dt_grad=None,
-                 dtt_value=None, hess=None, dt_hess=None):
+                 dtt_value=None, hess=None, dt_hess=None, strain=None,
+                 dt_strain=None):
         self.dim = dim
         self._value = value
         self._grad = grad
@@ -60,6 +63,8 @@ class AnalyticField:
         self._dtt_value = dtt_value
         self._hess = hess
         self._dt_hess = dt_hess
+        self._strain = strain
+        self._dt_strain = dt_strain
 
     def _zeros(self, X, rank):
         n = np.asarray(X).shape[0]
@@ -106,9 +111,13 @@ class AnalyticField:
 
     def strain(self, t, X):
         """Packed symmetric gradient."""
+        if self._strain is not None:
+            return self._strain(t, np.asarray(X, dtype=float))
         return st.sym_part(self.grad(t, X))
 
     def dt_strain(self, t, X):
+        if self._dt_strain is not None:
+            return self._dt_strain(t, np.asarray(X, dtype=float))
         return st.sym_part(self.dt_grad(t, X))
 
     def fd_consistency(self, t, X, h=1e-6):
@@ -178,13 +187,37 @@ def lift_static_bc(u_init, v_init, alpha, beta):
     with a = alpha/beta; then u0(0) = u_init, dt_u0(0) = v_init, and
     alpha*eps(u0) + beta*dt_eps(u0) = alpha*eps(u_init) + beta*eps(v_init)
     for all t.  v_init must vanish on the boundary.
+
+    The packed t=0 strains of u_init and v_init are kept for the last
+    read-only point set (a space's quadrature points) and reused while
+    the same array comes back; any other X is evaluated afresh.  A v_init
+    without a declared gradient contributes no strain.
     """
     a = alpha / beta
     dim = u_init.dim
+    static_v = v_init._grad is None
+    kept = [None, None]                    # [X, (eps_u, eps_v)]
 
     def mix(t, f_u, f_v):
         E = np.exp(-a * t)
         return f_u + (beta / alpha) * (1.0 - E) * f_v
+
+    def strains(X):
+        if X is not kept[0] or X.flags.writeable:
+            pair = (u_init.strain(0.0, X), None if static_v else v_init.strain(0.0, X))
+            if X.flags.writeable:
+                return pair
+            kept[:] = X, pair
+        return kept[1]
+
+    def strain(t, X):
+        eps_u, eps_v = strains(X)
+        return eps_u.copy() if eps_v is None else mix(t, eps_u, eps_v)
+
+    def dt_strain(t, X):
+        eps_v = strains(X)[1]
+        return np.zeros((X.shape[0], st.packed_len(dim))) if eps_v is None \
+            else np.exp(-a * t) * eps_v
 
     return AnalyticField(
         dim,
@@ -193,6 +226,7 @@ def lift_static_bc(u_init, v_init, alpha, beta):
         dt_value=lambda t, X: np.exp(-a * t) * v_init.value(0.0, X),
         dt_grad=lambda t, X: np.exp(-a * t) * v_init.grad(0.0, X),
         dtt_value=lambda t, X: -a * np.exp(-a * t) * v_init.value(0.0, X),
+        strain=strain, dt_strain=dt_strain,
     )
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
@@ -64,6 +66,37 @@ def test_prototype_bounds():
         ph = pot.phi(s)
         assert np.all(ph <= s + 1e-12)
         assert np.all(ph >= 0.5 * s - 1.0 - 1e-12)
+
+
+def test_prototype_response_does_not_overflow():
+    # s**q overflows past s ~ 1e154 (q=2) or 1e30 (q=10); warnings are errors
+    for q, s in ((2.0, 1e155), (10.0, 1e31), (50.0, 1e300)):
+        pot = con.PrototypePotential(q)
+        assert abs(float(pot.dphi(s)) - 1.0) <= 1e-15
+        d2 = float(pot.d2phi(s))
+        assert 0.0 <= d2 <= s ** -(q + 1.0) * (1.0 + 1e-12)
+        dphi, d2phi = pot.dphi_pair(np.array([s, 0.5]))
+        assert abs(dphi[0] - 1.0) <= 1e-15 and dphi[1] == float(pot.dphi(0.5))
+        assert d2phi[0] == d2 and d2phi[1] == float(pot.d2phi(0.5))
+
+
+def test_prototype_pair_matches_closed_forms():
+    # dphi = s (1+s^q)^(-1/q), d2phi = (1+s^q)^(-(q+1)/q), evaluated in
+    # extended precision, on both sides of s = 1
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("needs an extended-precision long double")
+    s = np.concatenate([np.linspace(0.0, 3.0, 301), np.logspace(0.5, 30.0, 300)])
+    ulp = np.finfo(float).eps
+    for q in (1.0, 2.0, 3.5, 10.0, 50.0):
+        dphi, d2phi = con.PrototypePotential(q).dphi_pair(s)
+        sl, ql = s.astype(np.longdouble), np.longdouble(q)
+        w = 1.0 + sl**ql
+        ref_d, ref_d2 = sl * w ** (-1.0 / ql), w ** (-(ql + 1.0) / ql)
+        assert np.all(np.abs(dphi - ref_d) <= 4.0 * ulp * ref_d)
+        keep = ref_d2 > 1e-290                  # d2phi underflows beyond
+        assert np.all(np.abs(d2phi - ref_d2)[keep] <= 4.0 * ulp * ref_d2[keep])
+        # the response stays strictly below the limit, also where it rounds to 1
+        assert np.all(dphi < 1.0)
 
 
 def test_prototype_phi_closed_forms():
@@ -333,6 +366,85 @@ def test_invert_radius_nonconvergence_raises():
     model = con.ConstitutiveModel(con.PrototypePotential(2.0), reg_n=16)
     with pytest.raises(con.NewtonConvergenceError):
         con.invert_radius(model, np.array([0.5]), max_iter=0)
+
+
+def _reference_invert_radius(model, s, warm=None, tol=1e-12, max_iter=100):
+    """The regularized branch of invert_radius written plainly: separate
+    h and h' calls and np.where updates.  The reference that the in-place
+    kernel must reproduce."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    inv = 1.0 / model.reg_n
+    p = model.potential.growth_exponent if model.reg_kind == con.REG_POWER else 2.0
+    hi = s / inv if p == 2.0 else (s / inv) ** (1.0 / (p - 1.0))
+    lo = np.zeros_like(s)
+    d0 = float(con.response_scalar_deriv(model, 0.0))
+    if warm is not None:
+        x = np.clip(np.asarray(warm, dtype=float), lo, hi)
+    elif np.isfinite(d0) and d0 > 0.0:
+        x = np.minimum(hi, s / d0)
+    else:
+        x = 0.5 * hi
+    x = np.where(s == 0.0, 0.0, x)
+    target = tol * (1.0 + s)
+    done = s == 0.0
+    for _ in range(max_iter):
+        f = con.response_scalar(model, x) - s
+        done = done | (np.abs(f) <= target)
+        if np.all(done):
+            break
+        act = ~done
+        hi = np.where(act & (f > 0.0), x, hi)
+        lo = np.where(act & (f < 0.0), x, lo)
+        d = con.response_scalar_deriv(model, np.where(act, x, 1.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(act & (d > 0.0) & np.isfinite(d), f / d, 0.0)
+        xn = x - step
+        bad = act & ~((xn > lo) & (xn < hi) & np.isfinite(xn))
+        xn = np.where(bad, 0.5 * (lo + hi), xn)
+        x = np.where(act, xn, x)
+    else:
+        raise con.NewtonConvergenceError("reference stalled")
+    for _ in range(2):
+        f = con.response_scalar(model, x) - s
+        d = con.response_scalar_deriv(model, np.where(x > 0.0, x, 1.0))
+        d = np.where((x > 0.0) & np.isfinite(d) & (d > 0.0), d, 1.0)
+        step = f / d
+        x = np.maximum(0.0, x - np.where(np.isfinite(step), step, 0.0))
+    return x
+
+
+_KERNEL_MODELS = [(con.PrototypePotential(q), con.REG_LINEAR) for q in (1.0, 2.0, 10.0)] + [
+    (con.PowerLawPotential(1.5), con.REG_LINEAR),
+    (con.PowerLawPotential(3.0), con.REG_POWER),
+]
+
+
+@pytest.mark.parametrize("pot, kind", _KERNEL_MODELS,
+                         ids=["q1", "q2", "q10", "power1.5", "power3-powerreg"])
+@pytest.mark.parametrize("reg_n", [4, 16, 64, 256])
+def test_invert_radius_matches_reference(pot, kind, reg_n):
+    model = con.ConstitutiveModel(pot, reg_n=reg_n, reg_kind=kind)
+    rng = np.random.default_rng(25)
+    s = np.concatenate([[0.0], np.linspace(1e-9, 3.0, 400), rng.uniform(0.0, 3.0, 400),
+                        10.0 ** rng.uniform(-300.0, 300.0, 100)])
+    cold = con.invert_radius(model, s)
+    ref = _reference_invert_radius(model, s)
+    assert np.all(np.abs(cold - ref) <= 1e-14 * ref)
+    warm = ref * (1.0 + 0.05 * rng.standard_normal(s.size))
+    ref_w = _reference_invert_radius(model, s, warm=warm)
+    assert np.all(np.abs(con.invert_radius(model, s, warm=warm) - ref_w) <= 1e-14 * ref_w)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(s=hs.floats(0.0, 1e300), q=hs.floats(1.0, 50.0),
+       reg_n=hs.sampled_from([1, 4, 64, 256, 10**6]))
+def test_invert_radius_any_magnitude(s, q, reg_n):
+    model = con.ConstitutiveModel(con.PrototypePotential(q), reg_n=reg_n)
+    r = con.invert_radius(model, s)
+    assert np.isfinite(r) and r >= 0.0
+    assert abs(float(con.response_scalar(model, r)) - s) <= 1e-12 * (1.0 + s)
+    with pytest.raises(con.NewtonConvergenceError):
+        con.invert_radius(model, s, max_iter=0)
 
 
 # ---------------------------------------------------------------------------

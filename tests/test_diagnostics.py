@@ -6,6 +6,7 @@ from strainlim import diagnostics as dg
 from strainlim import dynamics as dy
 from strainlim import fespace as fe
 from strainlim import scenarios as sc
+from strainlim import symtensor as st
 
 
 def proto_model(q=2.0, alpha=1.0, beta=0.1, reg_n=64):
@@ -70,6 +71,34 @@ def test_hand_ledger_with_rate():
     assert led.dissipation_rate == pytest.approx(7.0 / 60.0, abs=1e-12)
     assert led.elastic == pytest.approx(0.2, abs=1e-12)
     assert led.kinetic == pytest.approx(0.5 * 0.04 / 3.0, abs=1e-12)
+
+
+def test_ledger_solves_the_radius_once(monkeypatch):
+    # T0 and the conjugate energy come from one warm radial solve
+    m = proto_model(reg_n=16, beta=0.5)
+    scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), m, 0.1)
+    space = interval_space(16)
+    state = rest_state(space)
+    state.V = 0.3 * np.sin(np.pi * np.arange(1, space.ndof + 1) / (space.ndof + 1))
+    fields = dy.evaluate_fields(scen, space, 0.0, state.U, state.V)
+    calls = []
+    real = con.invert_radius
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(con, "invert_radius", counting)
+    led = dg.energy_snapshot(state, space, scen, fields)
+    assert len(calls) == 1
+    monkeypatch.setattr(con, "invert_radius", real)
+    e = m.alpha * st.norm(fields["eps"])
+    cold = float(np.sum(space.qw * con.effective_conjugate(m, e))) / m.alpha
+    assert led.elastic == pytest.approx(cold, rel=1e-14)
+    T0 = con.invert(m, m.alpha * fields["eps"])
+    rate = float(np.sum(space.qw * con.dissipation_pair(m, fields["stress"], T0))) / m.beta
+    assert led.dissipation_rate == pytest.approx(rate, rel=1e-12)
+    assert led.dissipation_rate > 0.0
 
 
 def test_ledger_external_power():

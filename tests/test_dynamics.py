@@ -115,6 +115,37 @@ def test_rk4_self_convergence_order_4():
     assert 3.7 <= order <= 4.3
 
 
+@pytest.mark.parametrize("steps", [1, 5])
+def test_rk4_run_inverts_once_per_stage(monkeypatch, steps):
+    # stage 1 of each step reuses the fields that closed the previous one:
+    # one inversion at t = 0, then stages 2-4 and the closing fields
+    scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.05)
+    space = interval_space(8)
+    calls = []
+    real = con.invert
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(con, "invert", counting)
+    dy.run(scen, space, dy.SolverConfig(dt=1e-3, t_end=steps * 1e-3, scheme="rk4"))
+    assert len(calls) == 1 + 4 * steps
+
+
+def test_rk4_stage_reuse_matches_fresh_stage():
+    scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.05)
+    space = interval_space(16)
+    state, fields = dy.run(scen, space, dy.SolverConfig(dt=1e-3, t_end=0.02, scheme="rk4"))
+    fresh = dy.State(0.0, np.zeros(space.ndof), np.zeros(space.ndof), None)
+    for _ in range(20):
+        fresh, _ = dy.step_rk4(scen, space, fresh, 1e-3)
+    assert fresh.t == pytest.approx(state.t, abs=1e-15)
+    scale = 1.0 + np.max(np.abs(fresh.V))
+    assert np.max(np.abs(state.U - fresh.U)) <= 1e-14 * scale
+    assert np.max(np.abs(state.V - fresh.V)) <= 1e-14 * scale
+
+
 def test_midpoint_self_convergence_order_2():
     scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.1)
     space = interval_space(32)

@@ -210,3 +210,9 @@ def test_value_and_load_adjoint():
     a = float(space.load_from_values(vals) @ U)
     b = float(np.sum(space.qw * np.sum(vals * space.value_at_qp(U), axis=1)))
     assert abs(a - b) < 1e-12
+
+
+def test_quadrature_points_read_only():
+    space = fe.FESpace(fe.interval_mesh(0.0, 1.0, 4))
+    with pytest.raises(ValueError):
+        space.qp[0, 0] = 0.5

@@ -292,6 +292,63 @@ def test_static_lift_boundary_frozen():
         assert np.max(np.abs(lift.value(t, Xb) - ref)) < 1e-14
 
 
+def _counting(field, calls):
+    """field with its grad calls recorded in calls."""
+    def grad(t, X):
+        calls.append(1)
+        return field.grad(t, X)
+
+    return sc.AnalyticField(field.dim, field.value, grad=grad)
+
+
+def test_static_lift_keeps_strains_for_read_only_points():
+    m = proto_model(alpha=1.3, beta=0.7)
+    u_calls, v_calls = [], []
+    u0 = sc._pluck_field(2, ((0.0, 1.0), (0.0, 1.0)), 0.5)
+    v0 = sc._pluck_field(2, ((0.0, 1.0), (0.0, 1.0)), 0.2)
+    lift = sc.lift_static_bc(_counting(u0, u_calls), _counting(v0, v_calls),
+                             m.alpha, m.beta)
+    ref = sc.lift_static_bc(u0, v0, m.alpha, m.beta)
+    X = np.random.default_rng(12).uniform(0.05, 0.95, (50, 2))
+    X.flags.writeable = False
+    for t in (0.0, 0.3, 2.0):
+        assert np.max(np.abs(lift.strain(t, X) - ref.strain(t, X))) <= 1e-15
+        assert np.max(np.abs(lift.dt_strain(t, X) - ref.dt_strain(t, X))) <= 1e-15
+    assert len(u_calls) == 1 and len(v_calls) == 1
+    # what the lift returns is the caller's to modify
+    eps = lift.strain(0.3, X)
+    eps += 1.0
+    assert np.max(np.abs(lift.strain(0.3, X) - ref.strain(0.3, X))) <= 1e-15
+    # another read-only point set replaces the kept one
+    Y = X[::-1].copy()
+    Y.flags.writeable = False
+    assert np.max(np.abs(lift.strain(0.3, Y) - ref.strain(0.3, Y))) <= 1e-15
+    assert len(u_calls) == 2
+
+
+def test_static_lift_recomputes_writeable_points():
+    m = proto_model(alpha=1.3, beta=0.7)
+    calls = []
+    u0 = sc._pluck_field(1, ((0.0, 1.0),), 0.5)
+    lift = sc.lift_static_bc(_counting(u0, calls), sc.zero_field(1), m.alpha, m.beta)
+    X = np.linspace(0.1, 0.9, 9)[:, None]
+    first = lift.strain(0.4, X)
+    X[:] = np.linspace(0.2, 0.6, 9)[:, None]
+    assert np.array_equal(lift.strain(0.4, X), u0.strain(0.0, X))
+    assert not np.array_equal(first, lift.strain(0.4, X))
+    assert len(calls) == 3
+    # a read-only array made writeable again is recomputed too
+    X.flags.writeable = False
+    lift.strain(0.4, X)
+    lift.strain(0.4, X)
+    X.flags.writeable = True
+    X[:] = np.linspace(0.3, 0.5, 9)[:, None]
+    assert np.array_equal(lift.strain(0.4, X), u0.strain(0.0, X))
+    assert len(calls) == 5
+    # a v_init without gradient adds no strain rate
+    assert np.all(lift.dt_strain(0.4, X) == 0.0) and lift.dt_strain(0.4, X).shape == (9, 1)
+
+
 def test_timedep_lift_matches_data_and_boundary():
     m = proto_model(alpha=1.0, beta=0.2)
     u_ext = sc._standing_wave_field(1, ((0.0, 1.0),))
