@@ -222,7 +222,11 @@ def limit_L(potential):
     return potential.limit
 
 
-def _inv_n(model):
+def _inv_n(model, inv_n=None):
+    """Regularizer strength 1/n: inv_n when given (a scalar or a per-point
+    array), else the model's own (0 without a regularizer)."""
+    if inv_n is not None:
+        return inv_n
     return 0.0 if model.reg_n is None else 1.0 / model.reg_n
 
 
@@ -230,12 +234,13 @@ def _reg_p(model):
     return model.potential.growth_exponent if model.reg_kind == REG_POWER else 2.0
 
 
-def _regularizer(model, r):
+def _regularizer(model, r, inv_n=None):
     """Regularizer term of h and its derivative: (r/n, 1/n), or
-    (r^{p-1}/n, (p-1) r^{p-2}/n) for the power kind; zeros without one."""
-    inv = _inv_n(model)
-    if not inv:
+    (r^{p-1}/n, (p-1) r^{p-2}/n) for the power kind; zeros without one.
+    inv_n replaces the model's 1/n and broadcasts against r."""
+    if model.reg_n is None:
         return 0.0, 0.0
+    inv = _inv_n(model, inv_n)
     p = _reg_p(model)
     if p == 2.0:
         return inv * r, inv
@@ -254,10 +259,10 @@ def response_scalar_deriv(model, r):
     return model.potential.d2phi(r) + _regularizer(model, r)[1]
 
 
-def _response_pair(model, r):
+def _response_pair(model, r, inv_n=None):
     """(h(r), h'(r)) in one pass."""
     h, d = model.potential.dphi_pair(r)
-    reg, dreg = _regularizer(model, r)
+    reg, dreg = _regularizer(model, r, inv_n)
     return h + reg, d + dreg
 
 
@@ -362,7 +367,7 @@ def jacobian_norm_bound_check(model, T, const=3.0):
 # inversion
 
 
-def invert_radius(model, s, warm=None, tol=1e-12, max_iter=100):
+def invert_radius(model, s, warm=None, tol=1e-12, max_iter=100, inv_n=None):
     """Solve h(r) = s for r >= 0, vectorized over s.
 
     Without a regularizer the closed-form inverse of dphi is used and s
@@ -370,7 +375,12 @@ def invert_radius(model, s, warm=None, tol=1e-12, max_iter=100):
     is found by safeguarded Newton on the bracket [0, hi], where hi
     comes from the regularizer term alone; bisection takes over whenever
     a Newton step leaves the bracket.  Convergence criterion:
-    |h(r) - s| <= tol * (1 + s).
+    |h(r) - s| <= tol * (1 + s).  Each point is frozen once it meets it,
+    so its radius does not depend on the other points of the batch.
+
+    inv_n, when given, replaces the regularized model's 1/n and
+    broadcasts against s, so one call can hold points of models that
+    differ only in reg_n.
     """
     s = np.asarray(s, dtype=float)
     scalar_in = s.ndim == 0
@@ -389,15 +399,17 @@ def invert_radius(model, s, warm=None, tol=1e-12, max_iter=100):
         r = pot.dphi_inv(s)
         return float(r[0]) if scalar_in else r
 
-    inv = _inv_n(model)
+    inv = _inv_n(model, inv_n)
     p = _reg_p(model)
     hi = s / inv if p == 2.0 else (s / inv) ** (1.0 / (p - 1.0))
     lo = np.zeros_like(s)
     if warm is not None:
         x = np.minimum(np.maximum(warm, 0.0), hi)          # clipped to [0, hi]
     else:
-        d0 = float(response_scalar_deriv(model, 0.0))
-        x = np.minimum(hi, s / d0) if np.isfinite(d0) and d0 > 0.0 else 0.5 * hi
+        # cold start s / h'(0), per point since h'(0) holds 1/n
+        d0 = model.potential.d2phi(0.0) + _regularizer(model, 0.0, inv)[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.where(np.isfinite(d0) & (d0 > 0.0), np.minimum(hi, s / d0), 0.5 * hi)
     done = s == 0.0
     x = np.where(done, 0.0, x)
 
@@ -406,7 +418,7 @@ def invert_radius(model, s, warm=None, tol=1e-12, max_iter=100):
     # h, h' come fresh from _response_pair, so the loop overwrites them in place
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(max_iter):
-            f, d = _response_pair(model, x)
+            f, d = _response_pair(model, x, inv)
             f -= s
             done |= np.abs(f) <= target
             if done.all():
@@ -421,7 +433,7 @@ def invert_radius(model, s, warm=None, tol=1e-12, max_iter=100):
             np.copyto(mid, xn, where=(xn > lo) & (xn < hi))
             np.copyto(x, mid, where=~done)
         else:
-            worst = float(np.max(np.abs(response_scalar(model, x) - s)))
+            worst = float(np.max(np.abs(_response_pair(model, x, inv)[0] - s)))
             raise NewtonConvergenceError(
                 f"radial inversion stalled after {max_iter} iterations, residual {worst:.3e}"
             )
@@ -430,7 +442,7 @@ def invert_radius(model, s, warm=None, tol=1e-12, max_iter=100):
         # first reuses h - s and h' of the converged iterate
         for k in range(2):
             if k:
-                f, d = _response_pair(model, x)
+                f, d = _response_pair(model, x, inv)
                 f -= s
             np.copyto(d, 1.0, where=~((x > 0.0) & (d > 0.0) & np.isfinite(d)))
             step = np.divide(f, d, out=f)
@@ -439,13 +451,15 @@ def invert_radius(model, s, warm=None, tol=1e-12, max_iter=100):
     return float(x[0]) if scalar_in else x
 
 
-def invert(model, E, warm_stress=None, tol=1e-12, max_iter=100, method="radial"):
+def invert(model, E, warm_stress=None, tol=1e-12, max_iter=100, method="radial",
+           inv_n=None):
     """Invert the (regularized) map: return T with g_apply(T) ~= E.
 
     method="radial" (default) reduces to the scalar solve along E;
     method="tensor" runs a damped Newton iteration on the full packed
     system with g_jacobian, kept as an independent route for
-    cross-checks.
+    cross-checks.  inv_n (radial only) replaces the model's 1/n per
+    point, broadcasting against the point axes of E (see invert_radius).
     """
     E = np.asarray(E, dtype=float)
     # a finite E whose |E|^2 overflows is rejected like a non-finite one
@@ -464,7 +478,7 @@ def invert(model, E, warm_stress=None, tol=1e-12, max_iter=100, method="radial")
         return _invert_tensor(model, E, tol=tol, max_iter=max_iter)
 
     warm = st.norm(warm_stress) if warm_stress is not None else None
-    r = invert_radius(model, s, warm=warm, tol=tol, max_iter=max_iter)
+    r = invert_radius(model, s, warm=warm, tol=tol, max_iter=max_iter, inv_n=inv_n)
     if E.ndim == 1:
         return (r / s) * E if s > 0.0 else np.zeros_like(E)
     scale = np.divide(r, s, out=np.zeros_like(s), where=s > 0.0)

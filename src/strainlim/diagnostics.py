@@ -206,9 +206,14 @@ class StrainRecorder:
 
 
 def _run_or_annotate(scenario, space, config, label, **kw):
+    """dyn.run, with a failure annotated by its study case: label, or for
+    Members the list of labels, indexed by the failing member."""
     try:
         return dyn.run(scenario, space, config, **kw)
     except Exception as exc:
+        if not isinstance(label, str):
+            member = getattr(exc, "member", None)
+            label = ", ".join(label) if member is None else label[member]
         # annotate in place: exception types differ in their constructors
         exc.args = (f"{exc} [study case {label}]",) + exc.args[1:]
         raise
@@ -216,28 +221,35 @@ def _run_or_annotate(scenario, space, config, label, **kw):
 
 def regularization_sweep(scenario, space, config, n_list):
     """Successive L2 differences of displacement between regularization
-    levels n, at t_end and as max over recorded times."""
+    levels n, at t_end and as max over recorded times.
+
+    All levels run as one batch (dynamics.Members): they share the space
+    and time grid, and each level's model differs only in reg_n.  Every
+    level's states equal those of its own run bit for bit.  The
+    differences are taken as the states arrive, so the sweep keeps one
+    state per level, not a history.
+    """
     n_list = [int(n) for n in n_list]
     if len(n_list) < 3:
         raise ValueError("regularization sweep needs at least 3 levels")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
-    diffs, max_t_diffs = [], []
-    prev = None
-    for n in n_list:
-        scen_n = scenario.with_model(scenario.model.with_reg(n))
-        Us = []
-        _run_or_annotate(scen_n, space, config, f"n={n}",
-                         observers=(lambda state, fields: Us.append(state.U),))
-        if prev is not None:
-            per_step = [
-                space.l2_norm_qp(space.value_at_qp(ub - ua))
-                for ua, ub in zip(prev, Us)
-            ]
-            diffs.append(per_step[-1])
-            max_t_diffs.append(max(per_step))
-        prev = Us
-    diffs = np.array(diffs)
+    members = dyn.Members(scenario.with_model(scenario.model.with_reg(n)) for n in n_list)
+    latest = [None] * len(n_list)
+    per_step = []          # per record: the successive differences
+
+    def keep(i):
+        def observe(state, fields):
+            latest[i] = state.U
+            if i == len(n_list) - 1:          # the last member closes a record
+                per_step.append([space.l2_norm_qp(space.value_at_qp(ub - ua))
+                                 for ua, ub in zip(latest, latest[1:])])
+        return (observe,)
+
+    _run_or_annotate(members, space, config, [f"n={n}" for n in n_list],
+                     observers=[keep(i) for i in range(len(n_list))])
+    diffs = np.array(per_step[-1])
+    max_t_diffs = [max(col) for col in zip(*per_step)]
     cauchy = bool(np.all(np.diff(diffs) < 0.0))
     return ConvergenceReport(
         axis_name="n", axis=np.array(n_list[1:], dtype=float), values=diffs,
@@ -305,7 +317,9 @@ def stability_study(scenario, space, config, delta_list, seed=0):
 
     All perturbations share one seeded random direction scaled to each
     delta, so factors isolate amplitude dependence; the fitted growth
-    constant C solves C e^{C t_end} = mean factor.
+    constant C solves C e^{C t_end} = mean factor.  The unperturbed base
+    run and every perturbed run step as one batch (dynamics.Members),
+    each member equal bit for bit to its own run.
     """
     deltas = [float(d) for d in delta_list]
     if len(deltas) < 3:
@@ -316,19 +330,18 @@ def stability_study(scenario, space, config, delta_list, seed=0):
     if not (np.all(dd > 0) or np.all(dd < 0)):
         raise ValueError("delta_list must be strictly monotone")
 
-    base, _ = _run_or_annotate(scenario, space, config, "base")
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(space.ndof)
     direction /= np.linalg.norm(direction)
 
-    factors = []
-    for d in deltas:
-        final, _ = _run_or_annotate(scenario, space, config, f"delta={d:g}",
-                                    V0=d * direction)
-        growth = (np.linalg.norm(final.U - base.U)
-                  + np.linalg.norm(final.V - base.V)) / d
-        factors.append(float(growth))
-    factors = np.array(factors)
+    members = dyn.Members([scenario] * (len(deltas) + 1))
+    V0 = np.stack([np.zeros(space.ndof)] + [d * direction for d in deltas])
+    finals = _run_or_annotate(members, space, config,
+                              ["base"] + [f"delta={d:g}" for d in deltas], V0=V0)
+    base = finals[0][0]
+    factors = np.array([
+        float((np.linalg.norm(final.U - base.U) + np.linalg.norm(final.V - base.V)) / d)
+        for d, (final, _) in zip(deltas, finals[1:])])
 
     t_end = float(base.t)
     g = float(np.mean(factors))

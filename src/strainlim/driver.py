@@ -45,6 +45,9 @@ class RangeError(ConfigError):
 
 
 MODELS = ("prototype", "powerlaw", "linear")
+# most time steps one run may take, ceil(t_end / dt); a config asking for
+# more is rejected before anything runs
+MAX_STEPS = 10_000_000
 SCHEMES = (dy.SCHEME_RK4, dy.SCHEME_MIDPOINT)
 STUDIES = ("regularization", "refinement", "refinement-dt", "stability")
 
@@ -251,6 +254,11 @@ def parse_config(text):
         bad("dt", "must be > 0")
     if not values["t_end"] >= 0.0:
         bad("t_end", "must be >= 0")
+    steps = values["t_end"] / values["dt"]
+    if steps > MAX_STEPS:
+        raise RangeError(
+            f"keys 't_end' at line {seen['t_end'][1]} and 'dt' at line {seen['dt'][1]}: "
+            f"t_end / dt = {steps:.3g} steps, more than the maximum of {MAX_STEPS}")
     if values["scenario"] not in sc.SCENARIO_NAMES:
         bad("scenario", f"must be one of {', '.join(sc.SCENARIO_NAMES)}")
     if values["study"] is not None and values["study"] not in STUDIES:

@@ -7,7 +7,9 @@ quadrature point, F_f is the forcing load, and M0 is the inertia of the
 analytic lift.  Two integrators are provided: classical RK4 and the
 implicit midpoint rule, the latter solved by a modified Newton
 iteration whose Jacobian uses the closed-form inverse of the
-constitutive tangent per quadrature point.
+constitutive tangent per quadrature point.  Runs that share the space
+and time grid and differ only in reg_n or initial data step together
+as Members, with a leading member axis on every array.
 """
 
 from __future__ import annotations
@@ -70,44 +72,127 @@ class SolverConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
+class _Stacked:
+    """The members' own analytic fields, called together: every value
+    comes back with a leading member axis."""
+
+    def __init__(self, fields):
+        self.fields = tuple(fields)
+
+    def _stack(self, name, t, X):
+        return np.stack([getattr(f, name)(t, X) for f in self.fields])
+
+    def value(self, t, X):
+        return self._stack("value", t, X)
+
+    def strain(self, t, X):
+        return self._stack("strain", t, X)
+
+    def dt_strain(self, t, X):
+        return self._stack("dt_strain", t, X)
+
+    def dtt_value(self, t, X):
+        return self._stack("dtt_value", t, X)
+
+    def accelerates(self, X):
+        return any(f.accelerates(X) for f in self.fields)
+
+
+class Members:
+    """Scenarios stepped as one batch on one space and time grid.
+
+    The members' models may differ in reg_n only.  The steppers take
+    Members wherever they take a scenario; U, V and every per-qp field
+    then carry a leading member axis, and one strain product, one
+    inversion and one mass solve serve all members.  Each member keeps
+    its own lift and forcing (``with_model`` may re-derive the forcing).
+    """
+
+    def __init__(self, scenarios):
+        self.scenarios = tuple(scenarios)
+        if not self.scenarios:
+            raise ValueError("a batch needs at least one member")
+        self.models = tuple(s.model for s in self.scenarios)
+        self.model = base = self.models[0]
+        for mdl in self.models:
+            if (mdl.with_reg(base.reg_n) != base
+                    or (mdl.reg_n is None) != (base.reg_n is None)):
+                raise ValueError("batch members may differ only in reg_n")
+        # one 1/n per member, broadcast over its quadrature points
+        self.inv_n = None if base.reg_n is None else \
+            np.array([[1.0 / mdl.reg_n] for mdl in self.models])
+        self.lift = _Stacked(s.lift for s in self.scenarios)
+        forcings = [s.forcing for s in self.scenarios]
+        if any(f is None for f in forcings) and any(f is not None for f in forcings):
+            raise ValueError("batch members must all have a forcing or none")
+        self.forcing = None if forcings[0] is None else _Stacked(forcings)
+
+    def __len__(self):
+        return len(self.scenarios)
+
+
 def evaluate_fields(scenario, space, t, U, V, warm=None, tol_inv=1e-12):
     """Strain, strain rate, their model combination, and the stress at
-    the quadrature points of one (t, U, V) configuration."""
+    the quadrature points of one (t, U, V) configuration (per member
+    when scenario is Members)."""
     m = scenario.model
     qp = space.qp
     eps = space.strain_at_qp(U) + scenario.lift.strain(t, qp)
     deps = space.strain_at_qp(V) + scenario.lift.dt_strain(t, qp)
     E = m.alpha * eps + m.beta * deps
-    T = _invert_at(m, E, warm, tol_inv, space, "t", t)
+    T = _invert_at(scenario, E, warm, tol_inv, space, "t", t)
     return {"eps": eps, "deps": deps, "E": E, "stress": T}
 
 
-def _invert_at(model, E, warm, tol_inv, space, stage, t):
-    """Stress at every quadrature point; failures name the stage, its time
-    and the worst qp.
+def _invert_at(scenario, E, warm, tol_inv, space, stage, t, members=None):
+    """Stress at every quadrature point; failures name the stage, its time,
+    the worst qp and, in a batch of several, its member.
 
-    A non-finite strain expression (an unstable step has blown up)
-    raises NonFiniteStrainError; inversion failures keep their type.
+    members lists the batch members that E holds, in order, when only
+    some of them are inverted.  A non-finite strain expression (an
+    unstable step has blown up) raises NonFiniteStrainError; inversion
+    failures keep their type.  The raised error carries the index of
+    that member as ``member``.
     """
+    inv_n = scenario.inv_n if isinstance(scenario, Members) else None
+    if inv_n is not None and members is not None:
+        inv_n = inv_n[members]
     try:
-        return con.invert(model, E, warm_stress=warm, tol=tol_inv)
+        return con.invert(scenario.model, E, warm_stress=warm, tol=tol_inv, inv_n=inv_n)
     except (con.SupercriticalStrainError, con.NewtonConvergenceError) as exc:
         nrm = st.norm(E)
         k = int(np.argmax(nrm))
-        raise type(exc)(
-            f"{exc} [{stage}={t:.6g}, worst qp #{k} at x={space.qp[k]}, "
-            f"|strain expression|={float(nrm[k]):.6g}]"
-        ) from exc
+        where, member = _locate(scenario, space, nrm.shape, k, members)
+        raise _for_member(type(exc)(
+            f"{exc} [{stage}={t:.6g}, {where}, "
+            f"|strain expression|={float(nrm.flat[k]):.6g}]"), member) from exc
     except ValueError as exc:
         with np.errstate(over="ignore", invalid="ignore"):
             finite = np.isfinite(st.norm(E))
         if np.all(finite):
             raise
-        k = int(np.argmin(finite))
-        raise NonFiniteStrainError(
-            f"non-finite strain expression [{stage}={t:.6g}, worst qp #{k} "
-            f"at x={space.qp[k]}]"
-        ) from exc
+        where, member = _locate(scenario, space, finite.shape, int(np.argmin(finite)),
+                                members)
+        raise _for_member(NonFiniteStrainError(
+            f"non-finite strain expression [{stage}={t:.6g}, {where}]"), member) from exc
+
+
+def _locate(scenario, space, shape, flat, members):
+    """Text naming the point at index flat of a per-point array of this
+    shape, and the batch member it belongs to."""
+    *lead, q = np.unravel_index(flat, shape)
+    member = int(lead[0]) if lead else 0
+    if members is not None:
+        member = int(members[member])
+    where = f"worst qp #{q} at x={space.qp[q]}"
+    if isinstance(scenario, Members) and len(scenario) > 1:
+        where += f" of member #{member}"
+    return where, member
+
+
+def _for_member(exc, member):
+    exc.member = member
+    return exc
 
 
 def _loads(scenario, space, t):
@@ -115,9 +200,12 @@ def _loads(scenario, space, t):
     load = 0.0
     if scenario.forcing is not None:
         load = space.load_from_values(scenario.forcing.value(t, space.qp))
-    a0 = scenario.lift.dtt_value(t, space.qp)
-    if np.any(a0):
-        load = load - space.load_from_values(a0)
+    # a lift that never accelerates here (a static lift started at rest)
+    # is not evaluated at all
+    if scenario.lift.accelerates(space.qp):
+        a0 = scenario.lift.dtt_value(t, space.qp)
+        if np.any(a0):
+            load = load - space.load_from_values(a0)
     return load
 
 
@@ -135,6 +223,7 @@ def step_rk4(scenario, space, state, dt, tol_inv=1e-12, fields=None):
 
     fields, when given, are the fields of state itself (what the previous
     step returned); the first stage uses them instead of inverting again.
+    With Members every operation acts on all members at once.
     """
     t, U, V = state.t, state.U, state.V
     warm = state.stress
@@ -193,50 +282,74 @@ def step_midpoint(scenario, space, state, dt, newton_tol=1e-11,
     M (Vm - V) + (dt/2) [S(t_mid, Um, Vm) - F(t_mid) + M0(t_mid)] = 0
     by modified Newton with the factored Jacobian reused until the
     contraction stalls.
+
+    With Members each member keeps its own Newton state: its Jacobian
+    factor, its refresh decision and its convergence test.  A member
+    that has converged is frozen (not inverted again), so its iterations
+    and factorizations are those of its run alone.
     """
+    models = scenario.models if isinstance(scenario, Members) else (scenario.model,)
     m = scenario.model
     t_mid = state.t + 0.5 * dt
     qp = space.qp
-    eps_l = scenario.lift.strain(t_mid, qp)
-    deps_l = scenario.lift.dt_strain(t_mid, qp)
-    const_load = -0.5 * dt * _loads(scenario, space, t_mid)
+    ndof, nq, mcomp = space.ndof, space.n_qp, space.m
+    # every array below has a member axis; a lone scenario is one member
+    U = state.U.reshape(-1, ndof)
+    V = state.V.reshape(-1, ndof)
+    k = len(U)
+    eps_l = scenario.lift.strain(t_mid, qp).reshape(k, nq, mcomp)
+    deps_l = scenario.lift.dt_strain(t_mid, qp).reshape(k, nq, mcomp)
+    const_load = np.broadcast_to(-0.5 * dt * _loads(scenario, space, t_mid), U.shape)
     mass = space.mass
     factor = 0.5 * dt * (m.beta + 0.5 * dt * m.alpha)
 
-    Vm = state.V.copy()
-    warm = state.stress
-    lu = None
-    trace = []
-    prev = np.inf
+    Vm = V.copy()
+    warm = None if state.stress is None else state.stress.reshape(k, nq, mcomp)
+    lus = [None] * k
+    traces = [[] for _ in range(k)]
+    prev = [np.inf] * k
+    active = list(range(k))
     for _ in range(newton_max):
-        Um = state.U + 0.5 * dt * Vm
-        E = m.alpha * (space.strain_at_qp(Um) + eps_l) \
-            + m.beta * (space.strain_at_qp(Vm) + deps_l)
-        T = _invert_at(m, E, warm, tol_inv, space, "midpoint stage t", t_mid)
-        warm = T
-        R = mass @ (Vm - state.V) + 0.5 * dt * space.load_from_stress(T) + const_load
-        if lu is None:
-            lu = _assemble_midpoint_jacobian(space, mass, factor, m, T)
-        delta = lu.solve(R)
-        Vm = Vm - delta
-        dn = float(np.linalg.norm(delta)) / (1.0 + float(np.linalg.norm(Vm)))
-        trace.append(dn)
-        if dn <= newton_tol:
+        # all members (views, no copies) until the first one converges
+        sel = slice(None) if len(active) == k else active
+        Um = U[sel] + 0.5 * dt * Vm[sel]
+        E = m.alpha * (space.strain_at_qp(Um) + eps_l[sel]) \
+            + m.beta * (space.strain_at_qp(Vm[sel]) + deps_l[sel])
+        T = _invert_at(scenario, E, None if warm is None else warm[sel], tol_inv,
+                       space, "midpoint stage t", t_mid, members=active)
+        if len(active) == k:
+            warm = T
+        else:
+            # a full iteration came first, so warm is this step's own T
+            warm[active] = T
+        R = space.mass_apply(Vm[sel] - V[sel]) + 0.5 * dt * space.load_from_stress(T) \
+            + const_load[sel]
+        for j, i in enumerate(active):
+            if lus[i] is None:
+                lus[i] = _assemble_midpoint_jacobian(space, mass, factor, models[i], T[j])
+            delta = lus[i].solve(R[j])
+            Vm[i] = Vm[i] - delta
+            dn = float(np.linalg.norm(delta)) / (1.0 + float(np.linalg.norm(Vm[i])))
+            traces[i].append(dn)
+            if dn > newton_tol and dn > 0.3 * prev[i]:
+                # contraction stalling: refresh the frozen Jacobian
+                lus[i] = _assemble_midpoint_jacobian(space, mass, factor, models[i], T[j])
+            prev[i] = dn
+        active = [i for i in active if traces[i][-1] > newton_tol]
+        if not active:
             break
-        if dn > 0.3 * prev:
-            # contraction stalling: refresh the frozen Jacobian
-            lu = _assemble_midpoint_jacobian(space, mass, factor, m, T)
-        prev = dn
     else:
-        raise MidpointNoConvergence(
+        i = active[0]
+        raise _for_member(MidpointNoConvergence(
             f"midpoint Newton did not reach {newton_tol:g} in {newton_max} "
-            f"iterations at t={state.t:.6g} (last update {trace[-1]:.3e})",
-            trace,
-        )
+            f"iterations at t={state.t:.6g} (last update {traces[i][-1]:.3e})",
+            traces[i],
+        ), i)
 
-    Un = state.U + dt * Vm
-    Vn = 2.0 * Vm - state.V
-    fields = evaluate_fields(scenario, space, state.t + dt, Un, Vn, warm, tol_inv)
+    Un = (U + dt * Vm).reshape(state.U.shape)
+    Vn = (2.0 * Vm - V).reshape(state.V.shape)
+    fields = evaluate_fields(scenario, space, state.t + dt, Un, Vn,
+                             warm.reshape(state.U.shape[:-1] + (nq, mcomp)), tol_inv)
     return State(state.t + dt, Un, Vn, fields["stress"]), fields
 
 
@@ -251,31 +364,57 @@ def run(scenario, space, config, observers=(), U0=None, V0=None):
     output: a caller that needs a history records it in one.  An RK4 step
     starts from the fields the observers just saw, so they must not
     modify them.
+
+    scenario may be Members, stepped as one batch; a lone scenario is
+    the one-member case of the same loop.  For Members, U0/V0 are
+    (members, ndof), observers holds one sequence of observers per
+    member, and the return value is the list of every member's final
+    (state, fields).  Each observer sees only its member's view (1D U
+    and V, per-qp fields without the member axis); at every record the
+    members' observers are called in member order.
     """
-    ndof = space.ndof
-    U = np.zeros(ndof) if U0 is None else np.array(U0, dtype=float)
-    V = np.zeros(ndof) if V0 is None else np.array(V0, dtype=float)
-    if U.shape != (ndof,) or V.shape != (ndof,):
+    members = scenario if isinstance(scenario, Members) else Members((scenario,))
+    if members is not scenario:
+        observers = (observers,)
+        U0 = None if U0 is None else np.asarray(U0, dtype=float)[None]
+        V0 = None if V0 is None else np.asarray(V0, dtype=float)[None]
+    shape = (len(members), space.ndof)
+    U = np.zeros(shape) if U0 is None else np.array(U0, dtype=float)
+    V = np.zeros(shape) if V0 is None else np.array(V0, dtype=float)
+    if U.shape != shape or V.shape != shape:
         raise ValueError("initial coefficient shape does not match the space")
+    if observers and len(observers) != len(members):
+        raise ValueError("observers need one sequence per member")
     state = State(0.0, U, V, None)
-    fields = evaluate_fields(scenario, space, 0.0, U, V, None, config.tol_inv)
+    fields = evaluate_fields(members, space, 0.0, U, V, None, config.tol_inv)
     state.stress = fields["stress"]
-    for obs in observers:
-        obs(state, fields)
+    finals = _notify(observers, state, fields)
 
     t_end = config.t_end
     tiny = 1e-12 * max(1.0, t_end)
     while state.t < t_end - tiny:
         dtk = min(config.dt, t_end - state.t)
         if config.scheme == SCHEME_RK4:
-            state, fields = step_rk4(scenario, space, state, dtk, config.tol_inv, fields)
+            state, fields = step_rk4(members, space, state, dtk, config.tol_inv, fields)
         else:
-            state, fields = step_midpoint(scenario, space, state, dtk,
+            state, fields = step_midpoint(members, space, state, dtk,
                                           config.newton_tol, config.newton_max,
                                           config.tol_inv)
-        for obs in observers:
-            obs(state, fields)
-    return state, fields
+        finals = _notify(observers, state, fields)
+    return finals if members is scenario else finals[0]
+
+
+def _notify(observers, state, fields):
+    """Hand every member's view of (state, fields) to its observers, in
+    member order; return the views."""
+    views = []
+    for i in range(len(state.U)):
+        f = {key: val[i] for key, val in fields.items()}
+        s = State(state.t, state.U[i], state.V[i], f["stress"])
+        for obs in (observers[i] if observers else ()):
+            obs(s, f)
+        views.append((s, f))
+    return views
 
 
 def _exp_weight_factor(x):

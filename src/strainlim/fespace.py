@@ -14,6 +14,12 @@ Loads are the transposes against quadrature weights, and the consistent
 mass matrix is N^T W N.  Quadrature: 2-point Gauss per interval in 1D,
 3-point edge-midpoint rule per triangle in 2D; both integrate P1 mass
 integrands exactly.
+
+Every operator also takes a stack of members (coefficients (k, ndof),
+per-qp values (k, n_qp, ...)) and serves them with one sparse product
+or one multi-right-hand-side solve.  Each member gets exactly the
+numbers of its own call, since every output entry sums the same terms
+in the same order.
 """
 
 from __future__ import annotations
@@ -132,6 +138,18 @@ class CouplingPattern:
         return self.indices.size
 
 
+def _apply_rows(A, X):
+    """A @ X for one vector, or A applied to every row of a (k, n) stack;
+    the rows come back C-contiguous."""
+    return np.ascontiguousarray((A @ X.T).T)
+
+
+def _flat_qp(vals):
+    """Per-qp values (n_qp, c), or a stack (k, n_qp, c), flattened per member."""
+    vals = np.asarray(vals)
+    return vals.reshape(vals.shape[:-2] + (-1,))
+
+
 class FESpace:
     """Vector P1 space with Dirichlet mask, quadrature, and assembly ops."""
 
@@ -247,18 +265,20 @@ class FESpace:
     # -- field evaluation -------------------------------------------------
 
     def value_at_qp(self, U):
-        return (self.N @ U).reshape(self.n_qp, self.dim)
+        U = np.asarray(U)
+        return _apply_rows(self.N, U).reshape(U.shape[:-1] + (self.n_qp, self.dim))
 
     def strain_at_qp(self, U):
-        return (self.B @ U).reshape(self.n_qp, self.m)
+        U = np.asarray(U)
+        return _apply_rows(self.B, U).reshape(U.shape[:-1] + (self.n_qp, self.m))
 
     def load_from_values(self, vals):
         """Assemble the load vector with entries sum_qp w * vals . basis."""
-        return self._N_T @ (self._w_d * np.asarray(vals).ravel())
+        return _apply_rows(self._N_T, self._w_d * _flat_qp(vals))
 
     def load_from_stress(self, stress):
         """Assemble entries sum_qp w * stress : strain(basis)."""
-        return self._B_T @ (self._w_m * np.asarray(stress).ravel())
+        return _apply_rows(self._B_T, self._w_m * _flat_qp(stress))
 
     def l2_norm_qp(self, vals):
         vals = np.asarray(vals)
@@ -274,10 +294,14 @@ class FESpace:
             self._mass = (self.N.T @ W @ self.N).tocsc()
         return self._mass
 
+    def mass_apply(self, U):
+        """M U, for one coefficient vector or a stack of them."""
+        return _apply_rows(self.mass, np.asarray(U))
+
     def mass_solve(self, b):
         if self._mass_lu is None:
             self._mass_lu = splu(self.mass)
-        return self._mass_lu.solve(b)
+        return np.ascontiguousarray(self._mass_lu.solve(np.asarray(b).T).T)
 
     @property
     def coupling_pattern(self):

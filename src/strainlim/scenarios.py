@@ -50,11 +50,14 @@ class AnalyticField:
     Missing derivative callables default to zero.  strain and dt_strain,
     when given, return the packed symmetric parts of grad and dt_grad
     directly; by default they are formed from grad and dt_grad.
+    accelerates(X), when given, is False where dtt_value is known to
+    vanish at every point of X for all t; by default a field accelerates
+    wherever it declares dtt_value.
     """
 
     def __init__(self, dim, value, grad=None, dt_value=None, dt_grad=None,
                  dtt_value=None, hess=None, dt_hess=None, strain=None,
-                 dt_strain=None):
+                 dt_strain=None, accelerates=None):
         self.dim = dim
         self._value = value
         self._grad = grad
@@ -65,6 +68,7 @@ class AnalyticField:
         self._dt_hess = dt_hess
         self._strain = strain
         self._dt_strain = dt_strain
+        self._accelerates = accelerates
 
     def _zeros(self, X, rank):
         n = np.asarray(X).shape[0]
@@ -102,6 +106,12 @@ class AnalyticField:
         if self._dt_hess is None:
             return self._zeros(X, 3)
         return np.asarray(self._dt_hess(t, np.asarray(X, dtype=float)), dtype=float)
+
+    def accelerates(self, X):
+        """Whether dtt_value may be nonzero somewhere in X."""
+        if self._accelerates is not None:
+            return self._accelerates(np.asarray(X, dtype=float))
+        return self._dtt_value is not None
 
     @property
     def has_second_derivatives(self):
@@ -188,34 +198,36 @@ def lift_static_bc(u_init, v_init, alpha, beta):
     alpha*eps(u0) + beta*dt_eps(u0) = alpha*eps(u_init) + beta*eps(v_init)
     for all t.  v_init must vanish on the boundary.
 
-    The packed t=0 strains of u_init and v_init are kept for the last
-    read-only point set (a space's quadrature points) and reused while
-    the same array comes back; any other X is evaluated afresh.  A v_init
-    without a declared gradient contributes no strain.
+    The packed t=0 strains of u_init and v_init, and whether v_init is
+    nonzero anywhere (the lift accelerates only then), are kept for the
+    last read-only point set (a space's quadrature points) and reused
+    while the same array comes back; any other X is evaluated afresh.  A
+    v_init without a declared gradient contributes no strain.
     """
     a = alpha / beta
     dim = u_init.dim
     static_v = v_init._grad is None
-    kept = [None, None]                    # [X, (eps_u, eps_v)]
+    kept = [None, None]                    # [X, (eps_u, eps_v, moving)]
 
     def mix(t, f_u, f_v):
         E = np.exp(-a * t)
         return f_u + (beta / alpha) * (1.0 - E) * f_v
 
-    def strains(X):
+    def at_start(X):
         if X is not kept[0] or X.flags.writeable:
-            pair = (u_init.strain(0.0, X), None if static_v else v_init.strain(0.0, X))
+            data = (u_init.strain(0.0, X), None if static_v else v_init.strain(0.0, X),
+                    bool(np.any(v_init.value(0.0, X))))
             if X.flags.writeable:
-                return pair
-            kept[:] = X, pair
+                return data
+            kept[:] = X, data
         return kept[1]
 
     def strain(t, X):
-        eps_u, eps_v = strains(X)
+        eps_u, eps_v, _ = at_start(X)
         return eps_u.copy() if eps_v is None else mix(t, eps_u, eps_v)
 
     def dt_strain(t, X):
-        eps_v = strains(X)[1]
+        eps_v = at_start(X)[1]
         return np.zeros((X.shape[0], st.packed_len(dim))) if eps_v is None \
             else np.exp(-a * t) * eps_v
 
@@ -227,6 +239,7 @@ def lift_static_bc(u_init, v_init, alpha, beta):
         dt_grad=lambda t, X: np.exp(-a * t) * v_init.grad(0.0, X),
         dtt_value=lambda t, X: -a * np.exp(-a * t) * v_init.value(0.0, X),
         strain=strain, dt_strain=dt_strain,
+        accelerates=lambda X: at_start(X)[2],
     )
 
 
@@ -482,7 +495,13 @@ def _pluck_scenario(name, margin, dim, domain, model, t_end):
     unit = _pluck_field(dim, dom, 1.0)
     X = _box_points(dom, 801 if dim == 1 else 161)
     sup = float(np.max(st.norm(unit.strain(0.0, X))))
-    amp = target / (model.alpha * sup)
+    # a huge domain flattens the unit bump below what a double resolves
+    scale = model.alpha * sup
+    amp = target / scale if scale > 0.0 else np.inf
+    if not np.isfinite(amp):
+        raise InvalidDataError(
+            f"domain {dom!r} leaves the pluck no resolvable strain "
+            f"(sup |eps| of the unit bump {sup:.3g}, alpha {model.alpha:.3g})")
     u_init = _pluck_field(dim, dom, amp)
     lift = lift_static_bc(u_init, zero_field(dim), model.alpha, model.beta)
     return Scenario(

@@ -435,6 +435,39 @@ def test_invert_radius_matches_reference(pot, kind, reg_n):
     assert np.all(np.abs(con.invert_radius(model, s, warm=warm) - ref_w) <= 1e-14 * ref_w)
 
 
+@pytest.mark.parametrize("pot, kind", _KERNEL_MODELS,
+                         ids=["q1", "q2", "q10", "power1.5", "power3-powerreg"])
+def test_invert_radius_mixed_reg_n_batch_matches_separate_calls(pot, kind):
+    # one call over the members of a regularization sweep, each row with
+    # its own 1/n, gives every row bit for bit what its own call gives
+    reg_ns = [4, 16, 64, 256]
+    rng = np.random.default_rng(26)
+    s = np.concatenate([[0.0], rng.uniform(0.0, 3.0, 150), 10.0 ** rng.uniform(-300.0, 300.0, 50)])
+    # every member sees the same magnitudes, in its own order
+    S = np.stack([rng.permutation(s) for _ in reg_ns])
+    W = S * (1.0 + 0.05 * rng.standard_normal(S.shape))
+    models = [con.ConstitutiveModel(pot, reg_n=n, reg_kind=kind) for n in reg_ns]
+    inv_n = np.array([[1.0 / n] for n in reg_ns])
+    for warm in (None, W):
+        batch = con.invert_radius(models[0], S, warm=warm, inv_n=inv_n)
+        for i, model in enumerate(models):
+            alone = con.invert_radius(model, S[i], warm=None if warm is None else warm[i])
+            assert np.array_equal(batch[i], alone), (reg_ns[i], warm is None)
+
+
+def test_invert_mixed_reg_n_batch_matches_separate_calls():
+    reg_ns = [4, 16, 64, 256]
+    rng = np.random.default_rng(27)
+    E = 2.0 * rng.standard_normal((len(reg_ns), 300, 3))
+    models = [con.ConstitutiveModel(con.PrototypePotential(2.0), reg_n=n) for n in reg_ns]
+    inv_n = np.array([[1.0 / n] for n in reg_ns])
+    cold = con.invert(models[0], E, inv_n=inv_n)
+    warm = con.invert(models[0], E, warm_stress=1.1 * cold, inv_n=inv_n)
+    for i, model in enumerate(models):
+        assert np.array_equal(cold[i], con.invert(model, E[i]))
+        assert np.array_equal(warm[i], con.invert(model, E[i], warm_stress=1.1 * cold[i]))
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(s=hs.floats(0.0, 1e300), q=hs.floats(1.0, 50.0),
        reg_n=hs.sampled_from([1, 4, 64, 256, 10**6]))

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -289,3 +291,104 @@ def test_study_failure_keeps_type_and_names_case():
     with pytest.raises(dy.MidpointNoConvergence, match=r"\[study case base\]") as err:
         dg.stability_study(scen, interval_space(16), cfg, [1e-3, 1e-5, 1e-7])
     assert len(err.value.trace) == 3
+
+
+# ---------------------------------------------------------------------------
+# studies step their members as one batch
+
+
+def _study_case(study, scheme, dim):
+    """A small study of 4 members and 30 steps: its scenario, space, config."""
+    dom = ((0.0, 1.0),) * dim
+    scen = sc.build_scenario("gaussian-pluck", dim, dom, proto_model(reg_n=4), 0.06)
+    space = fe.FESpace(fe.box_mesh(dom, (24,) if dim == 1 else (4, 4)))
+    return scen, space, dy.SolverConfig(dt=2e-3, t_end=0.06, scheme=scheme)
+
+
+def _run_study(study, scen, space, cfg):
+    if study == "regularization":
+        return dg.regularization_sweep(scen, space, cfg, [4, 16, 64, 256])
+    return dg.stability_study(scen, space, cfg, [1e-3, 1e-5, 1e-7])
+
+
+def _spy_batch(monkeypatch):
+    """Spy on the studies' run: every member's (U, V) at every record,
+    next to the member scenarios and initial velocities it was given."""
+    real = dy.run
+    seen = {}
+
+    def spy(members, space, config, observers=(), U0=None, V0=None):
+        hist = [[] for _ in range(len(members))]
+        obs = [tuple(own) + ((lambda s, f, h=h: h.append((s.U, s.V))),)
+               for own, h in zip(observers or [()] * len(members), hist)]
+        seen.update(members=members, V0=V0, hist=hist)
+        return real(members, space, config, observers=obs, U0=U0, V0=V0)
+
+    monkeypatch.setattr(dg.dyn, "run", spy)
+    return seen, real
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+@pytest.mark.parametrize("scheme", ["rk4", "midpoint"])
+@pytest.mark.parametrize("study", ["regularization", "stability"])
+def test_study_members_match_their_own_runs(monkeypatch, study, scheme, dim):
+    scen, space, cfg = _study_case(study, scheme, dim)
+    seen, real = _spy_batch(monkeypatch)
+    _run_study(study, scen, space, cfg)
+    members = seen["members"]
+    assert isinstance(members, dy.Members) and len(members) == 4
+    for i, member in enumerate(members.scenarios):
+        alone = []
+        real(member, space, cfg, V0=None if seen["V0"] is None else seen["V0"][i],
+             observers=(lambda s, f: alone.append((s.U, s.V)),))
+        batch = seen["hist"][i]
+        assert len(batch) == len(alone) == 31
+        assert all(np.array_equal(U, Ua) and np.array_equal(V, Va)
+                   for (U, V), (Ua, Va) in zip(batch, alone)), (study, i)
+
+
+def _count_newton(monkeypatch):
+    """Midpoint Newton iterations per (member, step) and Jacobian
+    factorizations per (reg_n, step) of every run while installed."""
+    iters, facts = Counter(), Counter()
+    now = [None]
+    real_invert, real_assemble = dy._invert_at, dy._assemble_midpoint_jacobian
+
+    def invert(scenario, E, warm, tol, space, stage, t, members=None):
+        if stage.startswith("midpoint"):
+            now[0] = t
+            iters.update((i, t) for i in members)
+        return real_invert(scenario, E, warm, tol, space, stage, t, members)
+
+    def assemble(space, mass, factor, model, T):
+        facts[(model.reg_n, now[0])] += 1
+        return real_assemble(space, mass, factor, model, T)
+
+    monkeypatch.setattr(dy, "_invert_at", invert)
+    monkeypatch.setattr(dy, "_assemble_midpoint_jacobian", assemble)
+    return iters, facts
+
+
+@pytest.mark.parametrize("study", ["regularization", "stability"])
+def test_study_members_keep_their_newton_counts(monkeypatch, study):
+    scen, space, cfg = _study_case(study, "midpoint", 1)
+    seen, real = _spy_batch(monkeypatch)
+    iters, facts = _count_newton(monkeypatch)
+    _run_study(study, scen, space, cfg)
+    batch_iters, batch_facts = dict(iters), dict(facts)
+    members = seen["members"]
+    steps = sorted({t for _, t in batch_iters})
+    assert len(steps) == 30
+    alone_facts = Counter()
+    for i, member in enumerate(members.scenarios):
+        iters.clear()
+        facts.clear()
+        real(member, space, cfg, V0=None if seen["V0"] is None else seen["V0"][i])
+        assert [iters[(0, t)] for t in steps] == [batch_iters.get((i, t), 0) for t in steps]
+        alone_facts.update(facts)
+    # the sweep's members differ in reg_n, so each factorization is known by
+    # its member; the stability members share one model, so compare per step
+    assert alone_facts == Counter(batch_facts)
+    if study == "regularization":
+        # the members converge after different numbers of iterations
+        assert any(len({batch_iters[(i, t)] for i in range(4)}) > 1 for t in steps)

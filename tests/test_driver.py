@@ -251,6 +251,37 @@ def test_non_finite_number_exits_1(tmp_path, capsys, old, new, key, line):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("old,new", [
+    ("dt = 0.002", "dt = 1e-300"),
+    ("t_end = 0.02", "t_end = 1e300"),
+    ("dt = 0.002", "dt = 1.9999999e-9"),
+], ids=["tiny-dt", "huge-t_end", "just-over"])
+def test_step_count_bound_exits_1(tmp_path, capsys, old, new):
+    # a run that could never end is refused before anything runs
+    text = base_cfg(f"out_dir = {tmp_path / 'o'}\n").replace(old, new)
+    with pytest.raises(dr.RangeError, match=r"'t_end' at line 9 and 'dt' at line 8: .*"
+                                            rf"maximum of {dr.MAX_STEPS}"):
+        dr.parse_config(text)
+    assert run_main(tmp_path, text, "run") == 1
+    assert "'t_end' at line 9 and 'dt' at line 8" in capsys.readouterr().out
+    assert not (tmp_path / "o").exists()
+
+
+def test_step_count_at_the_bound_parses():
+    cfg = dr.parse_config(base_cfg().replace("dt = 0.002", "dt = 2e-9"))
+    assert cfg.values["t_end"] / cfg.values["dt"] <= dr.MAX_STEPS
+
+
+def test_huge_domain_pluck_exits_1(tmp_path, capsys):
+    # the unit bump's strain underflows to 0 on a 1e300-wide domain
+    text = base_cfg(f"out_dir = {tmp_path / 'o'}\n").replace(
+        "domain = 0.0 1.0", "domain = 0.0 1e300")
+    assert run_main(tmp_path, text, "run") == 1
+    out = capsys.readouterr().out
+    assert out.startswith("invalid configuration: domain") and "no resolvable strain" in out
+    assert not (tmp_path / "o").exists()
+
+
 def test_nan_safety_margin_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(dr.sc, "safety_margin", lambda scen, space: float("nan"))
     assert run_main(tmp_path, base_cfg(f"out_dir = {tmp_path / 'o'}\n"), "run") == 1

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -96,6 +98,58 @@ def test_rhs_annotates_supercritical():
                            np.zeros(space.ndof))
     msg = str(err.value)
     assert "t=0.25" in msg and "qp" in msg
+
+
+def test_lift_at_rest_is_never_accelerated():
+    # a static lift started at rest has no inertia load: its acceleration
+    # is ruled out once per quadrature point set and never evaluated
+    scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.05)
+    space = interval_space(8)
+    calls = []
+    real = scen.lift._dtt_value
+    scen.lift._dtt_value = lambda t, X: calls.append(t) or real(t, X)
+    assert not scen.lift.accelerates(space.qp)
+    assert dy._loads(scen, space, 0.3) == 0.0
+    dy.run(scen, space, dy.SolverConfig(dt=1e-3, t_end=5e-3, scheme="rk4"))
+    dy.run(scen, space, dy.SolverConfig(dt=1e-3, t_end=5e-3))
+    assert calls == []
+
+
+def test_moving_lift_keeps_its_inertia_load():
+    u0 = sc._pluck_field(1, ((0.0, 1.0),), 0.3)
+    v0 = sc._pluck_field(1, ((0.0, 1.0),), 0.2)
+    v_calls = []
+    v_init = sc.AnalyticField(1, lambda t, X: v_calls.append(t) or v0.value(t, X),
+                              grad=v0.grad)
+    lift = sc.lift_static_bc(u0, v_init, 1.0, 0.1)
+    scen = sc.Scenario(name="moving", dim=1, domain=((0.0, 1.0),), model=proto_model(),
+                       lift=lift)
+    space = interval_space(8)
+    assert lift.accelerates(space.qp) and lift.accelerates(space.qp)
+    assert len(v_calls) == 1                  # kept for the read-only points
+    for t in (0.0, 0.3):
+        want = 0.0 - space.load_from_values(lift.dtt_value(t, space.qp))
+        assert np.array_equal(dy._loads(scen, space, t), want)
+
+
+def test_members_differ_only_in_reg_n():
+    base = proto_model(reg_n=4)
+    scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), base, 0.05)
+    members = dy.Members([scen, scen.with_model(base.with_reg(256))])
+    assert members.inv_n.tolist() == [[0.25], [1.0 / 256]]
+    for other in (replace(base, alpha=2.0), replace(base, beta=0.2),
+                  replace(base, potential=con.PrototypePotential(3.0)),
+                  base.with_reg(None)):
+        with pytest.raises(ValueError, match="reg_n"):
+            dy.Members([scen, scen.with_model(other)])
+    space = interval_space(8)
+    cfg = dy.SolverConfig(dt=1e-3, t_end=2e-3)
+    with pytest.raises(ValueError, match="one sequence per member"):
+        dy.run(members, space, cfg, observers=[()])
+    with pytest.raises(ValueError, match="shape"):
+        dy.run(members, space, cfg, V0=np.zeros(space.ndof))
+    finals = dy.run(members, space, cfg)
+    assert len(finals) == 2 and finals[0][0].U.shape == (space.ndof,)
 
 
 # ---------------------------------------------------------------------------
