@@ -80,7 +80,8 @@ class _Stacked:
         self.fields = tuple(fields)
 
     def _stack(self, name, t, X):
-        return np.stack([getattr(f, name)(t, X) for f in self.fields])
+        vals = [getattr(f, name)(t, X) for f in self.fields]
+        return vals[0][None] if len(vals) == 1 else np.stack(vals)
 
     def value(self, t, X):
         return self._stack("value", t, X)
@@ -118,8 +119,9 @@ class Members:
             if (mdl.with_reg(base.reg_n) != base
                     or (mdl.reg_n is None) != (base.reg_n is None)):
                 raise ValueError("batch members may differ only in reg_n")
-        # one 1/n per member, broadcast over its quadrature points
-        self.inv_n = None if base.reg_n is None else \
+        # one 1/n per member, broadcast over its quadrature points; members
+        # that share reg_n invert with the model's own
+        self.inv_n = None if len({mdl.reg_n for mdl in self.models}) == 1 else \
             np.array([[1.0 / mdl.reg_n] for mdl in self.models])
         self.lift = _Stacked(s.lift for s in self.scenarios)
         forcings = [s.forcing for s in self.scenarios]
@@ -288,23 +290,23 @@ def step_midpoint(scenario, space, state, dt, newton_tol=1e-11,
     that has converged is frozen (not inverted again), so its iterations
     and factorizations are those of its run alone.
     """
-    models = scenario.models if isinstance(scenario, Members) else (scenario.model,)
+    batch = isinstance(scenario, Members)
+    models = scenario.models if batch else (scenario.model,)
+    k = len(models)
     m = scenario.model
     t_mid = state.t + 0.5 * dt
     qp = space.qp
     ndof, nq, mcomp = space.ndof, space.n_qp, space.m
-    # every array below has a member axis; a lone scenario is one member
-    U = state.U.reshape(-1, ndof)
-    V = state.V.reshape(-1, ndof)
-    k = len(U)
-    eps_l = scenario.lift.strain(t_mid, qp).reshape(k, nq, mcomp)
-    deps_l = scenario.lift.dt_strain(t_mid, qp).reshape(k, nq, mcomp)
-    const_load = np.broadcast_to(-0.5 * dt * _loads(scenario, space, t_mid), U.shape)
+    U, V = state.U, state.V
+    eps_l = scenario.lift.strain(t_mid, qp)
+    deps_l = scenario.lift.dt_strain(t_mid, qp)
+    const_load = np.full(U.shape, -0.5 * dt * _loads(scenario, space, t_mid))
     mass = space.mass
     factor = 0.5 * dt * (m.beta + 0.5 * dt * m.alpha)
 
     Vm = V.copy()
-    warm = None if state.stress is None else state.stress.reshape(k, nq, mcomp)
+    rows = Vm.reshape(k, ndof)             # each member's Vm, a view (a lone one too)
+    warm = state.stress
     lus = [None] * k
     traces = [[] for _ in range(k)]
     prev = [np.inf] * k
@@ -324,16 +326,18 @@ def step_midpoint(scenario, space, state, dt, newton_tol=1e-11,
             warm[active] = T
         R = space.mass_apply(Vm[sel] - V[sel]) + 0.5 * dt * space.load_from_stress(T) \
             + const_load[sel]
+        T_rows = T.reshape(len(active), nq, mcomp)
+        R_rows = R.reshape(len(active), ndof)
         for j, i in enumerate(active):
             if lus[i] is None:
-                lus[i] = _assemble_midpoint_jacobian(space, mass, factor, models[i], T[j])
-            delta = lus[i].solve(R[j])
-            Vm[i] = Vm[i] - delta
-            dn = float(np.linalg.norm(delta)) / (1.0 + float(np.linalg.norm(Vm[i])))
+                lus[i] = _assemble_midpoint_jacobian(space, mass, factor, models[i], T_rows[j])
+            delta = lus[i].solve(R_rows[j])
+            rows[i] = rows[i] - delta
+            dn = float(np.linalg.norm(delta)) / (1.0 + float(np.linalg.norm(rows[i])))
             traces[i].append(dn)
             if dn > newton_tol and dn > 0.3 * prev[i]:
                 # contraction stalling: refresh the frozen Jacobian
-                lus[i] = _assemble_midpoint_jacobian(space, mass, factor, models[i], T[j])
+                lus[i] = _assemble_midpoint_jacobian(space, mass, factor, models[i], T_rows[j])
             prev[i] = dn
         active = [i for i in active if traces[i][-1] > newton_tol]
         if not active:
@@ -346,10 +350,9 @@ def step_midpoint(scenario, space, state, dt, newton_tol=1e-11,
             traces[i],
         ), i)
 
-    Un = (U + dt * Vm).reshape(state.U.shape)
-    Vn = (2.0 * Vm - V).reshape(state.V.shape)
-    fields = evaluate_fields(scenario, space, state.t + dt, Un, Vn,
-                             warm.reshape(state.U.shape[:-1] + (nq, mcomp)), tol_inv)
+    Un = U + dt * Vm
+    Vn = 2.0 * Vm - V
+    fields = evaluate_fields(scenario, space, state.t + dt, Un, Vn, warm, tol_inv)
     return State(state.t + dt, Un, Vn, fields["stress"]), fields
 
 
@@ -366,42 +369,45 @@ def run(scenario, space, config, observers=(), U0=None, V0=None):
     modify them.
 
     scenario may be Members, stepped as one batch; a lone scenario is
-    the one-member case of the same loop.  For Members, U0/V0 are
-    (members, ndof), observers holds one sequence of observers per
-    member, and the return value is the list of every member's final
-    (state, fields).  Each observer sees only its member's view (1D U
-    and V, per-qp fields without the member axis); at every record the
-    members' observers are called in member order.
+    the one-member case of the same loop, without the member axis.  For
+    Members, U0/V0 are (members, ndof), observers holds one sequence of
+    observers per member, and the return value is the list of every
+    member's final (state, fields).  Each observer sees only its
+    member's view (1D U and V, per-qp fields without the member axis);
+    at every record the members' observers are called in member order.
     """
-    members = scenario if isinstance(scenario, Members) else Members((scenario,))
-    if members is not scenario:
-        observers = (observers,)
-        U0 = None if U0 is None else np.asarray(U0, dtype=float)[None]
-        V0 = None if V0 is None else np.asarray(V0, dtype=float)[None]
-    shape = (len(members), space.ndof)
+    batch = isinstance(scenario, Members)
+    shape = (len(scenario), space.ndof) if batch else (space.ndof,)
     U = np.zeros(shape) if U0 is None else np.array(U0, dtype=float)
     V = np.zeros(shape) if V0 is None else np.array(V0, dtype=float)
     if U.shape != shape or V.shape != shape:
         raise ValueError("initial coefficient shape does not match the space")
-    if observers and len(observers) != len(members):
+    if batch and observers and len(observers) != len(scenario):
         raise ValueError("observers need one sequence per member")
+    notify = _notify if batch else _notify_lone
     state = State(0.0, U, V, None)
-    fields = evaluate_fields(members, space, 0.0, U, V, None, config.tol_inv)
+    fields = evaluate_fields(scenario, space, 0.0, U, V, None, config.tol_inv)
     state.stress = fields["stress"]
-    finals = _notify(observers, state, fields)
+    final = notify(observers, state, fields)
 
     t_end = config.t_end
     tiny = 1e-12 * max(1.0, t_end)
     while state.t < t_end - tiny:
         dtk = min(config.dt, t_end - state.t)
         if config.scheme == SCHEME_RK4:
-            state, fields = step_rk4(members, space, state, dtk, config.tol_inv, fields)
+            state, fields = step_rk4(scenario, space, state, dtk, config.tol_inv, fields)
         else:
-            state, fields = step_midpoint(members, space, state, dtk,
+            state, fields = step_midpoint(scenario, space, state, dtk,
                                           config.newton_tol, config.newton_max,
                                           config.tol_inv)
-        finals = _notify(observers, state, fields)
-    return finals if members is scenario else finals[0]
+        final = notify(observers, state, fields)
+    return final
+
+
+def _notify_lone(observers, state, fields):
+    for obs in observers:
+        obs(state, fields)
+    return state, fields
 
 
 def _notify(observers, state, fields):

@@ -137,6 +137,7 @@ def test_members_differ_only_in_reg_n():
     scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), base, 0.05)
     members = dy.Members([scen, scen.with_model(base.with_reg(256))])
     assert members.inv_n.tolist() == [[0.25], [1.0 / 256]]
+    assert dy.Members([scen, scen]).inv_n is None     # a shared reg_n is the model's
     for other in (replace(base, alpha=2.0), replace(base, beta=0.2),
                   replace(base, potential=con.PrototypePotential(3.0)),
                   base.with_reg(None)):
