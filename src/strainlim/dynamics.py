@@ -80,8 +80,7 @@ class _Stacked:
         self.fields = tuple(fields)
 
     def _stack(self, name, t, X):
-        vals = [getattr(f, name)(t, X) for f in self.fields]
-        return vals[0][None] if len(vals) == 1 else np.stack(vals)
+        return np.stack([getattr(f, name)(t, X) for f in self.fields])
 
     def value(self, t, X):
         return self._stack("value", t, X)
