@@ -289,8 +289,7 @@ def step_midpoint(scenario, space, state, dt, newton_tol=1e-11,
     that has converged is frozen (not inverted again), so its iterations
     and factorizations are those of its run alone.
     """
-    batch = isinstance(scenario, Members)
-    models = scenario.models if batch else (scenario.model,)
+    models = scenario.models if isinstance(scenario, Members) else (scenario.model,)
     k = len(models)
     m = scenario.model
     t_mid = state.t + 0.5 * dt
