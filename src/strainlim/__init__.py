@@ -3,6 +3,7 @@
 import importlib
 
 __all__ = [
+    "checks",
     "constitutive",
     "diagnostics",
     "driver",

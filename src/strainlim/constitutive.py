@@ -41,7 +41,7 @@ class SupercriticalStrainError(ValueError):
 
 
 class NewtonConvergenceError(RuntimeError):
-    """Scalar or tensor Newton failed to converge within max_iter."""
+    """The radial Newton solve failed to converge within max_iter."""
 
 
 # ---------------------------------------------------------------------------
@@ -451,15 +451,12 @@ def invert_radius(model, s, warm=None, tol=1e-12, max_iter=100, inv_n=None):
     return float(x[0]) if scalar_in else x
 
 
-def invert(model, E, warm_stress=None, tol=1e-12, max_iter=100, method="radial",
-           inv_n=None):
+def invert(model, E, warm_stress=None, tol=1e-12, max_iter=100, inv_n=None):
     """Invert the (regularized) map: return T with g_apply(T) ~= E.
 
-    method="radial" (default) reduces to the scalar solve along E;
-    method="tensor" runs a damped Newton iteration on the full packed
-    system with g_jacobian, kept as an independent route for
-    cross-checks.  inv_n (radial only) replaces the model's 1/n per
-    point, broadcasting against the point axes of E (see invert_radius).
+    G keeps T and E collinear, so this is the scalar solve of
+    invert_radius along E.  inv_n replaces the model's 1/n per point,
+    broadcasting against the point axes of E (see invert_radius).
     """
     E = np.asarray(E, dtype=float)
     # a finite E whose |E|^2 overflows is rejected like a non-finite one
@@ -467,52 +464,12 @@ def invert(model, E, warm_stress=None, tol=1e-12, max_iter=100, method="radial",
         s = st.norm(E)
     if not np.isfinite(s).all():
         raise ValueError("non-finite strain input")
-    L = model.potential.limit
-    if model.reg_n is None and np.isfinite(L):
-        smax = float(np.max(s))
-        if smax >= L * (1.0 - 1e-12):
-            raise SupercriticalStrainError(
-                f"no regularizer and strain magnitude {smax:.6g} at or beyond limit {L:.6g}"
-            )
-    if method == "tensor":
-        return _invert_tensor(model, E, tol=tol, max_iter=max_iter)
-
     warm = st.norm(warm_stress) if warm_stress is not None else None
     r = invert_radius(model, s, warm=warm, tol=tol, max_iter=max_iter, inv_n=inv_n)
     if E.ndim == 1:
         return (r / s) * E if s > 0.0 else np.zeros_like(E)
     scale = np.divide(r, s, out=np.zeros_like(s), where=s > 0.0)
     return scale[..., None] * E
-
-
-def _invert_tensor(model, E, tol, max_iter):
-    # start at E, not 0: some regularized maps have a singular Jacobian
-    # at the origin (power regularizer with p > 2)
-    T = E.copy()
-    target = tol * (1.0 + st.norm(E))
-    for _ in range(max_iter):
-        R = g_apply(model, T) - E
-        rn = st.norm(R)
-        if np.all(rn <= target):
-            return T
-        J = g_jacobian(model, T)
-        step = np.linalg.solve(J, R[..., None])[..., 0]
-        # backtracking line search on the residual norm, per point
-        lam = np.ones(rn.shape)
-        for _ in range(40):
-            Tn = T - lam[..., None] * step
-            rn_new = st.norm(g_apply(model, Tn) - E)
-            worse = rn_new > (1.0 - 0.25 * lam) * rn
-            if not np.any(worse & (rn > target)):
-                break
-            lam = np.where(worse, 0.5 * lam, lam)
-        T = T - lam[..., None] * step
-    R = st.norm(g_apply(model, T) - E)
-    if np.all(R <= target):
-        return T
-    raise NewtonConvergenceError(
-        f"tensor inversion stalled after {max_iter} iterations, residual {float(np.max(R)):.3e}"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -538,25 +495,6 @@ def phi_star(potential, e):
         r = potential.dphi_inv(e[sub])
         out[sub] = e[sub] * r - potential.phi(r)
     return float(out[0]) if scalar_in else out
-
-
-def phi_star_root(potential, e, tol=1e-12):
-    """Conjugate via direct scalar root find (independent route for tests)."""
-    from scipy.optimize import brentq
-
-    if isinstance(potential, ConstitutiveModel):
-        potential = potential.potential
-    if e >= potential.limit:
-        return INF
-    if e == 0.0:
-        return 0.0
-    hi = 1.0
-    while potential.dphi(hi) < e:
-        hi *= 2.0
-        if hi > 1e300:
-            return INF
-    r = brentq(lambda t: potential.dphi(t) - e, 0.0, hi, xtol=tol, rtol=4 * np.finfo(float).eps)
-    return e * r - float(potential.phi(r))
 
 
 def effective_conjugate(model, e, tol=1e-12, radius=None):

@@ -146,14 +146,6 @@ def ledger_table(records):
     }
 
 
-def energy_balance_residual(records):
-    """Max |KE+EE change + cumulative dissipation - cumulative power|
-    over the recorded ledger, ignoring suspended (non-finite) rows."""
-    resid = ledger_table(records)["balance_residual"]
-    finite = resid[np.isfinite(resid)]
-    return float(np.max(np.abs(finite))) if len(finite) else np.nan
-
-
 class EnergyRecorder:
     """run() observer accumulating EnergyLedger records."""
 
@@ -169,9 +161,6 @@ class EnergyRecorder:
 
     def table(self):
         return ledger_table(self.records)
-
-    def balance_residual(self):
-        return energy_balance_residual(self.records)
 
 
 class StrainRecorder:

@@ -12,16 +12,16 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import checks
 from . import constitutive as con
 from . import diagnostics as dg
 from . import dynamics as dy
 from . import fespace as fe
 from . import scenarios as sc
-from . import symtensor as st
 
 
 class ConfigError(ValueError):
@@ -121,12 +121,6 @@ class RunConfig:
 
     values: dict
 
-    def __getattr__(self, name):
-        try:
-            return self.values[name]
-        except KeyError:
-            raise AttributeError(name)
-
     def serialize(self):
         lines = []
         for key in _KEYS:
@@ -212,6 +206,12 @@ def parse_config(text):
         line = f" at line {seen[key][1]}" if key in seen else ""
         raise RangeError(f"key {key!r}{line}: {msg}")
 
+    def bound_steps(keys, what, steps):
+        if steps > MAX_STEPS:
+            where = " and ".join(f"{k!r} at line {seen[k][1]}" for k in keys)
+            raise RangeError(f"keys {where}: {what} = {steps:.3g} steps, "
+                             f"more than the maximum of {MAX_STEPS}")
+
     if values["dim"] not in (1, 2):
         bad("dim", "must be 1 or 2")
     dom = values["domain"]
@@ -254,15 +254,18 @@ def parse_config(text):
         bad("dt", "must be > 0")
     if not values["t_end"] >= 0.0:
         bad("t_end", "must be >= 0")
-    steps = values["t_end"] / values["dt"]
-    if steps > MAX_STEPS:
-        raise RangeError(
-            f"keys 't_end' at line {seen['t_end'][1]} and 'dt' at line {seen['dt'][1]}: "
-            f"t_end / dt = {steps:.3g} steps, more than the maximum of {MAX_STEPS}")
+    bound_steps(("t_end", "dt"), "t_end / dt", values["t_end"] / values["dt"])
     if values["scenario"] not in sc.SCENARIO_NAMES:
         bad("scenario", f"must be one of {', '.join(sc.SCENARIO_NAMES)}")
     if values["study"] is not None and values["study"] not in STUDIES:
         bad("study", f"must be one of {', '.join(STUDIES)}")
+    if values["study"] == "refinement-dt" and values["levels"]:
+        # the levels are time steps, and the reference run steps at min(levels) / 4
+        if not all(lv > 0.0 for lv in values["levels"]):
+            bad("levels", "entries must be > 0 for the refinement-dt study")
+        dt_ref = min(values["levels"]) / 4.0
+        bound_steps(("levels", "t_end"), "t_end / (min(levels) / 4)",
+                    values["t_end"] / dt_ref if dt_ref > 0.0 else np.inf)
     if values["n_list"] is not None and len(values["n_list"]) < 3:
         bad("n_list", "needs at least 3 entries")
     if values["delta_list"] is not None and any(d <= 0 for d in values["delta_list"]):
@@ -431,107 +434,29 @@ def cmd_sweep(cfg):
 # verify
 
 
-def _verify_roundtrip(rng):
-    worst = 0.0
-    for model in _verify_models():
-        for d in (1, 2, 3):
-            T = rng.standard_normal((200, st.packed_len(d)))
-            nrm = st.norm(T)
-            big = nrm > 3.0
-            T[big] *= (3.0 / nrm[big])[:, None]
-            E = con.g_apply(model, T)
-            back = con.invert(model, E, warm_stress=T)
-            worst = max(worst, float(np.max(st.norm(back - T))))
-    return worst <= 1e-10, f"max round-trip error {worst:.3e} (tol 1e-10)"
-
-
-def _verify_models():
-    pots = [con.PrototypePotential(1.0), con.PrototypePotential(2.0),
-            con.PrototypePotential(10.0), con.PowerLawPotential(1.5),
-            con.PowerLawPotential(3.0), con.LinearPotential()]
-    out = []
-    for pot in pots:
-        out.append(con.ConstitutiveModel(pot, alpha=1.0, beta=0.5))
-        out.append(con.ConstitutiveModel(pot, alpha=1.0, beta=0.5, reg_n=16))
-    return out
-
-
-def _verify_fenchel(rng):
-    worst = 0.0
-    for model in _verify_models():
-        for d in (1, 2, 3):
-            T = 0.8 * rng.standard_normal((200, st.packed_len(d)))
-            r = con.fenchel_residual(model, T)
-            worst = max(worst, float(np.max(r / (1.0 + st.norm(T)))))
-    return worst <= 1e-8, f"max scaled Fenchel residual {worst:.3e} (tol 1e-8)"
-
-
-def _verify_jacobian(rng):
-    worst = 0.0
-    h = 1e-5
-    for model in _verify_models():
-        for d in (1, 2, 3):
-            mcomp = st.packed_len(d)
-            for _ in range(20):
-                T = 0.8 * rng.standard_normal(mcomp)
-                Ed = rng.standard_normal(mcomp)
-                Ed /= np.linalg.norm(Ed)
-                J = con.g_jacobian(model, T)
-                fd = (con.g_apply(model, T + h * Ed)
-                      - con.g_apply(model, T - h * Ed)) / (2.0 * h)
-                worst = max(worst, float(np.linalg.norm(J @ Ed - fd)))
-    ok = worst <= 1e-6
-    bound_ok = True
-    for n in (1, 10, 100):
-        mdl = con.ConstitutiveModel(con.PrototypePotential(2.0), reg_n=n)
-        for r in (0.0, 0.1, 1.0, 10.0, 100.0):
-            T = np.zeros(3)
-            T[0] = r
-            bound_ok = bound_ok and con.jacobian_norm_bound_check(mdl, T)
-    return ok and bound_ok, (f"max FD mismatch {worst:.3e} (tol 1e-6), "
-                             f"operator norm bound held: {bound_ok}")
-
-
-def _verify_lifts(rng):
-    alpha, beta = 1.3, 0.4
-    u0 = sc._standing_wave_field(1, (0.0, 1.0), amplitude=0.5, omega=0.0)
-    v0 = sc._standing_wave_field(1, (0.0, 0.5), amplitude=0.2, omega=0.0)
-    lift = sc.lift_static_bc(u0, v0, alpha, beta)
-    X = rng.uniform(0.0, 1.0, size=(100, 1))
-    worst_data = max(
-        float(np.max(np.abs(lift.value(0.0, X) - u0.value(0.0, X)))),
-        float(np.max(np.abs(lift.dt_value(0.0, X) - v0.value(0.0, X)))),
-    )
-    E0 = sc.strain_expression(lift, alpha, beta, 0.0, X)
-    worst_id = 0.0
-    for t in (0.3, 1.7):
-        Et = sc.strain_expression(lift, alpha, beta, t, X)
-        worst_id = max(worst_id, float(np.max(np.abs(Et - E0))))
-    u_ext = sc._standing_wave_field(1, (0.0, 1.0), amplitude=0.05, omega=1.0)
-    lift2 = sc.lift_timedep_bc(u_ext, sc.zero_field(1), alpha, beta,
-                               boundary_points=np.array([[0.0], [1.0]]))
-    worst_data = max(worst_data,
-                     float(np.max(np.abs(lift2.value(0.0, X) - u_ext.value(0.0, X)))),
-                     float(np.max(np.abs(lift2.dt_value(0.0, X)))))
-    ok = worst_data <= 1e-12 and worst_id <= 1e-10
-    return ok, (f"data mismatch {worst_data:.3e} (tol 1e-12), "
-                f"strain-expression drift {worst_id:.3e} (tol 1e-10)")
+# random tensors per model and dimension, and lift points and times, that
+# verify draws; acceptance criteria 01 and 03 draw 10,000 and 100
+VERIFY_SAMPLES = 200
 
 
 def cmd_verify():
-    groups = [
-        ("constitutive round-trip", _verify_roundtrip),
-        ("Fenchel residual", _verify_fenchel),
-        ("Jacobian", _verify_jacobian),
-        ("lift recipes", _verify_lifts),
+    w = checks.constitutive_suite(np.random.default_rng(0), VERIFY_SAMPLES)
+    lift = checks.lift_recipes(np.random.default_rng(0), VERIFY_SAMPLES)
+    results = [
+        ("constitutive round-trip", w["round"] <= 1e-10,
+         f"max round-trip error {w['round']:.3e} (tol 1e-10)"),
+        ("Fenchel residual", w["fenchel"] <= 1e-8,
+         f"max Fenchel residual {w['fenchel']:.3e} (tol 1e-8)"),
+        ("Jacobian", w["jac"] <= 1e-6 and w["bound"],
+         f"max relative FD mismatch {w['jac']:.3e} (tol 1e-6), "
+         f"operator norm bound held: {w['bound']}"),
+        ("lift recipes", lift["data"] <= 1e-12 and lift["identity"] <= 1e-10,
+         f"data mismatch {lift['data']:.3e} (tol 1e-12), "
+         f"strain-expression drift {lift['identity']:.3e} (tol 1e-10)"),
     ]
-    all_ok = True
-    for name, fun in groups:
-        rng = np.random.default_rng(0)
-        ok, detail = fun(rng)
-        all_ok = all_ok and ok
+    for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    return 0 if all_ok else 3
+    return 0 if all(ok for _, ok, _ in results) else 3
 
 
 # ---------------------------------------------------------------------------

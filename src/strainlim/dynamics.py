@@ -419,51 +419,3 @@ def _notify(observers, state, fields):
             obs(s, f)
         views.append((s, f))
     return views
-
-
-def _exp_weight_factor(x):
-    """(e^x (x-1) + 1) / x^2, series-guarded near 0."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = np.abs(x) < 0.05
-    xs = x[small]
-    out[small] = 0.5 + xs / 3.0 + xs**2 / 8.0 + xs**3 / 30.0 + xs**4 / 144.0
-    xl = x[~small]
-    out[~small] = (np.exp(xl) * (xl - 1.0) + 1.0) / xl**2
-    return out
-
-
-def strain_history_residual(ts, eps, stress, model):
-    """Gap between the final recorded strain and its integrating-factor
-    reconstruction from the stress history.
-
-    ts, eps and stress are the times, per-qp strains and per-qp stresses
-    of a run, recorded at every state (fields["eps"], fields["stress"]
-    of each observer call).  The constitutive relation at each
-    quadrature point is the linear ODE beta d(eps)/dt + alpha eps = G_n(T),
-    whose solution is
-    eps(t) = e^{-ct} eps(0) + int_0^t e^{-c(t-s)} G_n(T(s))/beta ds with
-    c = alpha/beta.  The integral uses the exact exponential weight
-    against piecewise-linear interpolation of the recorded G_n(T), so
-    the residual is O(dt^2) and exactly zero for constant histories.
-    Returns the max over quadrature points of the tensor-norm gap.
-    """
-    ts = np.asarray(ts, dtype=float)
-    if len(ts) < 2:
-        return 0.0
-    c = model.alpha / model.beta
-    t_end = ts[-1]
-    G = np.array([con.g_apply(model, T) for T in stress])
-    recon = np.exp(-c * (t_end - ts[0])) * eps[0]
-    for k in range(len(ts) - 1):
-        a, b = ts[k], ts[k + 1]
-        delta = b - a
-        if delta <= 0.0:
-            continue
-        x = c * delta
-        A = np.exp(-c * (t_end - a))
-        I0 = A * np.expm1(x) / c
-        I1 = A * delta * _exp_weight_factor(x)
-        recon = recon + (G[k] * I0 + (G[k + 1] - G[k]) * I1) / model.beta
-    gap = eps[-1] - recon
-    return float(np.max(st.norm(gap)))

@@ -208,15 +208,6 @@ class FESpace:
         dofs = self._dof_of_node[mesh.elems]                  # (ne, nv), -1 on boundary
         keep = dofs >= 0
 
-        # scalar shape values on all nodes, used for partition-of-unity
-        # checks and the full (pre-mask) mass matrix
-        rows = np.repeat(np.arange(ne * k), nv)
-        cols = np.tile(mesh.elems, (1, k)).reshape(ne, k, nv).ravel()
-        vals = np.broadcast_to(nloc[None, :, :], (ne, k, nv)).ravel()
-        self.shape_full = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(self.n_qp, mesh.n_nodes)
-        )
-
         # N: (nq*d, ndof) vector field values; one entry per (qp, node, comp)
         e_idx = np.repeat(np.arange(ne), k * nv)
         k_idx = np.tile(np.repeat(np.arange(k), nv), ne)
@@ -330,19 +321,3 @@ class FESpace:
         return CouplingPattern(strain=self._strain_local, indptr=indptr,
                                indices=(uniq % ndof).astype(np.int32),
                                slot=slot, mass_slot=pos[np.count_nonzero(ok):])
-
-    def mass_full_scalar(self):
-        """Scalar one-component mass on all nodes (no Dirichlet mask)."""
-        W = sp.diags(self.qw)
-        return (self.shape_full.T @ W @ self.shape_full).tocsc()
-
-    # -- coefficient layout ----------------------------------------------
-
-    def nodal_to_interior(self, nodal):
-        return np.asarray(nodal, dtype=float)[self.interior_nodes].ravel()
-
-    def interior_to_nodal(self, U):
-        out = np.zeros((self.mesh.n_nodes, self.dim))
-        out[self.interior_nodes] = np.asarray(U).reshape(-1, self.dim)
-        return out
-

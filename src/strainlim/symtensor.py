@@ -94,13 +94,6 @@ def norm(a):
     return np.sqrt(dot(a, a))
 
 
-def identity(dim):
-    """Packed identity tensor in dimension dim."""
-    out = np.zeros(packed_len(dim))
-    out[:dim] = 1.0
-    return out
-
-
 def outer(a, b):
     """Outer product (..., m, m) of packed tensors, for rank-one updates."""
     a = np.asarray(a, dtype=float)

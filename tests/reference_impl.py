@@ -1,0 +1,195 @@
+"""Test-only code that the test modules share.
+
+Mostly independent reference routes that the tests compare the package
+against: each recomputes a quantity by a different route (full tensor
+Newton, a scalar root find, finite differences, barycentric shape
+values, an integrating-factor reconstruction) or reads a recorded run.
+Nothing in the package calls them.  The helpers that make the prototype
+model and the unit-interval space for several test modules live here too.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+from scipy.optimize import brentq
+
+from strainlim import constitutive as con
+from strainlim import diagnostics as dg
+from strainlim import dynamics as dy
+from strainlim import fespace as fe
+from strainlim import symtensor as st
+
+
+def proto_model(q=2.0, alpha=1.0, beta=0.1, reg_n=64):
+    return con.ConstitutiveModel(con.PrototypePotential(q), alpha=alpha,
+                                 beta=beta, reg_n=reg_n)
+
+
+def interval_space(cells):
+    return fe.FESpace(fe.interval_mesh(0.0, 1.0, cells))
+
+
+def invert_tensor(model, E, tol=1e-12, max_iter=100):
+    """T with g_apply(T) ~= E by damped Newton on the full packed system
+    with g_jacobian, independent of the radial reduction of con.invert;
+    the last iterate when max_iter passes do not converge."""
+    E = np.asarray(E, dtype=float)
+    # start at E, not 0: some regularized maps have a singular Jacobian
+    # at the origin (power regularizer with p > 2)
+    T = E.copy()
+    target = tol * (1.0 + st.norm(E))
+    for _ in range(max_iter):
+        R = con.g_apply(model, T) - E
+        rn = st.norm(R)
+        if np.all(rn <= target):
+            return T
+        J = con.g_jacobian(model, T)
+        step = np.linalg.solve(J, R[..., None])[..., 0]
+        # backtracking line search on the residual norm, per point
+        lam = np.ones(rn.shape)
+        for _ in range(40):
+            Tn = T - lam[..., None] * step
+            rn_new = st.norm(con.g_apply(model, Tn) - E)
+            worse = rn_new > (1.0 - 0.25 * lam) * rn
+            if not np.any(worse & (rn > target)):
+                break
+            lam = np.where(worse, 0.5 * lam, lam)
+        T = T - lam[..., None] * step
+    return T
+
+
+def phi_star_root(potential, e, tol=1e-12):
+    """Conjugate sup_r (e*r - phi(r)) via a direct scalar root find of dphi(r) = e."""
+    if e >= potential.limit:
+        return np.inf
+    if e == 0.0:
+        return 0.0
+    hi = 1.0
+    while potential.dphi(hi) < e:
+        hi *= 2.0
+        if hi > 1e300:
+            return np.inf
+    r = brentq(lambda t: potential.dphi(t) - e, 0.0, hi, xtol=tol, rtol=4 * np.finfo(float).eps)
+    return e * r - float(potential.phi(r))
+
+
+def fd_consistency(field, t, X, h=1e-6):
+    """Max relative mismatch between an AnalyticField's declared derivatives
+    and central differences of value/grad/dt_grad; Hessians are checked
+    only where declared."""
+    X = np.asarray(X, dtype=float)
+    worst = 0.0
+
+    def rel(a, b):
+        scale = 1.0 + np.max(np.abs(a)) + np.max(np.abs(b))
+        return float(np.max(np.abs(a - b)) / scale)
+
+    for f, dt_f in ((field.value, field.dt_value), (field.dt_value, field.dtt_value),
+                    (field.grad, field.dt_grad)):
+        fd = (f(t + h, X) - f(t - h, X)) / (2 * h)
+        worst = max(worst, rel(fd, dt_f(t, X)))
+    # (function, its declared spatial derivative, last axis = direction)
+    pairs = [(field.value, field.grad(t, X))]
+    if field._hess is not None:
+        pairs.append((field.grad, field.hess(t, X)))
+    if field._dt_hess is not None:
+        pairs.append((field.dt_grad, field.dt_hess(t, X)))
+    for j in range(field.dim):
+        dX = np.zeros_like(X)
+        dX[:, j] = h
+        for f, deriv in pairs:
+            fd = (f(t, X + dX) - f(t, X - dX)) / (2 * h)
+            worst = max(worst, rel(fd, deriv[..., j]))
+    return worst
+
+
+def shape_full(space):
+    """Scalar P1 shape values (n_qp, n_nodes) on all nodes, boundary included:
+    the barycentric coordinates of each quadrature point in its element."""
+    mesh = space.mesh
+    nv = mesh.dim + 1
+    k = space.n_qp // mesh.n_elems
+    elem = np.repeat(np.arange(mesh.n_elems), k)
+    verts = mesh.nodes[mesh.elems[elem]]                   # (n_qp, nv, d)
+    # sum_v lam_v (x_v, 1) = (x, 1)
+    A = np.concatenate([np.swapaxes(verts, 1, 2), np.ones((space.n_qp, 1, nv))], axis=1)
+    b = np.concatenate([space.qp, np.ones((space.n_qp, 1))], axis=1)
+    lam = np.linalg.solve(A, b[..., None])[..., 0]
+    rows = np.repeat(np.arange(space.n_qp), nv)
+    return sp.csr_matrix((lam.ravel(), (rows, mesh.elems[elem].ravel())),
+                         shape=(space.n_qp, mesh.n_nodes))
+
+
+def mass_full_scalar(space):
+    """Scalar one-component mass on all nodes (no Dirichlet mask)."""
+    S = shape_full(space)
+    return (S.T @ sp.diags(space.qw) @ S).tocsc()
+
+
+def nodal_to_interior(space, nodal):
+    """Interior coefficients of a (n_nodes, dim) nodal field."""
+    return np.asarray(nodal, dtype=float)[space.interior_nodes].ravel()
+
+
+def interior_to_nodal(space, U):
+    """(n_nodes, dim) nodal field of interior coefficients, zero on the boundary."""
+    out = np.zeros((space.mesh.n_nodes, space.dim))
+    out[space.interior_nodes] = np.asarray(U).reshape(-1, space.dim)
+    return out
+
+
+def _exp_weight_factor(x):
+    """(e^x (x-1) + 1) / x^2, series-guarded near 0."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = np.abs(x) < 0.05
+    xs = x[small]
+    out[small] = 0.5 + xs / 3.0 + xs**2 / 8.0 + xs**3 / 30.0 + xs**4 / 144.0
+    xl = x[~small]
+    out[~small] = (np.exp(xl) * (xl - 1.0) + 1.0) / xl**2
+    return out
+
+
+def strain_history_residual(scenario, space, config):
+    """Gap between the final strain of a run and its integrating-factor
+    reconstruction from the run's stress history.
+
+    The run records fields["eps"] and fields["stress"], the per-qp
+    strains and stresses, at every state.  The constitutive relation at
+    each quadrature point is the linear ODE
+    beta d(eps)/dt + alpha eps = G_n(T), whose solution is
+    eps(t) = e^{-ct} eps(0) + int_0^t e^{-c(t-s)} G_n(T(s))/beta ds with
+    c = alpha/beta.  The integral uses the exact exponential weight
+    against piecewise-linear interpolation of the recorded G_n(T), so
+    the residual is O(dt^2) and exactly zero for constant histories.
+    Returns the max over quadrature points of the tensor-norm gap.
+    """
+    records, model = [], scenario.model
+    dy.run(scenario, space, config, observers=(lambda s, f: records.append((s, f)),))
+    ts = np.array([state.t for state, _ in records])
+    if len(ts) < 2:
+        return 0.0
+    eps = [fields["eps"] for _, fields in records]
+    c = model.alpha / model.beta
+    t_end = ts[-1]
+    G = np.array([con.g_apply(model, fields["stress"]) for _, fields in records])
+    recon = np.exp(-c * (t_end - ts[0])) * eps[0]
+    for k in range(len(ts) - 1):
+        a, b = ts[k], ts[k + 1]
+        delta = b - a
+        if delta <= 0.0:
+            continue
+        x = c * delta
+        A = np.exp(-c * (t_end - a))
+        I0 = A * np.expm1(x) / c
+        I1 = A * delta * _exp_weight_factor(x)
+        recon = recon + (G[k] * I0 + (G[k + 1] - G[k]) * I1) / model.beta
+    gap = eps[-1] - recon
+    return float(np.max(st.norm(gap)))
+
+
+def energy_balance_residual(records):
+    """Max |KE+EE change + cumulative dissipation - cumulative power|
+    over a recorded ledger, ignoring suspended (non-finite) rows."""
+    resid = dg.ledger_table(records)["balance_residual"]
+    finite = resid[np.isfinite(resid)]
+    return float(np.max(np.abs(finite))) if len(finite) else np.nan

@@ -9,12 +9,15 @@ import time
 
 import numpy as np
 
+from strainlim import checks
 from strainlim import constitutive as con
 from strainlim import diagnostics as dg
 from strainlim import dynamics as dy
 from strainlim import fespace as fe
 from strainlim import scenarios as sc
-from strainlim import symtensor as st
+
+import reference_impl as ref
+from reference_impl import interval_space, proto_model
 
 
 def check(num, name, ok, detail):
@@ -23,114 +26,20 @@ def check(num, name, ok, detail):
     assert ok, line
 
 
-def proto_model(q=2.0, alpha=1.0, beta=0.1, reg_n=64):
-    return con.ConstitutiveModel(con.PrototypePotential(q), alpha=alpha,
-                                 beta=beta, reg_n=reg_n)
-
-
-def interval_space(cells):
-    return fe.FESpace(fe.interval_mesh(0.0, 1.0, cells))
-
-
-def sine_field(amp, freq, rate=0.0):
-    w = freq * np.pi
-
-    def value(t, X):
-        return amp * np.cos(rate * t) * np.sin(w * X)
-
-    def grad(t, X):
-        return (amp * w * np.cos(rate * t) * np.cos(w * X))[..., None]
-
-    def dt_value(t, X):
-        return -amp * rate * np.sin(rate * t) * np.sin(w * X)
-
-    def dt_grad(t, X):
-        return (-amp * w * rate * np.sin(rate * t) * np.cos(w * X))[..., None]
-
-    def dtt_value(t, X):
-        return -amp * rate**2 * np.cos(rate * t) * np.sin(w * X)
-
-    return sc.AnalyticField(1, value, grad=grad, dt_value=dt_value,
-                            dt_grad=dt_grad, dtt_value=dtt_value)
-
-
 # ---------------------------------------------------------------------------
 
 
 def test_criterion_01_constitutive_suite():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(11)
-    pots = [con.PrototypePotential(1.0), con.PrototypePotential(2.0),
-            con.PrototypePotential(10.0), con.PowerLawPotential(1.5),
-            con.PowerLawPotential(3.0), con.LinearPotential()]
-    models = []
-    for pot in pots:
-        models.append(con.ConstitutiveModel(pot, alpha=1.0, beta=0.5))
-        models.append(con.ConstitutiveModel(pot, alpha=1.0, beta=0.5, reg_n=16))
-
-    n_samp = 10_000
-    worst = {"mono": 0.0, "gbound": 0.0, "round": 0.0, "fenchel": 0.0, "jac": 0.0}
-    for model in models:
-        bounded = np.isfinite(con.limit_L(model))
-        # cap |T| where the bounded response still resolves the stress in
-        # float64: near saturation the forward map compresses a stress
-        # interval of width r*(1+r^q)*eps into one representable value of
-        # G(T), so no inverse can beat that conditioning
-        cap = 5.0
-        if bounded and model.reg_n is None:
-            q = model.potential.q
-            cap = min(5.0, 1e5 ** (1.0 / (q + 1.0)))
-        for d in (1, 2, 3):
-            m = st.packed_len(d)
-            T = rng.standard_normal((n_samp, m))
-            T *= rng.lognormal(-0.5, 1.0, size=n_samp)[:, None]
-            nrm = st.norm(T)
-            big = nrm > cap
-            T[big] *= (cap / nrm[big])[:, None]
-
-            E = con.g_apply(model, T)
-            W = np.roll(T, 1, axis=0)
-            mono = st.dot(E - con.g_apply(model, W), T - W)
-            worst["mono"] = min(worst["mono"], float(np.min(mono)))
-
-            if bounded and model.reg_n is None:
-                worst["gbound"] = max(worst["gbound"],
-                                      float(np.max(st.norm(E))) - con.limit_L(model))
-
-            back = con.invert(model, E, warm_stress=T)
-            worst["round"] = max(worst["round"], float(np.max(st.norm(back - T))))
-
-            fr = con.fenchel_residual(model, T)
-            worst["fenchel"] = max(worst["fenchel"], float(np.max(fr)))
-
-            # FD probes stay away from the origin: p<2 curvature blows up
-            Tf = T.copy()
-            small = st.norm(Tf) < 0.1
-            Tf[small] += 0.2
-            D = rng.standard_normal((n_samp, m))
-            D /= st.norm(D)[:, None]
-            h = 1e-5 * (1.0 + st.norm(Tf))[:, None]
-            J = con.g_jacobian(model, Tf)
-            fd = (con.g_apply(model, Tf + h * D) - con.g_apply(model, Tf - h * D)) / (2 * h)
-            jd = np.einsum("nij,nj->ni", J, D)
-            rel = st.norm(jd - fd) / (1.0 + st.norm(fd))
-            worst["jac"] = max(worst["jac"], float(np.max(rel)))
-
-    bound_ok = True
-    for n in (1, 10, 100):
-        mdl = con.ConstitutiveModel(con.PrototypePotential(2.0), reg_n=n)
-        for r in (0.0, 0.1, 1.0, 10.0, 100.0, 1000.0):
-            T = np.zeros(3)
-            T[0] = r
-            bound_ok = bound_ok and con.jacobian_norm_bound_check(mdl, T, const=3.0)
+    worst = checks.constitutive_suite(np.random.default_rng(11), 10_000)
     dt_wall = time.perf_counter() - t0
     ok = (worst["mono"] >= -1e-14 and worst["gbound"] <= 0.0
           and worst["round"] <= 1e-10 and worst["fenchel"] <= 1e-8
-          and worst["jac"] <= 1e-6 and bound_ok and dt_wall < 10.0)
+          and worst["jac"] <= 1e-6 and worst["bound"] and dt_wall < 10.0)
     check(1, "constitutive-suite", ok,
           f"mono {worst['mono']:.1e}, limit excess {worst['gbound']:.1e}, "
           f"round-trip {worst['round']:.1e}, fenchel {worst['fenchel']:.1e}, "
-          f"jacobian {worst['jac']:.1e}, norm bound {bound_ok}, {dt_wall:.1f}s")
+          f"jacobian {worst['jac']:.1e}, norm bound {worst['bound']}, {dt_wall:.1f}s")
 
 
 def test_criterion_02_spot_values():
@@ -149,44 +58,8 @@ def test_criterion_02_spot_values():
 
 def test_criterion_03_lift_recipes():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(3)
-    alpha, beta = 1.3, 0.4
-    X = rng.uniform(0.0, 1.0, size=(100, 1))
-    ts = rng.uniform(0.0, 3.0, size=100)
-
-    u0 = sine_field(0.5, 1.0)
-    v0 = sine_field(0.2, 2.0)
-    static = sc.lift_static_bc(u0, v0, alpha, beta)
-    data_err = max(
-        float(np.max(np.abs(static.value(0.0, X) - u0.value(0.0, X)))),
-        float(np.max(np.abs(static.dt_value(0.0, X) - v0.value(0.0, X)))),
-    )
-    E0 = alpha * u0.strain(0.0, X) + beta * v0.strain(0.0, X)
-    id_err = 0.0
-    for t in ts:
-        Et = sc.strain_expression(static, alpha, beta, t, X)
-        id_err = max(id_err, float(np.max(np.abs(Et - E0))))
-
-    u_ext = sine_field(0.05, 1.0, rate=1.0)
-    v_init = sine_field(0.1, 3.0)
-    timedep = sc.lift_timedep_bc(u_ext, v_init, alpha, beta,
-                                 boundary_points=np.array([[0.0], [1.0]]))
-    data_err = max(
-        data_err,
-        float(np.max(np.abs(timedep.value(0.0, X) - u_ext.value(0.0, X)))),
-        float(np.max(np.abs(timedep.dt_value(0.0, X) - v_init.value(0.0, X)))),
-    )
-    # identity: strain expression of the lift minus that of the extension
-    # is the constant beta * strain(v_init - dt u_ext(0))
-    w_strain = v_init.strain(0.0, X) - u_ext.dt_strain(0.0, X)
-    for t in ts:
-        lhs = sc.strain_expression(timedep, alpha, beta, t, X)
-        rhs = sc.strain_expression(u_ext, alpha, beta, t, X) + beta * w_strain
-        id_err = max(id_err, float(np.max(np.abs(lhs - rhs))))
-    bpts = np.array([[0.0], [1.0]])
-    for t in ts:
-        data_err = max(data_err, float(np.max(np.abs(
-            timedep.value(t, bpts) - u_ext.value(t, bpts)))))
+    worst = checks.lift_recipes(np.random.default_rng(3), 100)
+    data_err, id_err = worst["data"], worst["identity"]
     dt_wall = time.perf_counter() - t0
     ok = data_err <= 1e-12 and id_err <= 1e-10 and dt_wall < 5.0
     check(3, "lift-recipes", ok,
@@ -219,7 +92,7 @@ def _pluck_energy_run(dt):
     dy.run(scen, space, cfg, observers=(rec,))
     table = rec.table()
     total = table["kinetic"] + table["elastic"]
-    resid = rec.balance_residual()
+    resid = ref.energy_balance_residual(rec.records)
     max_rise = float(np.max(np.diff(total), initial=0.0))
     return max_rise, resid
 
@@ -296,24 +169,12 @@ def test_criterion_08_stability_growth():
           f"{identical}, {dt_wall:.0f}s")
 
 
-def _recorded_history_residual(scen, space, cfg):
-    ts, eps, stress = [], [], []
-
-    def record(state, fields):
-        ts.append(state.t)
-        eps.append(fields["eps"])
-        stress.append(fields["stress"])
-
-    dy.run(scen, space, cfg, observers=(record,))
-    return dy.strain_history_residual(ts, eps, stress, scen.model)
-
-
 def _history_residual(dt, t_end=0.1):
     m = proto_model(q=2.0, beta=0.1, reg_n=64)
     scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), m, t_end)
     space = interval_space(32)
     cfg = dy.SolverConfig(dt=dt, t_end=t_end, scheme=dy.SCHEME_MIDPOINT)
-    return _recorded_history_residual(scen, space, cfg)
+    return ref.strain_history_residual(scen, space, cfg)
 
 
 def test_criterion_09_history_residual():
@@ -323,7 +184,7 @@ def test_criterion_09_history_residual():
     scen = sc.build_scenario("manufactured:constant-strain", 1, (0.0, 1.0), m, 0.1)
     space = interval_space(16)
     cfg = dy.SolverConfig(dt=2e-3, t_end=0.1, scheme=dy.SCHEME_MIDPOINT)
-    const_resid = _recorded_history_residual(scen, space, cfg)
+    const_resid = ref.strain_history_residual(scen, space, cfg)
     dt_wall = time.perf_counter() - t0
     ok = 3.4 <= ratio <= 4.6 and const_resid <= 1e-9 and dt_wall < 60.0
     check(9, "history-residual", ok,

@@ -8,6 +8,8 @@ from scipy.optimize import minimize_scalar
 from strainlim import constitutive as con
 from strainlim import symtensor as st
 
+import reference_impl as ref
+
 
 def sample_tensors(rng, d, n, scale=0.8, cap=3.0):
     v = scale * rng.standard_normal((n, st.packed_len(d)))
@@ -306,8 +308,6 @@ def test_invert_supercritical_raises():
         con.invert(model, np.array([1.0]))
     with pytest.raises(con.SupercriticalStrainError):
         con.invert(model, np.array([0.9, 0.9, 0.0]))
-    with pytest.raises(con.SupercriticalStrainError):
-        con.invert(model, np.array([1.5]), method="tensor")
 
 
 def test_invert_near_limit_unregularized():
@@ -357,8 +357,8 @@ def test_tensor_route_matches_radial():
         con.ConstitutiveModel(con.PowerLawPotential(3.0), reg_n=16, reg_kind=con.REG_POWER),
     ]:
         E = sample_tensors(rng, 2, 100, scale=0.3, cap=0.9)
-        a = con.invert(model, E, method="radial")
-        b = con.invert(model, E, method="tensor")
+        a = con.invert(model, E)
+        b = ref.invert_tensor(model, E)
         assert np.all(st.norm(a - b) <= 1e-9 * (1.0 + st.norm(a)))
 
 
@@ -498,7 +498,7 @@ def test_phi_star_matches_root_find():
     for pot in [con.PrototypePotential(1.0), con.PrototypePotential(3.0), con.PowerLawPotential(2.5)]:
         for e in (0.05, 0.4, 0.85):
             a = con.phi_star(pot, e)
-            b = con.phi_star_root(pot, e)
+            b = ref.phi_star_root(pot, e)
             assert abs(a - b) < 1e-11
 
 

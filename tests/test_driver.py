@@ -92,6 +92,9 @@ def test_range_errors_carry_key_and_line():
         dr.parse_config(base_cfg().replace("gaussian-pluck", "mystery"))
     with pytest.raises(dr.RangeError, match="expected a number"):
         dr.parse_config(base_cfg().replace("dt = 0.002", "dt = fast"))
+    for levels in ("0.004 0.0 0.001", "0.004 -0.002 0.001"):
+        with pytest.raises(dr.RangeError, match=r"'levels' at line 12: entries must be > 0"):
+            dr.parse_config(base_cfg(f"study = refinement-dt\nlevels = {levels}\n"))
 
 
 def test_domain_length_must_match_dim():
@@ -251,34 +254,46 @@ def test_non_finite_number_exits_1(tmp_path, capsys, old, new, key, line):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("old,new", [
-    ("dt = 0.002", "dt = 1e-300"),
-    ("t_end = 0.02", "t_end = 1e300"),
-    ("dt = 0.002", "dt = 1.9999999e-9"),
-], ids=["tiny-dt", "huge-t_end", "just-over"])
-def test_step_count_bound_exits_1(tmp_path, capsys, old, new):
+T_DT = "'t_end' at line 9 and 'dt' at line 8"
+# a refinement-dt study's reference run steps at min(levels) / 4
+LEVELS = "scenario = gaussian-pluck\nstudy = refinement-dt\nlevels = 0.01 0.005 "
+
+
+@pytest.mark.parametrize("old,new,keys", [
+    ("dt = 0.002", "dt = 1e-300", T_DT),
+    ("t_end = 0.02", "t_end = 1e300", T_DT),
+    ("dt = 0.002", "dt = 1.9999999e-9", T_DT),
+    ("scenario = gaussian-pluck", LEVELS + "1e-300", "'levels' at line 12 and 't_end' at line 9"),
+    ("scenario = gaussian-pluck", LEVELS + "7.9999999e-9",
+     "'levels' at line 12 and 't_end' at line 9"),
+], ids=["tiny-dt", "huge-t_end", "just-over", "tiny-level", "level-just-over"])
+def test_step_count_bound_exits_1(tmp_path, capsys, old, new, keys):
     # a run that could never end is refused before anything runs
     text = base_cfg(f"out_dir = {tmp_path / 'o'}\n").replace(old, new)
-    with pytest.raises(dr.RangeError, match=r"'t_end' at line 9 and 'dt' at line 8: .*"
-                                            rf"maximum of {dr.MAX_STEPS}"):
+    with pytest.raises(dr.RangeError, match=rf"{keys}: .*maximum of {dr.MAX_STEPS}"):
         dr.parse_config(text)
-    assert run_main(tmp_path, text, "run") == 1
-    assert "'t_end' at line 9 and 'dt' at line 8" in capsys.readouterr().out
+    assert run_main(tmp_path, text, "sweep" if "study" in new else "run") == 1
+    assert keys in capsys.readouterr().out
     assert not (tmp_path / "o").exists()
 
 
 def test_step_count_at_the_bound_parses():
     cfg = dr.parse_config(base_cfg().replace("dt = 0.002", "dt = 2e-9"))
     assert cfg.values["t_end"] / cfg.values["dt"] <= dr.MAX_STEPS
+    cfg = dr.parse_config(base_cfg("study = refinement-dt\nlevels = 0.004 0.002 8e-9\n"))
+    assert cfg.values["t_end"] / (min(cfg.values["levels"]) / 4) <= dr.MAX_STEPS
 
 
-def test_huge_domain_pluck_exits_1(tmp_path, capsys):
-    # the unit bump's strain underflows to 0 on a 1e300-wide domain
+@pytest.mark.parametrize("domain", ["0.0 1e300", "0.0 1e-300"], ids=["huge", "tiny"])
+def test_huge_domain_pluck_exits_1(tmp_path, capsys, domain):
+    # the unit bump's strain underflows to 0 on a 1e300-wide domain, and its
+    # square overflows on a 1e-300-wide one
     text = base_cfg(f"out_dir = {tmp_path / 'o'}\n").replace(
-        "domain = 0.0 1.0", "domain = 0.0 1e300")
+        "domain = 0.0 1.0", f"domain = {domain}")
     assert run_main(tmp_path, text, "run") == 1
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert out.startswith("invalid configuration: domain") and "no resolvable strain" in out
+    assert err == ""
     assert not (tmp_path / "o").exists()
 
 
@@ -375,3 +390,19 @@ def test_cmd_verify_passes(capsys):
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln]
     assert len(lines) == 4
     assert all(ln.startswith("PASS") for ln in lines)
+
+
+@pytest.mark.parametrize("group,key,value,name", [
+    ("constitutive_suite", "round", 1e-9, "constitutive round-trip"),
+    ("constitutive_suite", "fenchel", float("nan"), "Fenchel residual"),
+    ("constitutive_suite", "bound", False, "Jacobian"),
+    ("lift_recipes", "identity", 1e-9, "lift recipes"),
+], ids=["round-trip", "fenchel-nan", "norm-bound", "lifts"])
+def test_cmd_verify_failure_exits_3(capsys, monkeypatch, group, key, value, name):
+    real = getattr(dr.checks, group)
+    monkeypatch.setattr(dr.checks, group, lambda rng, n: {**real(rng, n), key: value})
+    assert dr.main(["verify"]) == 3
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln]
+    failed = [ln for ln in lines if not ln.startswith("PASS")]
+    assert len(lines) == 4 and len(failed) == 1
+    assert failed[0].startswith(f"FAIL {name}: ")

@@ -10,6 +10,9 @@ from strainlim import fespace as fe
 from strainlim import scenarios as sc
 from strainlim import symtensor as st
 
+import reference_impl as ref
+from reference_impl import interval_space, proto_model
+
 
 def zero_scenario(model, domain=(0.0, 1.0)):
     return sc.Scenario(name="rest", dim=1, domain=((domain[0], domain[1]),),
@@ -19,15 +22,6 @@ def zero_scenario(model, domain=(0.0, 1.0)):
 def linear_model(alpha=1.0, beta=0.1, reg_n=None):
     return con.ConstitutiveModel(con.LinearPotential(), alpha=alpha, beta=beta,
                                  reg_n=reg_n)
-
-
-def proto_model(q=2.0, alpha=1.0, beta=0.1, reg_n=64):
-    return con.ConstitutiveModel(con.PrototypePotential(q), alpha=alpha,
-                                 beta=beta, reg_n=reg_n)
-
-
-def interval_space(cells):
-    return fe.FESpace(fe.interval_mesh(0.0, 1.0, cells))
 
 
 def self_convergence_order(dts, finals, space):
@@ -408,17 +402,10 @@ def test_run_strain_bound_with_slack():
 # strain history residual
 
 
-def _history_residual(scen, space, cfg):
-    seen, _ = _recorded_run(scen, space, cfg)
-    return dy.strain_history_residual([s.t for s, _ in seen],
-                                      [f["eps"] for _, f in seen],
-                                      [f["stress"] for _, f in seen], scen.model)
-
-
 def test_history_residual_zero_run():
     scen = zero_scenario(proto_model())
     space = interval_space(8)
-    res = _history_residual(scen, space, dy.SolverConfig(dt=1e-3, t_end=5e-3))
+    res = ref.strain_history_residual(scen, space, dy.SolverConfig(dt=1e-3, t_end=5e-3))
     assert res < 1e-15
 
 
@@ -426,14 +413,14 @@ def test_history_residual_exact_for_constant_strain():
     m = proto_model(reg_n=None)
     scen = sc.build_scenario("manufactured:constant-strain", 1, (0.0, 1.0), m, 0.05)
     space = interval_space(16)
-    res = _history_residual(scen, space, dy.SolverConfig(dt=2.5e-3, t_end=0.05))
+    res = ref.strain_history_residual(scen, space, dy.SolverConfig(dt=2.5e-3, t_end=0.05))
     assert res <= 1e-9
 
 
 def test_history_residual_order_2():
     scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.1)
     space = interval_space(32)
-    res = [_history_residual(scen, space, dy.SolverConfig(dt=dt, t_end=0.1))
+    res = [ref.strain_history_residual(scen, space, dy.SolverConfig(dt=dt, t_end=0.1))
            for dt in (1e-3, 5e-4)]
     assert 3.4 <= res[0] / res[1] <= 4.6
 

@@ -70,7 +70,7 @@ def test_sym_part_hand_values():
 
 
 def test_dot_norm_identity_hand_values():
-    i2 = st.identity(2)
+    i2 = st.pack(np.eye(2))
     assert st.dot(i2, i2) == 2.0
     assert abs(st.norm(i2) - np.sqrt(2.0)) < 1e-15
     a = st.pack(np.diag([1.0, 2.0]))
