@@ -119,19 +119,20 @@ def energy_snapshot(state, space, scenario, fields=None, tol_inv=1e-12):
         power = 0.0
     else:
         fval = scenario.forcing.value(state.t, qp)
-        power = float(np.sum(qw * np.sum(fval * v_full, axis=-1)))
+        power = float(np.sum(qw * st.dot(fval, v_full)))
     return EnergyLedger(t=float(state.t), kinetic=kinetic, elastic=elastic,
                         dissipation_rate=rate, external_power=power)
+
+
+def _columns(kind, records):
+    """One array per field of the dataclass kind, over the records."""
+    return {k: np.array([getattr(r, k) for r in records]) for k in kind.__dataclass_fields__}
 
 
 def ledger_table(records):
     """Arrays for the records plus trapezoidal cumulatives and the
     per-row balance residual (nan where suspended)."""
-    ts = np.array([r.t for r in records])
-    ke = np.array([r.kinetic for r in records])
-    ee = np.array([r.elastic for r in records])
-    rate = np.array([r.dissipation_rate for r in records])
-    power = np.array([r.external_power for r in records])
+    ts, ke, ee, rate, power = _columns(EnergyLedger, records).values()
     if len(ts) > 1:
         d_cum = cumulative_trapezoid(rate, ts, initial=0.0)
         p_cum = cumulative_trapezoid(power, ts, initial=0.0)
@@ -181,13 +182,7 @@ class StrainRecorder:
         ))
 
     def table(self):
-        return {
-            "t": np.array([r.t for r in self.records]),
-            "max_strain_expr": np.array([r.max_strain_expr for r in self.records]),
-            "margin": np.array([r.margin for r in self.records]),
-            "max_eps": np.array([r.max_eps for r in self.records]),
-            "max_stress": np.array([r.max_stress for r in self.records]),
-        }
+        return _columns(StrainMonitor, self.records)
 
 
 # ---------------------------------------------------------------------------

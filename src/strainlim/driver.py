@@ -9,7 +9,6 @@ defaults.  Outputs are plain CSV.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import dataclass
@@ -82,10 +81,7 @@ def _parse_ints(s):
 
 
 def _parse_reg(s):
-    if s == "none":
-        return None
-    n = _parse_int(s)
-    return n
+    return None if s == "none" else _parse_int(s)
 
 
 # key -> (parser, default); _REQUIRED means the key must appear
@@ -277,24 +273,28 @@ def parse_config(text):
 # CSV output
 
 
-def _fmt(x):
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
+# rows formatted per write: few enough that the text held at once stays
+# small next to the arrays it comes from
+_CSV_BLOCK = 2048
+
+
+# a cell left empty: the writer prints the repr of every cell
+_BLANK = type("Blank", (), {"__repr__": lambda self: ""})()
 
 
 def _write_csv(path, header, rows):
+    """Write a header line and a 2-D array of floats: comma separated,
+    \r\n line ends, each value as Python's shortest round-trip repr."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(x) for x in row])
+        fh.write(",".join(header) + "\r\n")
+        for i in range(0, len(rows), _CSV_BLOCK):
+            fh.write("".join([",".join(map(repr, row)) + "\r\n"
+                              for row in rows[i:i + _CSV_BLOCK].tolist()]))
 
 
 def _write_table(path, table):
-    header = list(table.keys())
-    cols = [table[k] for k in header]
-    _write_csv(path, header, zip(*[np.asarray(c, dtype=float) for c in cols]))
+    _write_csv(path, list(table), np.column_stack([np.asarray(c, dtype=float)
+                                                   for c in table.values()]))
 
 
 def _write_state(path, space, scenario, state, fields):
@@ -314,7 +314,8 @@ def _write_state(path, space, scenario, state, fields):
 
 
 def _prepare(cfg):
-    """Build space and scenario, enforcing the safety margin.
+    """Build space and scenario, enforcing the safety margin and finite
+    elastic energy of the initial data.
 
     Returns (space, scenario, None) on success or (None, None, exit_code)
     after printing the validation failure.
@@ -325,10 +326,22 @@ def _prepare(cfg):
     except ValueError as exc:
         print(f"invalid configuration: {exc}")
         return None, None, 1
-    margin = sc.safety_margin(scenario, space)
-    if not margin > 0.0:
-        print(f"safety strain condition violated: margin = {margin:.6g} "
-              f"(strain expression of the data reaches the response limit)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin = sc.safety_margin(scenario, space)
+        if not margin > 0.0:
+            print(f"safety strain condition violated: margin = {margin:.6g} "
+                  f"(strain expression of the data reaches the response limit)")
+            return None, None, 1
+        zero = np.zeros(space.ndof)
+        try:
+            elastic = dg.energy_snapshot(dy.State(0.0, zero, zero, None), space,
+                                         scenario).elastic
+        except RUNTIME_ERRORS:
+            # the run fails the same way at t=0 and reports it (exit 2)
+            return space, scenario, None
+    if not np.isfinite(elastic):
+        print(f"invalid configuration: initial data have elastic energy {elastic:.6g}; "
+              f"a finite one is required")
         return None, None, 1
     return space, scenario, None
 
@@ -363,20 +376,21 @@ def cmd_run(cfg):
 
 
 def _report_rows(report):
-    rows = []
-    n = len(report.axis)
-    for i in range(n):
-        order = ""
-        if i == n - 1 and report.fitted_order is not None:
-            order = repr(float(report.fitted_order))
-        rows.append([repr(float(report.axis[i])), repr(float(report.values[i])), order])
-    return rows
+    """(axis, value, fitted order) rows; only the last row has an order."""
+    rows = [[a, v, _BLANK] for a, v in zip(report.axis.tolist(), report.values.tolist())]
+    if rows and report.fitted_order is not None:
+        rows[-1][2] = float(report.fitted_order)
+    return np.array(rows, dtype=object)
 
 
 def cmd_sweep(cfg):
     study = cfg.values["study"]
     if study is None:
         print("invalid configuration: key 'study' is required for sweep")
+        return 1
+    key = {"regularization": "n_list", "stability": "delta_list"}.get(study, "levels")
+    if cfg.values[key] is None:
+        print(f"invalid configuration: {key!r} is required for the {study} study")
         return 1
     space, scenario, code = _prepare(cfg)
     if code is not None:
@@ -386,31 +400,16 @@ def cmd_sweep(cfg):
     solver = cfg.solver_config()
     try:
         if study == "regularization":
-            if cfg.values["n_list"] is None:
-                print("invalid configuration: 'n_list' is required for the "
-                      "regularization study")
-                return 1
             report = dg.regularization_sweep(scenario, space, solver,
                                              list(cfg.values["n_list"]))
-        elif study in ("refinement", "refinement-dt"):
-            if cfg.values["levels"] is None:
-                print(f"invalid configuration: 'levels' is required for the "
-                      f"{study} study")
-                return 1
-            if study == "refinement":
-                levels = [int(c) for c in cfg.values["levels"]]
-                report = dg.refinement_study(scenario, "h", levels, solver)
-            else:
-                cells = cfg.values["cells"] if cfg.values["dim"] == 1 \
-                    else cfg.values["cells_x"]
-                report = dg.refinement_study(scenario, "dt",
-                                             list(cfg.values["levels"]),
-                                             solver, cells=cells)
+        elif study == "refinement":
+            levels = [int(c) for c in cfg.values["levels"]]
+            report = dg.refinement_study(scenario, "h", levels, solver)
+        elif study == "refinement-dt":
+            cells = cfg.values["cells"] if cfg.values["dim"] == 1 else cfg.values["cells_x"]
+            report = dg.refinement_study(scenario, "dt", list(cfg.values["levels"]),
+                                         solver, cells=cells)
         else:
-            if cfg.values["delta_list"] is None:
-                print("invalid configuration: 'delta_list' is required for the "
-                      "stability study")
-                return 1
             report = dg.stability_study(scenario, space, solver,
                                         list(cfg.values["delta_list"]),
                                         seed=cfg.values["seed"])

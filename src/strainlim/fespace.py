@@ -161,6 +161,11 @@ class FESpace:
         meas = mesh.measures()
         if np.any(meas <= 0.0):
             raise ValueError("mesh has a non-positive element measure")
+        with np.errstate(over="ignore", divide="ignore"):
+            inv_meas = 1.0 / meas
+        if not np.all(np.isfinite(inv_meas)):
+            raise ValueError(f"cell width too small: element measure {np.min(meas):.3g} "
+                             f"has no finite inverse")
 
         self.interior_nodes = np.nonzero(~mesh.boundary)[0]
         self._dof_of_node = np.full(mesh.n_nodes, -1, dtype=np.int64)
@@ -174,7 +179,7 @@ class FESpace:
                 verts[:, 1, :] - verts[:, 0, :]
             )[:, None, :]
             wloc = _QW_1D
-            grads = np.stack([-1.0 / meas, 1.0 / meas], axis=1)[:, :, None]  # (ne, nv, d)
+            grads = np.stack([-inv_meas, inv_meas], axis=1)[:, :, None]  # (ne, nv, d)
         else:
             lam = np.column_stack([1.0 - _QP_2D.sum(axis=1), _QP_2D[:, 0], _QP_2D[:, 1]])
             nloc = lam                                               # (k, nv)
@@ -273,7 +278,7 @@ class FESpace:
 
     def l2_norm_qp(self, vals):
         vals = np.asarray(vals)
-        sq = vals * vals if vals.ndim == 1 else np.sum(vals * vals, axis=-1)
+        sq = vals * vals if vals.ndim == 1 else st.dot(vals, vals)
         return float(np.sqrt(np.sum(self.qw * sq)))
 
     # -- mass -------------------------------------------------------------

@@ -70,42 +70,33 @@ class AnalyticField:
         self._dt_strain = dt_strain
         self._accelerates = accelerates
 
-    def _zeros(self, X, rank):
-        n = np.asarray(X).shape[0]
-        return np.zeros((n,) + (self.dim,) * rank)
+    def _call(self, fn, rank, t, X):
+        """fn(t, X) as floats, or zeros of this tensor rank when fn is not given."""
+        X = np.asarray(X, dtype=float)
+        if fn is None:
+            return np.zeros((X.shape[0],) + (self.dim,) * rank)
+        return np.asarray(fn(t, X), dtype=float)
 
     def value(self, t, X):
-        return np.asarray(self._value(t, np.asarray(X, dtype=float)), dtype=float)
+        return self._call(self._value, 1, t, X)
 
     def grad(self, t, X):
-        if self._grad is None:
-            return self._zeros(X, 2)
-        return np.asarray(self._grad(t, np.asarray(X, dtype=float)), dtype=float)
+        return self._call(self._grad, 2, t, X)
 
     def dt_value(self, t, X):
-        if self._dt_value is None:
-            return self._zeros(X, 1)
-        return np.asarray(self._dt_value(t, np.asarray(X, dtype=float)), dtype=float)
+        return self._call(self._dt_value, 1, t, X)
 
     def dt_grad(self, t, X):
-        if self._dt_grad is None:
-            return self._zeros(X, 2)
-        return np.asarray(self._dt_grad(t, np.asarray(X, dtype=float)), dtype=float)
+        return self._call(self._dt_grad, 2, t, X)
 
     def dtt_value(self, t, X):
-        if self._dtt_value is None:
-            return self._zeros(X, 1)
-        return np.asarray(self._dtt_value(t, np.asarray(X, dtype=float)), dtype=float)
+        return self._call(self._dtt_value, 1, t, X)
 
     def hess(self, t, X):
-        if self._hess is None:
-            return self._zeros(X, 3)
-        return np.asarray(self._hess(t, np.asarray(X, dtype=float)), dtype=float)
+        return self._call(self._hess, 3, t, X)
 
     def dt_hess(self, t, X):
-        if self._dt_hess is None:
-            return self._zeros(X, 3)
-        return np.asarray(self._dt_hess(t, np.asarray(X, dtype=float)), dtype=float)
+        return self._call(self._dt_hess, 3, t, X)
 
     def accelerates(self, X):
         """Whether dtt_value may be nonzero somewhere in X."""

@@ -81,12 +81,20 @@ def sym_part(mat):
 
 
 def dot(a, b):
-    """Frobenius inner product of packed tensors, contracted over the last axis."""
+    """Frobenius inner product of packed tensors, contracted over the last axis.
+
+    Adds one product per packed column.  numpy sums an axis of fewer than
+    8 entries in this order, starting from +0.0, so the result equals
+    ``np.sum(a * b, axis=-1)`` bit for bit at a fraction of its cost.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape[-1] != b.shape[-1]:
         raise ValueError("packed lengths differ")
-    return np.sum(a * b, axis=-1)
+    out = a[..., 0] * b[..., 0] + 0.0
+    for i in range(1, a.shape[-1]):
+        out += a[..., i] * b[..., i]
+    return out
 
 
 def norm(a):

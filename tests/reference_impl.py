@@ -3,10 +3,13 @@
 Mostly independent reference routes that the tests compare the package
 against: each recomputes a quantity by a different route (full tensor
 Newton, a scalar root find, finite differences, barycentric shape
-values, an integrating-factor reconstruction) or reads a recorded run.
+values, an integrating-factor reconstruction, numpy's own reduction,
+the csv module) or reads a recorded run.
 Nothing in the package calls them.  The helpers that make the prototype
 model and the unit-interval space for several test modules live here too.
 """
+
+import csv
 
 import numpy as np
 import scipy.sparse as sp
@@ -193,3 +196,42 @@ def energy_balance_residual(records):
     resid = dg.ledger_table(records)["balance_residual"]
     finite = resid[np.isfinite(resid)]
     return float(np.max(np.abs(finite))) if len(finite) else np.nan
+
+
+def sum_dot(a, b):
+    """Packed dot product as numpy's sum over the last axis."""
+    return np.sum(np.asarray(a, dtype=float) * np.asarray(b, dtype=float), axis=-1)
+
+
+def _fmt(x):
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(x)
+
+
+def write_csv(path, header, rows):
+    """CSV through csv.writer, one formatted cell at a time: floats as
+    repr(float(x)), anything else as str(x)."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([_fmt(x) for x in row])
+
+
+def write_table(path, table):
+    """A table of columns through write_csv, one zipped row at a time."""
+    header = list(table.keys())
+    write_csv(path, header, zip(*[np.asarray(table[k], dtype=float) for k in header]))
+
+
+def report_rows(report):
+    """A study report as text cells; the fitted order fills only the last row."""
+    rows = []
+    n = len(report.axis)
+    for i in range(n):
+        order = ""
+        if i == n - 1 and report.fitted_order is not None:
+            order = repr(float(report.fitted_order))
+        rows.append([repr(float(report.axis[i])), repr(float(report.values[i])), order])
+    return rows

@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import strainlim
+from strainlim import diagnostics as dg
 from strainlim import driver as dr
+
+import reference_impl as ref
 
 
 BASE = """\
@@ -297,6 +300,49 @@ def test_huge_domain_pluck_exits_1(tmp_path, capsys, domain):
     assert not (tmp_path / "o").exists()
 
 
+# the base pluck on 8 cells with 5 midpoint steps of 0.01
+SMALL = ("cells = 8\nmodel = prototype\nq = 2.0\nreg_n = 64\nscheme = midpoint\n"
+         "dt = 0.01\nt_end = 0.05\nscenario = gaussian-pluck\n")
+
+
+def test_subnormal_cell_width_exits_1(tmp_path, capsys):
+    # eight cells of a 1e-308-wide domain are 1.25e-309 wide, a sub-normal
+    # number whose inverse overflows
+    text = f"dim = 1\ndomain = 0.0 1e-308\n{SMALL}out_dir = {tmp_path / 'o'}\n"
+    assert run_main(tmp_path, text, "run") == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("invalid configuration: cell width") and "1.25e-309" in out
+    assert err == ""
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("run", ""), ("sweep", "study = stability\ndelta_list = 0.001 1e-05 1e-07\n"),
+], ids=["run", "sweep"])
+def test_infinite_initial_elastic_energy_exits_1(tmp_path, capsys, command, extra):
+    # alpha = 1e-300 scales the pluck's strain up to about 1e300, whose
+    # square overflows: the initial data have no finite elastic energy
+    text = (f"dim = 1\ndomain = 0.0 1.0\n{SMALL}alpha = 1e-300\n{extra}"
+            f"out_dir = {tmp_path / 'o'}\n")
+    assert run_main(tmp_path, text, command) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("invalid configuration: initial data have elastic energy inf")
+    assert err == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_initial_state_runtime_failure_still_exits_2(tmp_path, capsys):
+    # the elastic-energy check meets the t=0 failure first and leaves it to
+    # the run, which reports it as a runtime failure
+    text = (f"dim = 1\ndomain = 0.0 1.0\n{SMALL}alpha = 1e300\nout_dir = {tmp_path / 'o'}\n"
+            ).replace("model = prototype", "model = linear").replace(
+                "gaussian-pluck", "manufactured:standing-wave")
+    assert run_main(tmp_path, text, "run") == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("run failed: non-finite strain expression [t=0,")
+    assert err == ""
+
+
 def test_nan_safety_margin_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(dr.sc, "safety_margin", lambda scen, space: float("nan"))
     assert run_main(tmp_path, base_cfg(f"out_dir = {tmp_path / 'o'}\n"), "run") == 1
@@ -330,6 +376,46 @@ def test_package_resolves_submodules_by_attribute():
         assert getattr(strainlim, name).__name__ == f"strainlim.{name}"
     with pytest.raises(AttributeError):
         strainlim.no_such_module
+
+
+# ---------------------------------------------------------------------------
+# CSV output
+
+
+# values whose text differs most between formatters
+SPECIAL = [-0.0, 0.0, np.inf, -np.inf, np.nan, 1e16, 1e-5, 5e-324, 0.1, -1.5e300]
+
+
+def test_write_csv_matches_csv_module_bytes(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 2 * dr._CSV_BLOCK + 7                    # three blocks, the last one short
+    rows = rng.standard_normal((n, 6)) * 10.0 ** rng.integers(-300, 300, (n, 6))
+    rows[:len(SPECIAL), 0] = SPECIAL
+    rows[-len(SPECIAL):, -1] = SPECIAL
+    rows[dr._CSV_BLOCK - 1:dr._CSV_BLOCK + 1] = np.nan
+    header = [f"c{i}" for i in range(6)]
+    for name, data in (("full", rows), ("empty", rows[:0])):
+        dr._write_csv(tmp_path / f"{name}.csv", header, data)
+        ref.write_csv(tmp_path / f"{name}_ref.csv", header, data)
+        assert (tmp_path / f"{name}.csv").read_bytes() == \
+            (tmp_path / f"{name}_ref.csv").read_bytes()
+    table = {"t": np.arange(5), "x": np.array(SPECIAL[:5]), "y": SPECIAL[5:]}
+    dr._write_table(tmp_path / "table.csv", table)
+    ref.write_table(tmp_path / "table_ref.csv", table)
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "table_ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("order", [None, -0.9011552836414464, float("nan"), -0.0])
+@pytest.mark.parametrize("n", [1, 3])
+def test_report_csv_keeps_blank_cells(tmp_path, order, n):
+    report = dg.ConvergenceReport("n", axis=[16, 64, 256][:n],
+                                  values=[1e-3, 3.3e-4, 8.98e-5][:n], fitted_order=order)
+    header = ["axis_value", "error_or_diff", "fitted_order"]
+    dr._write_csv(tmp_path / "report.csv", header, dr._report_rows(report))
+    ref.write_csv(tmp_path / "report_ref.csv", header, ref.report_rows(report))
+    text = (tmp_path / "report.csv").read_bytes()
+    assert text == (tmp_path / "report_ref.csv").read_bytes()
+    assert text.endswith(b",\r\n") == (order is None)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +463,12 @@ def test_cmd_sweep_needs_study(tmp_path, capsys):
 
 
 def test_cmd_sweep_missing_list(tmp_path, capsys):
-    assert run_main(tmp_path, base_cfg("study = stability\n"), "sweep") == 1
-    assert "delta_list" in capsys.readouterr().out
+    for study, key in (("regularization", "n_list"), ("refinement", "levels"),
+                       ("refinement-dt", "levels"), ("stability", "delta_list")):
+        text = base_cfg(f"study = {study}\nout_dir = {tmp_path / 'o'}\n")
+        assert run_main(tmp_path, text, "sweep") == 1
+        assert f"{key!r} is required for the {study} study" in capsys.readouterr().out
+        assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -417,14 +417,6 @@ def test_history_residual_exact_for_constant_strain():
     assert res <= 1e-9
 
 
-def test_history_residual_order_2():
-    scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.1)
-    space = interval_space(32)
-    res = [ref.strain_history_residual(scen, space, dy.SolverConfig(dt=dt, t_end=0.1))
-           for dt in (1e-3, 5e-4)]
-    assert 3.4 <= res[0] / res[1] <= 4.6
-
-
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         dy.SolverConfig(dt=0.0, t_end=1.0)

@@ -42,6 +42,14 @@ def test_mesh_validation():
         fe.rectangle_mesh(0, 1, 1, 0, 2, 2)
 
 
+def test_subnormal_element_measure_raises():
+    # 1.25e-309 wide cells, and 2D triangles of area 1e-310
+    for mesh in (fe.interval_mesh(0.0, 1e-308, 8),
+                 fe.rectangle_mesh(0.0, 1e-155, 0.0, 2e-155, 1, 1)):
+        with pytest.raises(ValueError, match="cell width too small"):
+            fe.FESpace(mesh)
+
+
 def test_partition_of_unity():
     for space in (
         fe.FESpace(fe.interval_mesh(0.0, 1.0, 7)),

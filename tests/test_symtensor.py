@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+from hypothesis.extra import numpy as hnp
 
 from strainlim import symtensor as st
+
+import reference_impl as ref
 
 
 def random_sym(rng, d, n=1):
@@ -104,3 +109,35 @@ def test_outer_matches_products():
     O = st.outer(a, b)
     for k in range(4):
         assert np.array_equal(O[k], np.outer(a[k], b[k]))
+
+
+# magnitudes from 1e-300 to 1e300 of either sign, and signed zeros: products
+# underflow to +-0.0 and overflow to +-inf, and inf - inf gives nan; entries
+# of like size make the order of the additions show in the last bit
+_ENTRY = hs.one_of(hs.floats(1e-300, 1e300), hs.floats(-1e300, -1e-300),
+                   hs.sampled_from([0.0, -0.0]), hs.floats(-10.0, 10.0))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=3,
+                                                 max_side=4),
+       m=hs.sampled_from([1, 3, 6]), data=hs.data())
+def test_dot_bitwise_equals_numpy_sum(shapes, m, data):
+    a, b = (data.draw(hnp.arrays(np.float64, shape + (m,), elements=_ENTRY))
+            for shape in shapes.input_shapes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = np.asarray(st.dot(a, b))
+        want = np.asarray(ref.sum_dot(a, b))
+    assert got.shape == want.shape == shapes.result_shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_dot_bitwise_equals_numpy_sum_on_a_batch():
+    # the size of a 64 x 64 2D run's quadrature batch
+    rng = np.random.default_rng(4)
+    for m in (1, 3, 6):
+        a = rng.standard_normal((24_576, m))
+        b = rng.standard_normal((24_576, m))
+        for x, y in ((a, b), (a, a), (a[:1], b), (a[::7], b[::7])):
+            assert np.array_equal(st.dot(x, y).view(np.uint64),
+                                  ref.sum_dot(x, y).view(np.uint64))
