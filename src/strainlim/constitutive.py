@@ -10,8 +10,8 @@ supremum L of dphi bounds |G| and hence the admissible strain
 expression; bounded-response potentials (L finite) are the interesting
 case, since the inverse map blows up as |E| -> L.
 
-A Tikhonov term (T/n, or |T|^{p-2} T / n) makes the map strictly
-monotone and surjective, so the regularized inverse exists for every E.
+A Tikhonov term T/n makes the map strictly monotone and surjective, so
+the regularized inverse exists for every E.
 Inversion reduces to a scalar root find in the radius because G keeps
 T and E collinear.
 
@@ -29,11 +29,12 @@ from scipy.special import hyp2f1
 
 from . import symtensor as st
 
-REG_LINEAR = "linear"
-REG_POWER = "power"
-
 INF = np.inf
 _BELOW_ONE = np.nextafter(1.0, 0.0)
+
+# radial Newton: |h(r) - s| <= INVERT_TOL * (1 + s) within INVERT_MAX_ITER passes
+INVERT_TOL = 1e-12
+INVERT_MAX_ITER = 100
 
 
 class SupercriticalStrainError(ValueError):
@@ -41,7 +42,7 @@ class SupercriticalStrainError(ValueError):
 
 
 class NewtonConvergenceError(RuntimeError):
-    """The radial Newton solve failed to converge within max_iter."""
+    """The radial Newton solve failed to converge within INVERT_MAX_ITER passes."""
 
 
 # ---------------------------------------------------------------------------
@@ -52,12 +53,10 @@ class ScalarPotential:
     """Convex radial potential phi on [0, inf).
 
     Subclasses provide phi, dphi, d2phi, the closed-form inverse of dphi
-    where available, the response limit L = sup dphi, and the growth
-    exponent p of the associated map (|G(T)| ~ |T|^{p-1}).
+    where available, and the response limit L = sup dphi.
     """
 
     limit = INF
-    growth_exponent = 2.0
 
     def phi(self, s):
         raise NotImplementedError
@@ -86,7 +85,6 @@ class PrototypePotential(ScalarPotential):
     """
 
     limit = 1.0
-    growth_exponent = 1.0
 
     def __init__(self, q):
         q = float(q)
@@ -151,7 +149,6 @@ class PowerLawPotential(ScalarPotential):
         if p <= 1.0:
             raise ValueError(f"p must be > 1, got {p}")
         self.p = p
-        self.growth_exponent = p
 
     def phi(self, s):
         s = np.asarray(s, dtype=float)
@@ -187,15 +184,13 @@ class ConstitutiveModel:
     """A radial potential plus system coefficients and optional regularizer.
 
     alpha, beta are the coefficients of the strain expression
-    alpha*eps + beta*dt_eps; reg_n = n adds the Tikhonov term with
-    strength 1/n (reg_kind selects T/n or |T|^{p-2}T/n).
+    alpha*eps + beta*dt_eps; reg_n = n adds the Tikhonov term T/n.
     """
 
     potential: ScalarPotential
     alpha: float = 1.0
     beta: float = 1.0
     reg_n: int | None = None
-    reg_kind: str = REG_LINEAR
 
     def __post_init__(self):
         if not self.alpha > 0.0:
@@ -205,11 +200,6 @@ class ConstitutiveModel:
         if self.reg_n is not None:
             if int(self.reg_n) != self.reg_n or self.reg_n < 1:
                 raise ValueError(f"reg_n must be an integer >= 1, got {self.reg_n}")
-        if self.reg_kind not in (REG_LINEAR, REG_POWER):
-            raise ValueError(f"unknown reg_kind {self.reg_kind!r}")
-        if self.reg_kind == REG_POWER and self.potential.growth_exponent < 2.0:
-            # |T|^{p-2}T is not differentiable at 0 for p < 2
-            raise ValueError("power regularizer requires growth exponent p >= 2")
 
     def with_reg(self, reg_n):
         return replace(self, reg_n=reg_n)
@@ -230,21 +220,13 @@ def _inv_n(model, inv_n=None):
     return 0.0 if model.reg_n is None else 1.0 / model.reg_n
 
 
-def _reg_p(model):
-    return model.potential.growth_exponent if model.reg_kind == REG_POWER else 2.0
-
-
 def _regularizer(model, r, inv_n=None):
-    """Regularizer term of h and its derivative: (r/n, 1/n), or
-    (r^{p-1}/n, (p-1) r^{p-2}/n) for the power kind; zeros without one.
-    inv_n replaces the model's 1/n and broadcasts against r."""
+    """Regularizer term of h and its derivative: (r/n, 1/n); zeros
+    without one.  inv_n replaces the model's 1/n and broadcasts against r."""
     if model.reg_n is None:
         return 0.0, 0.0
     inv = _inv_n(model, inv_n)
-    p = _reg_p(model)
-    if p == 2.0:
-        return inv * r, inv
-    return inv * r ** (p - 1.0), inv * (p - 1.0) * r ** (p - 2.0)
+    return inv * r, inv
 
 
 def response_scalar(model, r):
@@ -348,8 +330,8 @@ def tangent_inverse_blocks(model, T):
     return blocks
 
 
-def jacobian_norm_bound_check(model, T, const=3.0):
-    """Check |g_jacobian(T)|_op <= const * (1/n + 1/(1+|T|)).
+def jacobian_norm_bound_check(model, T):
+    """Check |g_jacobian(T)|_op <= 3 * (1/n + 1/(1+|T|)).
 
     Meaningful for bounded-response potentials with a regularizer, where
     the tangent degenerates like 1/(1+|T|) for large stress.
@@ -359,7 +341,7 @@ def jacobian_norm_bound_check(model, T, const=3.0):
     T = np.asarray(T, dtype=float)
     tang, radial = jacobian_eigenvalues(model, T)
     opnorm = np.maximum(tang, radial)
-    bound = const * (_inv_n(model) + 1.0 / (1.0 + st.norm(T)))
+    bound = 3.0 * (_inv_n(model) + 1.0 / (1.0 + st.norm(T)))
     return bool(np.all(opnorm <= bound))
 
 
@@ -367,7 +349,7 @@ def jacobian_norm_bound_check(model, T, const=3.0):
 # inversion
 
 
-def invert_radius(model, s, warm=None, tol=1e-12, max_iter=100, inv_n=None):
+def invert_radius(model, s, warm=None, inv_n=None):
     """Solve h(r) = s for r >= 0, vectorized over s.
 
     Without a regularizer the closed-form inverse of dphi is used and s
@@ -375,7 +357,7 @@ def invert_radius(model, s, warm=None, tol=1e-12, max_iter=100, inv_n=None):
     is found by safeguarded Newton on the bracket [0, hi], where hi
     comes from the regularizer term alone; bisection takes over whenever
     a Newton step leaves the bracket.  Convergence criterion:
-    |h(r) - s| <= tol * (1 + s).  Each point is frozen once it meets it,
+    |h(r) - s| <= INVERT_TOL * (1 + s).  Each point is frozen once it meets it,
     so its radius does not depend on the other points of the batch.
 
     inv_n, when given, replaces the regularized model's 1/n and
@@ -400,8 +382,7 @@ def invert_radius(model, s, warm=None, tol=1e-12, max_iter=100, inv_n=None):
         return float(r[0]) if scalar_in else r
 
     inv = _inv_n(model, inv_n)
-    p = _reg_p(model)
-    hi = s / inv if p == 2.0 else (s / inv) ** (1.0 / (p - 1.0))
+    hi = s / inv
     lo = np.zeros_like(s)
     if warm is not None:
         x = np.minimum(np.maximum(warm, 0.0), hi)          # clipped to [0, hi]
@@ -413,11 +394,11 @@ def invert_radius(model, s, warm=None, tol=1e-12, max_iter=100, inv_n=None):
     done = s == 0.0
     x = np.where(done, 0.0, x)
 
-    target = tol * (1.0 + s)
+    target = INVERT_TOL * (1.0 + s)
     mid = np.empty_like(s)
     # h, h' come fresh from _response_pair, so the loop overwrites them in place
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for _ in range(INVERT_MAX_ITER):
             f, d = _response_pair(model, x, inv)
             f -= s
             done |= np.abs(f) <= target
@@ -434,9 +415,8 @@ def invert_radius(model, s, warm=None, tol=1e-12, max_iter=100, inv_n=None):
             np.copyto(x, mid, where=~done)
         else:
             worst = float(np.max(np.abs(_response_pair(model, x, inv)[0] - s)))
-            raise NewtonConvergenceError(
-                f"radial inversion stalled after {max_iter} iterations, residual {worst:.3e}"
-            )
+            raise NewtonConvergenceError(f"radial inversion stalled after {INVERT_MAX_ITER} "
+                                         f"iterations, residual {worst:.3e}")
         # two polish steps drive the scalar residual to its roundoff floor,
         # so the recovered radius is accurate even when h' is O(1/n); the
         # first reuses h - s and h' of the converged iterate
@@ -451,7 +431,7 @@ def invert_radius(model, s, warm=None, tol=1e-12, max_iter=100, inv_n=None):
     return float(x[0]) if scalar_in else x
 
 
-def invert(model, E, warm_stress=None, tol=1e-12, max_iter=100, inv_n=None):
+def invert(model, E, warm_stress=None, inv_n=None):
     """Invert the (regularized) map: return T with g_apply(T) ~= E.
 
     G keeps T and E collinear, so this is the scalar solve of
@@ -465,7 +445,7 @@ def invert(model, E, warm_stress=None, tol=1e-12, max_iter=100, inv_n=None):
     if not np.isfinite(s).all():
         raise ValueError("non-finite strain input")
     warm = st.norm(warm_stress) if warm_stress is not None else None
-    r = invert_radius(model, s, warm=warm, tol=tol, max_iter=max_iter, inv_n=inv_n)
+    r = invert_radius(model, s, warm=warm, inv_n=inv_n)
     if E.ndim == 1:
         return (r / s) * E if s > 0.0 else np.zeros_like(E)
     scale = np.divide(r, s, out=np.zeros_like(s), where=s > 0.0)
@@ -497,10 +477,10 @@ def phi_star(potential, e):
     return float(out[0]) if scalar_in else out
 
 
-def effective_conjugate(model, e, tol=1e-12, radius=None):
+def effective_conjugate(model, e, radius=None):
     """Conjugate of the model's effective scalar potential (with regularizer).
 
-    psi(r) = phi(r) + reg integral; psi*(e) = e*r - psi(r) at h(r) = e.
+    psi(r) = phi(r) + r^2/(2n); psi*(e) = e*r - psi(r) at h(r) = e.
     Without a regularizer this is phi_star (inf sentinel included).
     radius, when given, is the caller's own solution of h(r) = e and
     replaces the solve here.
@@ -510,12 +490,9 @@ def effective_conjugate(model, e, tol=1e-12, radius=None):
         return phi_star(model.potential, e)
     scalar_in = e.ndim == 0
     e = np.atleast_1d(e)
-    r = invert_radius(model, e, tol=tol) if radius is None else radius
+    r = invert_radius(model, e) if radius is None else radius
     r = np.atleast_1d(r)
-    inv = _inv_n(model)
-    p = _reg_p(model)
-    reg_int = inv * r * r / 2.0 if p == 2.0 else inv * r**p / p
-    out = e * r - (model.potential.phi(r) + reg_int)
+    out = e * r - (model.potential.phi(r) + _inv_n(model) * r * r / 2.0)
     return float(out[0]) if scalar_in else out
 
 
@@ -531,10 +508,9 @@ def fenchel_residual(model, T):
     G = g_apply(model, T)
     e = st.norm(G)
     inv = _inv_n(model)
-    p = _reg_p(model)
     psi = model.potential.phi(r)
     if inv:
-        psi = psi + (inv * r * r / 2.0 if p == 2.0 else inv * r**p / p)
+        psi = psi + inv * r * r / 2.0
     conj = effective_conjugate(model, e)
     return np.abs(psi + conj - st.dot(G, T))
 

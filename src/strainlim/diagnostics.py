@@ -88,12 +88,12 @@ def fit_order(axis, values):
 # energy ledger
 
 
-def energy_snapshot(state, space, scenario, fields=None, tol_inv=1e-12):
+def energy_snapshot(state, space, scenario, fields=None):
     """EnergyLedger at one state; reuses per-qp fields when provided."""
     m = scenario.model
     if fields is None:
         fields = dyn.evaluate_fields(scenario, space, state.t, state.U, state.V,
-                                     state.stress, tol_inv)
+                                     state.stress)
     qp, qw = space.qp, space.qw
     v_full = space.value_at_qp(state.V) + scenario.lift.dt_value(state.t, qp)
     kinetic = 0.5 * space.l2_norm_qp(v_full) ** 2
@@ -108,7 +108,7 @@ def energy_snapshot(state, space, scenario, fields=None, tol_inv=1e-12):
         elastic = np.inf
         rate = np.nan
     else:
-        T0 = con.invert(m, m.alpha * eps, warm_stress=T, tol=tol_inv)
+        T0 = con.invert(m, m.alpha * eps, warm_stress=T)
         # the conjugate is stationary in the radius at h(r) = e, so the
         # radius of T0 serves it without a second solve
         elastic = float(np.sum(qw * con.effective_conjugate(
@@ -150,15 +150,13 @@ def ledger_table(records):
 class EnergyRecorder:
     """run() observer accumulating EnergyLedger records."""
 
-    def __init__(self, scenario, space, tol_inv=1e-12):
+    def __init__(self, scenario, space):
         self.scenario = scenario
         self.space = space
-        self.tol_inv = tol_inv
         self.records = []
 
     def __call__(self, state, fields):
-        self.records.append(energy_snapshot(state, self.space, self.scenario,
-                                            fields, self.tol_inv))
+        self.records.append(energy_snapshot(state, self.space, self.scenario, fields))
 
     def table(self):
         return ledger_table(self.records)

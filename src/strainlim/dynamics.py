@@ -26,6 +26,10 @@ from . import symtensor as st
 SCHEME_RK4 = "rk4"
 SCHEME_MIDPOINT = "midpoint"
 
+# midpoint Newton: relative update at most NEWTON_TOL within NEWTON_MAX iterations
+NEWTON_TOL = 1e-11
+NEWTON_MAX = 50
+
 
 class NonFiniteStrainError(RuntimeError):
     """The strain expression at some quadrature point overflowed or is NaN."""
@@ -59,9 +63,6 @@ class SolverConfig:
     dt: float
     t_end: float
     scheme: str = SCHEME_MIDPOINT
-    tol_inv: float = 1e-12
-    newton_tol: float = 1e-11
-    newton_max: int = 50
 
     def __post_init__(self):
         if not self.dt > 0.0:
@@ -132,20 +133,20 @@ class Members:
         return len(self.scenarios)
 
 
-def evaluate_fields(scenario, space, t, U, V, warm=None, tol_inv=1e-12):
-    """Strain, strain rate, their model combination, and the stress at
-    the quadrature points of one (t, U, V) configuration (per member
-    when scenario is Members)."""
+def evaluate_fields(scenario, space, t, U, V, warm=None):
+    """Strain, the strain expression E = alpha*eps + beta*dt_eps, and the
+    stress at the quadrature points of one (t, U, V) configuration (per
+    member when scenario is Members)."""
     m = scenario.model
     qp = space.qp
     eps = space.strain_at_qp(U) + scenario.lift.strain(t, qp)
     deps = space.strain_at_qp(V) + scenario.lift.dt_strain(t, qp)
     E = m.alpha * eps + m.beta * deps
-    T = _invert_at(scenario, E, warm, tol_inv, space, "t", t)
-    return {"eps": eps, "deps": deps, "E": E, "stress": T}
+    T = _invert_at(scenario, E, warm, space, "t", t)
+    return {"eps": eps, "E": E, "stress": T}
 
 
-def _invert_at(scenario, E, warm, tol_inv, space, stage, t, members=None):
+def _invert_at(scenario, E, warm, space, stage, t, members=None):
     """Stress at every quadrature point; failures name the stage, its time,
     the worst qp and, in a batch of several, its member.
 
@@ -159,7 +160,7 @@ def _invert_at(scenario, E, warm, tol_inv, space, stage, t, members=None):
     if inv_n is not None and members is not None:
         inv_n = inv_n[members]
     try:
-        return con.invert(scenario.model, E, warm_stress=warm, tol=tol_inv, inv_n=inv_n)
+        return con.invert(scenario.model, E, warm_stress=warm, inv_n=inv_n)
     except (con.SupercriticalStrainError, con.NewtonConvergenceError) as exc:
         nrm = st.norm(E)
         k = int(np.argmax(nrm))
@@ -210,16 +211,16 @@ def _loads(scenario, space, t):
     return load
 
 
-def _accel(scenario, space, t, U, V, warm, tol_inv, fields=None):
+def _accel(scenario, space, t, U, V, warm, fields=None):
     """Acceleration at (t, U, V) and the fields there; fields already
     evaluated at that configuration are used as given."""
     if fields is None:
-        fields = evaluate_fields(scenario, space, t, U, V, warm, tol_inv)
+        fields = evaluate_fields(scenario, space, t, U, V, warm)
     resid = _loads(scenario, space, t) - space.load_from_stress(fields["stress"])
     return space.mass_solve(resid), fields
 
 
-def step_rk4(scenario, space, state, dt, tol_inv=1e-12, fields=None):
+def step_rk4(scenario, space, state, dt, fields=None):
     """Classical four-stage explicit update.
 
     fields, when given, are the fields of state itself (what the previous
@@ -228,23 +229,22 @@ def step_rk4(scenario, space, state, dt, tol_inv=1e-12, fields=None):
     """
     t, U, V = state.t, state.U, state.V
     warm = state.stress
-    a1, f1 = _accel(scenario, space, t, U, V, warm, tol_inv, fields)
+    a1, f1 = _accel(scenario, space, t, U, V, warm, fields)
     k1u, k1v = V, a1
     warm = f1["stress"]
     a2, f2 = _accel(scenario, space, t + 0.5 * dt, U + 0.5 * dt * k1u,
-                    V + 0.5 * dt * k1v, warm, tol_inv)
+                    V + 0.5 * dt * k1v, warm)
     k2u, k2v = V + 0.5 * dt * k1v, a2
     warm = f2["stress"]
     a3, f3 = _accel(scenario, space, t + 0.5 * dt, U + 0.5 * dt * k2u,
-                    V + 0.5 * dt * k2v, warm, tol_inv)
+                    V + 0.5 * dt * k2v, warm)
     k3u, k3v = V + 0.5 * dt * k2v, a3
     warm = f3["stress"]
-    a4, _ = _accel(scenario, space, t + dt, U + dt * k3u, V + dt * k3v,
-                   warm, tol_inv)
+    a4, _ = _accel(scenario, space, t + dt, U + dt * k3u, V + dt * k3v, warm)
     k4u, k4v = V + dt * k3v, a4
     Un = U + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
     Vn = V + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    fields = evaluate_fields(scenario, space, t + dt, Un, Vn, warm, tol_inv)
+    fields = evaluate_fields(scenario, space, t + dt, Un, Vn, warm)
     return State(t + dt, Un, Vn, fields["stress"]), fields
 
 
@@ -274,8 +274,7 @@ def _assemble_midpoint_jacobian(space, mass, factor, model, T):
     return spla.splu(J, permc_spec="MMD_AT_PLUS_A")
 
 
-def step_midpoint(scenario, space, state, dt, newton_tol=1e-11,
-                  newton_max=50, tol_inv=1e-12):
+def step_midpoint(scenario, space, state, dt):
     """Implicit midpoint update solved for the midpoint velocity.
 
     With Vm the midpoint velocity, Um = U + (dt/2) Vm and the update
@@ -309,14 +308,14 @@ def step_midpoint(scenario, space, state, dt, newton_tol=1e-11,
     traces = [[] for _ in range(k)]
     prev = [np.inf] * k
     active = list(range(k))
-    for _ in range(newton_max):
+    for _ in range(NEWTON_MAX):
         # all members (views, no copies) until the first one converges
         sel = slice(None) if len(active) == k else active
         Um = U[sel] + 0.5 * dt * Vm[sel]
         E = m.alpha * (space.strain_at_qp(Um) + eps_l[sel]) \
             + m.beta * (space.strain_at_qp(Vm[sel]) + deps_l[sel])
-        T = _invert_at(scenario, E, None if warm is None else warm[sel], tol_inv,
-                       space, "midpoint stage t", t_mid, members=active)
+        T = _invert_at(scenario, E, None if warm is None else warm[sel], space,
+                       "midpoint stage t", t_mid, members=active)
         if len(active) == k:
             warm = T
         else:
@@ -333,34 +332,34 @@ def step_midpoint(scenario, space, state, dt, newton_tol=1e-11,
             rows[i] = rows[i] - delta
             dn = float(np.linalg.norm(delta)) / (1.0 + float(np.linalg.norm(rows[i])))
             traces[i].append(dn)
-            if dn > newton_tol and dn > 0.3 * prev[i]:
+            if dn > NEWTON_TOL and dn > 0.3 * prev[i]:
                 # contraction stalling: refresh the frozen Jacobian
                 lus[i] = _assemble_midpoint_jacobian(space, mass, factor, models[i], T_rows[j])
             prev[i] = dn
-        active = [i for i in active if traces[i][-1] > newton_tol]
+        active = [i for i in active if traces[i][-1] > NEWTON_TOL]
         if not active:
             break
     else:
         i = active[0]
         raise _for_member(MidpointNoConvergence(
-            f"midpoint Newton did not reach {newton_tol:g} in {newton_max} "
+            f"midpoint Newton did not reach {NEWTON_TOL:g} in {NEWTON_MAX} "
             f"iterations at t={state.t:.6g} (last update {traces[i][-1]:.3e})",
             traces[i],
         ), i)
 
     Un = U + dt * Vm
     Vn = 2.0 * Vm - V
-    fields = evaluate_fields(scenario, space, state.t + dt, Un, Vn, warm, tol_inv)
+    fields = evaluate_fields(scenario, space, state.t + dt, Un, Vn, warm)
     return State(state.t + dt, Un, Vn, fields["stress"]), fields
 
 
-def run(scenario, space, config, observers=(), U0=None, V0=None):
+def run(scenario, space, config, observers=(), V0=None):
     """Integrate from t=0 to t_end; return the final (state, fields).
 
     Initial interior coefficients are zero (the lift carries initial and
-    boundary data) unless U0/V0 override them, as the stability study
-    does.  Observers are called with (state, fields) at the initial
-    state and after every step; fields holds per-qp eps, deps, the
+    boundary data) unless V0 overrides the velocity ones, as the
+    stability study does.  Observers are called with (state, fields) at
+    the initial state and after every step; fields holds per-qp eps, the
     strain expression E, and stress.  Observers are the only per-step
     output: a caller that needs a history records it in one.  An RK4 step
     starts from the fields the observers just saw, so they must not
@@ -368,7 +367,7 @@ def run(scenario, space, config, observers=(), U0=None, V0=None):
 
     scenario may be Members, stepped as one batch; a lone scenario is
     the one-member case of the same loop, without the member axis.  For
-    Members, U0/V0 are (members, ndof), observers holds one sequence of
+    Members, V0 is (members, ndof), observers holds one sequence of
     observers per member, and the return value is the list of every
     member's final (state, fields).  Each observer sees only its
     member's view (1D U and V, per-qp fields without the member axis);
@@ -376,15 +375,15 @@ def run(scenario, space, config, observers=(), U0=None, V0=None):
     """
     batch = isinstance(scenario, Members)
     shape = (len(scenario), space.ndof) if batch else (space.ndof,)
-    U = np.zeros(shape) if U0 is None else np.array(U0, dtype=float)
+    U = np.zeros(shape)
     V = np.zeros(shape) if V0 is None else np.array(V0, dtype=float)
-    if U.shape != shape or V.shape != shape:
+    if V.shape != shape:
         raise ValueError("initial coefficient shape does not match the space")
     if batch and observers and len(observers) != len(scenario):
         raise ValueError("observers need one sequence per member")
     notify = _notify if batch else _notify_lone
     state = State(0.0, U, V, None)
-    fields = evaluate_fields(scenario, space, 0.0, U, V, None, config.tol_inv)
+    fields = evaluate_fields(scenario, space, 0.0, U, V)
     state.stress = fields["stress"]
     final = notify(observers, state, fields)
 
@@ -393,11 +392,9 @@ def run(scenario, space, config, observers=(), U0=None, V0=None):
     while state.t < t_end - tiny:
         dtk = min(config.dt, t_end - state.t)
         if config.scheme == SCHEME_RK4:
-            state, fields = step_rk4(scenario, space, state, dtk, config.tol_inv, fields)
+            state, fields = step_rk4(scenario, space, state, dtk, fields)
         else:
-            state, fields = step_midpoint(scenario, space, state, dtk,
-                                          config.newton_tol, config.newton_max,
-                                          config.tol_inv)
+            state, fields = step_midpoint(scenario, space, state, dtk)
         final = notify(observers, state, fields)
     return final
 

@@ -20,7 +20,7 @@ def sample_tensors(rng, d, n, scale=0.8, cap=3.0):
 
 
 def model_roster(reg_n=None):
-    models = [
+    return [
         con.ConstitutiveModel(con.PrototypePotential(1.0), reg_n=reg_n),
         con.ConstitutiveModel(con.PrototypePotential(2.0), reg_n=reg_n),
         con.ConstitutiveModel(con.PrototypePotential(10.0), reg_n=reg_n),
@@ -28,13 +28,6 @@ def model_roster(reg_n=None):
         con.ConstitutiveModel(con.PowerLawPotential(3.0), reg_n=reg_n),
         con.ConstitutiveModel(con.LinearPotential(), reg_n=reg_n),
     ]
-    if reg_n is not None:
-        models.append(
-            con.ConstitutiveModel(
-                con.PowerLawPotential(3.0), reg_n=reg_n, reg_kind=con.REG_POWER
-            )
-        )
-    return models
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +137,6 @@ def test_parameter_validation():
         con.ConstitutiveModel(con.LinearPotential(), beta=-1.0)
     with pytest.raises(ValueError):
         con.ConstitutiveModel(con.LinearPotential(), reg_n=0)
-    with pytest.raises(ValueError):
-        con.ConstitutiveModel(con.LinearPotential(), reg_kind="cubic")
-    # power regularizer needs growth exponent >= 2
-    with pytest.raises(ValueError):
-        con.ConstitutiveModel(con.PrototypePotential(2.0), reg_kind=con.REG_POWER)
-    with pytest.raises(ValueError):
-        con.ConstitutiveModel(con.PowerLawPotential(1.5), reg_kind=con.REG_POWER)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +340,6 @@ def test_tensor_route_matches_radial():
     for model in [
         con.ConstitutiveModel(con.PrototypePotential(2.0), reg_n=16),
         con.ConstitutiveModel(con.PrototypePotential(1.0)),
-        con.ConstitutiveModel(con.PowerLawPotential(3.0), reg_n=16, reg_kind=con.REG_POWER),
     ]:
         E = sample_tensors(rng, 2, 100, scale=0.3, cap=0.9)
         a = con.invert(model, E)
@@ -362,10 +347,11 @@ def test_tensor_route_matches_radial():
         assert np.all(st.norm(a - b) <= 1e-9 * (1.0 + st.norm(a)))
 
 
-def test_invert_radius_nonconvergence_raises():
+def test_invert_radius_nonconvergence_raises(monkeypatch):
     model = con.ConstitutiveModel(con.PrototypePotential(2.0), reg_n=16)
+    monkeypatch.setattr(con, "INVERT_MAX_ITER", 0)
     with pytest.raises(con.NewtonConvergenceError):
-        con.invert_radius(model, np.array([0.5]), max_iter=0)
+        con.invert_radius(model, np.array([0.5]))
 
 
 def _reference_invert_radius(model, s, warm=None, tol=1e-12, max_iter=100):
@@ -374,8 +360,7 @@ def _reference_invert_radius(model, s, warm=None, tol=1e-12, max_iter=100):
     kernel must reproduce."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     inv = 1.0 / model.reg_n
-    p = model.potential.growth_exponent if model.reg_kind == con.REG_POWER else 2.0
-    hi = s / inv if p == 2.0 else (s / inv) ** (1.0 / (p - 1.0))
+    hi = s / inv
     lo = np.zeros_like(s)
     d0 = float(con.response_scalar_deriv(model, 0.0))
     if warm is not None:
@@ -413,17 +398,14 @@ def _reference_invert_radius(model, s, warm=None, tol=1e-12, max_iter=100):
     return x
 
 
-_KERNEL_MODELS = [(con.PrototypePotential(q), con.REG_LINEAR) for q in (1.0, 2.0, 10.0)] + [
-    (con.PowerLawPotential(1.5), con.REG_LINEAR),
-    (con.PowerLawPotential(3.0), con.REG_POWER),
-]
+_KERNEL_MODELS = [con.PrototypePotential(q) for q in (1.0, 2.0, 10.0)] + [
+    con.PowerLawPotential(1.5)]
 
 
-@pytest.mark.parametrize("pot, kind", _KERNEL_MODELS,
-                         ids=["q1", "q2", "q10", "power1.5", "power3-powerreg"])
+@pytest.mark.parametrize("pot", _KERNEL_MODELS, ids=["q1", "q2", "q10", "power1.5"])
 @pytest.mark.parametrize("reg_n", [4, 16, 64, 256])
-def test_invert_radius_matches_reference(pot, kind, reg_n):
-    model = con.ConstitutiveModel(pot, reg_n=reg_n, reg_kind=kind)
+def test_invert_radius_matches_reference(pot, reg_n):
+    model = con.ConstitutiveModel(pot, reg_n=reg_n)
     rng = np.random.default_rng(25)
     s = np.concatenate([[0.0], np.linspace(1e-9, 3.0, 400), rng.uniform(0.0, 3.0, 400),
                         10.0 ** rng.uniform(-300.0, 300.0, 100)])
@@ -435,9 +417,8 @@ def test_invert_radius_matches_reference(pot, kind, reg_n):
     assert np.all(np.abs(con.invert_radius(model, s, warm=warm) - ref_w) <= 1e-14 * ref_w)
 
 
-@pytest.mark.parametrize("pot, kind", _KERNEL_MODELS,
-                         ids=["q1", "q2", "q10", "power1.5", "power3-powerreg"])
-def test_invert_radius_mixed_reg_n_batch_matches_separate_calls(pot, kind):
+@pytest.mark.parametrize("pot", _KERNEL_MODELS, ids=["q1", "q2", "q10", "power1.5"])
+def test_invert_radius_mixed_reg_n_batch_matches_separate_calls(pot):
     # one call over the members of a regularization sweep, each row with
     # its own 1/n, gives every row bit for bit what its own call gives
     reg_ns = [4, 16, 64, 256]
@@ -446,7 +427,7 @@ def test_invert_radius_mixed_reg_n_batch_matches_separate_calls(pot, kind):
     # every member sees the same magnitudes, in its own order
     S = np.stack([rng.permutation(s) for _ in reg_ns])
     W = S * (1.0 + 0.05 * rng.standard_normal(S.shape))
-    models = [con.ConstitutiveModel(pot, reg_n=n, reg_kind=kind) for n in reg_ns]
+    models = [con.ConstitutiveModel(pot, reg_n=n) for n in reg_ns]
     inv_n = np.array([[1.0 / n] for n in reg_ns])
     for warm in (None, W):
         batch = con.invert_radius(models[0], S, warm=warm, inv_n=inv_n)
@@ -476,8 +457,11 @@ def test_invert_radius_any_magnitude(s, q, reg_n):
     r = con.invert_radius(model, s)
     assert np.isfinite(r) and r >= 0.0
     assert abs(float(con.response_scalar(model, r)) - s) <= 1e-12 * (1.0 + s)
-    with pytest.raises(con.NewtonConvergenceError):
-        con.invert_radius(model, s, max_iter=0)
+    # a function-scoped monkeypatch fixture would be shared across examples
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(con, "INVERT_MAX_ITER", 0)
+        with pytest.raises(con.NewtonConvergenceError):
+            con.invert_radius(model, s)
 
 
 # ---------------------------------------------------------------------------

@@ -279,9 +279,11 @@ def test_stability_study_validation():
         dg.stability_study(scen, space, cfg, [1e-3, 0.0, 1e-7])
 
 
-def test_study_failure_keeps_type_and_names_case():
+def test_study_failure_keeps_type_and_names_case(monkeypatch):
+    monkeypatch.setattr(dy, "NEWTON_TOL", 1e-30)
+    monkeypatch.setattr(dy, "NEWTON_MAX", 3)
     scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.02)
-    cfg = dy.SolverConfig(dt=1e-2, t_end=0.02, newton_tol=1e-30, newton_max=3)
+    cfg = dy.SolverConfig(dt=1e-2, t_end=0.02)
     with pytest.raises(dy.MidpointNoConvergence, match=r"\[study case base\]") as err:
         dg.stability_study(scen, interval_space(16), cfg, [1e-3, 1e-5, 1e-7])
     assert len(err.value.trace) == 3
@@ -311,12 +313,12 @@ def _spy_batch(monkeypatch):
     real = dy.run
     seen = {}
 
-    def spy(members, space, config, observers=(), U0=None, V0=None):
+    def spy(members, space, config, observers=(), V0=None):
         hist = [[] for _ in range(len(members))]
         obs = [tuple(own) + ((lambda s, f, h=h: h.append((s.U, s.V))),)
                for own, h in zip(observers or [()] * len(members), hist)]
         seen.update(members=members, V0=V0, hist=hist)
-        return real(members, space, config, observers=obs, U0=U0, V0=V0)
+        return real(members, space, config, observers=obs, V0=V0)
 
     monkeypatch.setattr(dg.dyn, "run", spy)
     return seen, real
@@ -348,11 +350,11 @@ def _count_newton(monkeypatch):
     now = [None]
     real_invert, real_assemble = dy._invert_at, dy._assemble_midpoint_jacobian
 
-    def invert(scenario, E, warm, tol, space, stage, t, members=None):
+    def invert(scenario, E, warm, space, stage, t, members=None):
         if stage.startswith("midpoint"):
             now[0] = t
             iters.update((i, t) for i in members)
-        return real_invert(scenario, E, warm, tol, space, stage, t, members)
+        return real_invert(scenario, E, warm, space, stage, t, members)
 
     def assemble(space, mass, factor, model, T):
         facts[(model.reg_n, now[0])] += 1

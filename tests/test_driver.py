@@ -333,14 +333,31 @@ def test_infinite_initial_elastic_energy_exits_1(tmp_path, capsys, command, extr
 
 def test_initial_state_runtime_failure_still_exits_2(tmp_path, capsys):
     # the elastic-energy check meets the t=0 failure first and leaves it to
-    # the run, which reports it as a runtime failure
+    # the run, which reports it as a runtime failure: alpha = 1e300 times the
+    # constant strain 0.3 has a norm that overflows
     text = (f"dim = 1\ndomain = 0.0 1.0\n{SMALL}alpha = 1e300\nout_dir = {tmp_path / 'o'}\n"
             ).replace("model = prototype", "model = linear").replace(
-                "gaussian-pluck", "manufactured:standing-wave")
+                "gaussian-pluck", "manufactured:constant-strain")
     assert run_main(tmp_path, text, "run") == 2
     out, err = capsys.readouterr()
     assert out.startswith("run failed: non-finite strain expression [t=0,")
     assert err == ""
+
+
+@pytest.mark.parametrize("model", ["model = prototype", "model = powerlaw\np = 3",
+                                   "model = linear"], ids=["prototype", "powerlaw", "linear"])
+def test_overflowing_manufactured_strain_exits_1(tmp_path, capsys, model):
+    # beta = 1e300 times the standing wave's strain rate has a norm that
+    # overflows: the exact solution has no finite strain expression, for
+    # bounded and unbounded models alike
+    text = (f"dim = 1\ndomain = 0.0 1.0\n{SMALL}beta = 1e300\nout_dir = {tmp_path / 'o'}\n"
+            ).replace("model = prototype", model).replace(
+                "gaussian-pluck", "manufactured:standing-wave")
+    assert run_main(tmp_path, text, "run") == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("invalid configuration: exact strain expression is not finite")
+    assert err == ""
+    assert not (tmp_path / "o").exists()
 
 
 def test_nan_safety_margin_exits_1(tmp_path, capsys, monkeypatch):

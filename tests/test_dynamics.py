@@ -41,8 +41,7 @@ def test_single_cell_hand_ode():
     m = linear_model(alpha=1.3, beta=0.4)
     space = interval_space(2)
     scen = zero_scenario(m)
-    dV, fields = dy._accel(scen, space, 0.0, np.array([0.2]), np.array([-0.1]),
-                           None, 1e-12)
+    dV, fields = dy._accel(scen, space, 0.0, np.array([0.2]), np.array([-0.1]), None)
     assert abs(dV[0] - (-12.0 * (1.3 * 0.2 + 0.4 * (-0.1)))) < 1e-12
     assert fields["stress"].shape == (space.n_qp, space.m)
 
@@ -52,7 +51,7 @@ def test_rest_state_is_stationary():
     space = interval_space(8)
     scen = zero_scenario(m)
     state = dy.State(0.0, np.zeros(space.ndof), np.zeros(space.ndof), None)
-    dV, _ = dy._accel(scen, space, 0.0, state.U, state.V, None, 1e-12)
+    dV, _ = dy._accel(scen, space, 0.0, state.U, state.V, None)
     assert np.max(np.abs(dV)) < 1e-13
 
     s1, _ = dy.step_rk4(scen, space, state, 1e-2)
@@ -75,7 +74,7 @@ def test_linear_rhs_matches_hand_assembled_operator():
     rng = np.random.default_rng(7)
     U = rng.standard_normal(n)
     V = rng.standard_normal(n)
-    dV, _ = dy._accel(scen, space, 0.0, U, V, None, 1e-12)
+    dV, _ = dy._accel(scen, space, 0.0, U, V, None)
     want = np.linalg.solve(space.mass.toarray(), -K @ (m.alpha * U + m.beta * V))
     assert np.max(np.abs(dV - want)) < 1e-10
 
@@ -250,13 +249,14 @@ def test_midpoint_stress_cache_satisfies_relation():
     assert float(np.max(st.norm(gap))) < 1e-10
 
 
-def test_midpoint_no_convergence_error():
+def test_midpoint_no_convergence_error(monkeypatch):
+    monkeypatch.setattr(dy, "NEWTON_TOL", 1e-30)
+    monkeypatch.setattr(dy, "NEWTON_MAX", 3)
     scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.05)
     space = interval_space(16)
     state = dy.State(0.0, np.zeros(space.ndof), np.zeros(space.ndof), None)
     with pytest.raises(dy.MidpointNoConvergence) as err:
-        dy.step_midpoint(scen, space, state, 1e-2, newton_tol=1e-30,
-                         newton_max=3)
+        dy.step_midpoint(scen, space, state, 1e-2)
     assert len(err.value.trace) == 3
 
 
