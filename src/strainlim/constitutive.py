@@ -355,7 +355,8 @@ def invert_radius(model, s, warm=None, inv_n=None):
     Without a regularizer the closed-form inverse of dphi is used and s
     must stay strictly below the limit L.  With a regularizer the root
     is found by safeguarded Newton on the bracket [0, hi], where hi
-    comes from the regularizer term alone; bisection takes over whenever
+    comes from the regularizer term, and for an unbounded potential
+    also from dphi alone; bisection takes over whenever
     a Newton step leaves the bracket.  Convergence criterion:
     |h(r) - s| <= INVERT_TOL * (1 + s).  Each point is frozen once it meets it,
     so its radius does not depend on the other points of the batch.
@@ -383,6 +384,11 @@ def invert_radius(model, s, warm=None, inv_n=None):
 
     inv = _inv_n(model, inv_n)
     hi = s / inv
+    if not np.isfinite(pot.limit):
+        # h(r) >= dphi(r), so dphi_inv(s) bounds the root as well; on its
+        # own the regularizer's bound lets an unbounded dphi overflow
+        with np.errstate(over="ignore"):
+            hi = np.minimum(hi, pot.dphi_inv(s))
     lo = np.zeros_like(s)
     if warm is not None:
         x = np.minimum(np.maximum(warm, 0.0), hi)          # clipped to [0, hi]

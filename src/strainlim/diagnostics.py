@@ -148,15 +148,23 @@ def ledger_table(records):
 
 
 class EnergyRecorder:
-    """run() observer accumulating EnergyLedger records."""
+    """run() observer accumulating EnergyLedger records.
 
-    def __init__(self, scenario, space):
+    first, when given, is the record of the first state observed, already
+    computed by the caller; it is taken as is instead of a second snapshot.
+    """
+
+    def __init__(self, scenario, space, first=None):
         self.scenario = scenario
         self.space = space
         self.records = []
+        self._first = first
 
     def __call__(self, state, fields):
-        self.records.append(energy_snapshot(state, self.space, self.scenario, fields))
+        record, self._first = self._first, None
+        if record is None:
+            record = energy_snapshot(state, self.space, self.scenario, fields)
+        self.records.append(record)
 
     def table(self):
         return ledger_table(self.records)

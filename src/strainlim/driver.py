@@ -317,42 +317,43 @@ def _prepare(cfg):
     """Build space and scenario, enforcing the safety margin and finite
     elastic energy of the initial data.
 
-    Returns (space, scenario, None) on success or (None, None, exit_code)
-    after printing the validation failure.
+    Returns (space, scenario, ledger, None) on success, where ledger is
+    the energy record of the initial state (None when evaluating it
+    failed; the run then fails the same way at t=0 and reports it), or
+    (None, None, None, exit_code) after printing the validation failure.
     """
     try:
         space = cfg.build_space()
         scenario = cfg.build_scenario()
     except ValueError as exc:
         print(f"invalid configuration: {exc}")
-        return None, None, 1
+        return None, None, None, 1
     with np.errstate(over="ignore", invalid="ignore"):
         margin = sc.safety_margin(scenario, space)
         if not margin > 0.0:
             print(f"safety strain condition violated: margin = {margin:.6g} "
                   f"(strain expression of the data reaches the response limit)")
-            return None, None, 1
+            return None, None, None, 1
         zero = np.zeros(space.ndof)
         try:
-            elastic = dg.energy_snapshot(dy.State(0.0, zero, zero, None), space,
-                                         scenario).elastic
+            ledger = dg.energy_snapshot(dy.State(0.0, zero, zero, None), space, scenario)
         except RUNTIME_ERRORS:
-            # the run fails the same way at t=0 and reports it (exit 2)
-            return space, scenario, None
-    if not np.isfinite(elastic):
-        print(f"invalid configuration: initial data have elastic energy {elastic:.6g}; "
-              f"a finite one is required")
-        return None, None, 1
-    return space, scenario, None
+            return space, scenario, None, None
+    if not np.isfinite(ledger.elastic):
+        print(f"invalid configuration: initial data have elastic energy "
+              f"{ledger.elastic:.6g}; a finite one is required")
+        return None, None, None, 1
+    return space, scenario, ledger, None
 
 
 def cmd_run(cfg):
-    space, scenario, code = _prepare(cfg)
+    space, scenario, ledger, code = _prepare(cfg)
     if code is not None:
         return code
     out = cfg.values["out_dir"]
     os.makedirs(out, exist_ok=True)
-    energy = dg.EnergyRecorder(scenario, space)
+    # the t=0 record is the one _prepare computed from the same cold fields
+    energy = dg.EnergyRecorder(scenario, space, ledger)
     monitor = dg.StrainRecorder(scenario, space)
     snaps = []
 
@@ -392,7 +393,7 @@ def cmd_sweep(cfg):
     if cfg.values[key] is None:
         print(f"invalid configuration: {key!r} is required for the {study} study")
         return 1
-    space, scenario, code = _prepare(cfg)
+    space, scenario, _, code = _prepare(cfg)
     if code is not None:
         return code
     out = cfg.values["out_dir"]

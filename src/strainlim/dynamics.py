@@ -7,9 +7,11 @@ quadrature point, F_f is the forcing load, and M0 is the inertia of the
 analytic lift.  Two integrators are provided: classical RK4 and the
 implicit midpoint rule, the latter solved by a modified Newton
 iteration whose Jacobian uses the closed-form inverse of the
-constitutive tangent per quadrature point.  Runs that share the space
-and time grid and differ only in reg_n or initial data step together
-as Members, with a leading member axis on every array.
+constitutive tangent per quadrature point; within a run its factor is
+kept across steps and Newton starts from extrapolated velocities.
+Runs that share the space and time grid and differ only in reg_n or
+initial data step together as Members, with a leading member axis on
+every array.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ SCHEME_MIDPOINT = "midpoint"
 # midpoint Newton: relative update at most NEWTON_TOL within NEWTON_MAX iterations
 NEWTON_TOL = 1e-11
 NEWTON_MAX = 50
+# a Newton update larger than NEWTON_RHO times the previous one refreshes
+# the frozen Jacobian factor
+NEWTON_RHO = 0.1
 
 
 class NonFiniteStrainError(RuntimeError):
@@ -274,14 +279,40 @@ def _assemble_midpoint_jacobian(space, mass, factor, model, T):
     return spla.splu(J, permc_spec="MMD_AT_PLUS_A")
 
 
-def step_midpoint(scenario, space, state, dt):
+class _NewtonCarry:
+    """What one run's midpoint steps hand on to the next: each member's
+    Jacobian factor, the dt it was built for, and the velocities of the
+    last two states, newest first (per-member rows in a batch)."""
+
+    def __init__(self, k):
+        self.lus = [None] * k
+        self.dt = None
+        self.past = []
+
+    def start(self, V):
+        """Newton's first midpoint velocity: the quadratic extrapolation of
+        the last three velocities to t + dt/2, linear with only one earlier
+        velocity, V itself with none."""
+        if len(self.past) == 2:
+            return 1.875 * V - 1.25 * self.past[0] + 0.375 * self.past[1]
+        if self.past:
+            return V + 0.5 * (V - self.past[0])
+        return V.copy()
+
+
+def step_midpoint(scenario, space, state, dt, carry=None):
     """Implicit midpoint update solved for the midpoint velocity.
 
     With Vm the midpoint velocity, Um = U + (dt/2) Vm and the update
     reads U+ = U + dt*Vm, V+ = 2*Vm - V; Vm solves
     M (Vm - V) + (dt/2) [S(t_mid, Um, Vm) - F(t_mid) + M0(t_mid)] = 0
-    by modified Newton with the factored Jacobian reused until the
-    contraction stalls.
+    by modified Newton with a factored Jacobian that is refreshed
+    whenever an update exceeds NEWTON_RHO times the previous one.
+
+    carry is run's _NewtonCarry, updated in place: while dt stays the
+    same, the first iteration reuses the factor of an earlier step, and
+    Newton starts from the extrapolated velocities.  Without it the step
+    factors afresh and starts from Vm = V.
 
     With Members each member keeps its own Newton state: its Jacobian
     factor, its refresh decision and its convergence test.  A member
@@ -301,10 +332,15 @@ def step_midpoint(scenario, space, state, dt):
     mass = space.mass
     factor = 0.5 * dt * (m.beta + 0.5 * dt * m.alpha)
 
-    Vm = V.copy()
+    if carry is None:
+        carry = _NewtonCarry(k)
+    if carry.dt != dt:
+        carry.lus = [None] * k
+        carry.dt = dt
+    lus = carry.lus
+    Vm = carry.start(V)
     rows = Vm.reshape(k, ndof)             # each member's Vm, a view (a lone one too)
     warm = state.stress
-    lus = [None] * k
     traces = [[] for _ in range(k)]
     prev = [np.inf] * k
     active = list(range(k))
@@ -332,8 +368,10 @@ def step_midpoint(scenario, space, state, dt):
             rows[i] = rows[i] - delta
             dn = float(np.linalg.norm(delta)) / (1.0 + float(np.linalg.norm(rows[i])))
             traces[i].append(dn)
-            if dn > NEWTON_TOL and dn > 0.3 * prev[i]:
-                # contraction stalling: refresh the frozen Jacobian
+            if dn > NEWTON_TOL and dn > NEWTON_RHO * prev[i]:
+                # contraction stalling: refresh the frozen Jacobian, dropping
+                # the old factor first so that only one is ever alive
+                lus[i] = None
                 lus[i] = _assemble_midpoint_jacobian(space, mass, factor, models[i], T_rows[j])
             prev[i] = dn
         active = [i for i in active if traces[i][-1] > NEWTON_TOL]
@@ -347,6 +385,7 @@ def step_midpoint(scenario, space, state, dt):
             traces[i],
         ), i)
 
+    carry.past = [V] + carry.past[:1]
     Un = U + dt * Vm
     Vn = 2.0 * Vm - V
     fields = evaluate_fields(scenario, space, state.t + dt, Un, Vn, warm)
@@ -363,7 +402,9 @@ def run(scenario, space, config, observers=(), V0=None):
     strain expression E, and stress.  Observers are the only per-step
     output: a caller that needs a history records it in one.  An RK4 step
     starts from the fields the observers just saw, so they must not
-    modify them.
+    modify them.  Midpoint steps hand each other a Newton carry (the
+    Jacobian factors and the last velocities, see step_midpoint) that
+    lives only as long as this call.
 
     scenario may be Members, stepped as one batch; a lone scenario is
     the one-member case of the same loop, without the member axis.  For
@@ -382,6 +423,7 @@ def run(scenario, space, config, observers=(), V0=None):
     if batch and observers and len(observers) != len(scenario):
         raise ValueError("observers need one sequence per member")
     notify = _notify if batch else _notify_lone
+    carry = _NewtonCarry(len(scenario) if batch else 1)
     state = State(0.0, U, V, None)
     fields = evaluate_fields(scenario, space, 0.0, U, V)
     state.stress = fields["stress"]
@@ -394,7 +436,7 @@ def run(scenario, space, config, observers=(), V0=None):
         if config.scheme == SCHEME_RK4:
             state, fields = step_rk4(scenario, space, state, dtk, fields)
         else:
-            state, fields = step_midpoint(scenario, space, state, dtk)
+            state, fields = step_midpoint(scenario, space, state, dtk, carry)
         final = notify(observers, state, fields)
     return final
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -361,6 +363,9 @@ def _reference_invert_radius(model, s, warm=None, tol=1e-12, max_iter=100):
     s = np.atleast_1d(np.asarray(s, dtype=float))
     inv = 1.0 / model.reg_n
     hi = s / inv
+    if not np.isfinite(model.potential.limit):
+        with np.errstate(over="ignore"):
+            hi = np.minimum(hi, model.potential.dphi_inv(s))
     lo = np.zeros_like(s)
     d0 = float(con.response_scalar_deriv(model, 0.0))
     if warm is not None:
@@ -462,6 +467,21 @@ def test_invert_radius_any_magnitude(s, q, reg_n):
         mp.setattr(con, "INVERT_MAX_ITER", 0)
         with pytest.raises(con.NewtonConvergenceError):
             con.invert_radius(model, s)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(s=hs.floats(0.0, 1e300), p=hs.floats(1.1, 5.0),
+       reg_n=hs.sampled_from([4, 16, 64, 256]), warm=hs.floats(0.0, 1e300))
+def test_invert_radius_power_law_any_magnitude(s, p, reg_n, warm):
+    # an unbounded potential bounds the root by dphi_inv(s) too, so dphi
+    # neither overflows nor stalls Newton at large |E|
+    model = con.ConstitutiveModel(con.PowerLawPotential(p), reg_n=reg_n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for start in (None, np.array([warm])):
+            r = float(con.invert_radius(model, np.array([s]), warm=start)[0])
+            assert np.isfinite(r) and r >= 0.0
+            assert abs(float(con.response_scalar(model, r)) - s) <= 1e-12 * (1.0 + s)
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,23 @@ def test_cmd_run_values_round_trip_exactly(tmp_path):
     assert ke[0] == 0.0 and np.all(np.isfinite(ke))
 
 
+def test_cmd_run_makes_one_snapshot_per_record(tmp_path, monkeypatch):
+    # the t=0 record is the snapshot that the elastic-energy check made
+    made = []
+    real = dg.energy_snapshot
+
+    def snapshot(state, *args):
+        made.append(state.t)
+        return real(state, *args)
+
+    monkeypatch.setattr(dg, "energy_snapshot", snapshot)
+    out = tmp_path / "out"
+    assert run_main(tmp_path, base_cfg(f"out_dir = {out}\n"), "run") == 0
+    _, rows = read_csv(out / "energy.csv")
+    assert len(rows) == 11
+    assert made == [float(r[0]) for r in rows]
+
+
 def test_cmd_run_2d(tmp_path):
     out = tmp_path / "out2"
     text = ("dim = 2\ndomain = 0.0 1.0 0.0 1.0\ncells_x = 6\ncells_y = 6\n"

@@ -320,6 +320,76 @@ def test_midpoint_jacobian_pattern_built_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the midpoint Newton carry of run
+
+
+def _carry_free_run(scen, space, cfg):
+    """run's loop written with direct step_midpoint calls: every step
+    factors afresh and starts Newton from Vm = V."""
+    state = dy.State(0.0, np.zeros(space.ndof), np.zeros(space.ndof), None)
+    state.stress = dy.evaluate_fields(scen, space, 0.0, state.U, state.V)["stress"]
+    while state.t < cfg.t_end - 1e-12 * max(1.0, cfg.t_end):
+        state, _ = dy.step_midpoint(scen, space, state, min(cfg.dt, cfg.t_end - state.t))
+    return state
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d-64", "2d-16x16"])
+def test_run_carry_matches_carry_free_steps(dim):
+    dom = ((0.0, 1.0),) * dim
+    scen = sc.build_scenario("gaussian-pluck", dim, dom, proto_model(), 0.03)
+    space = fe.FESpace(fe.box_mesh(dom, (64,) if dim == 1 else (16, 16)))
+    cfg = dy.SolverConfig(dt=1e-3, t_end=0.03)
+    state, _ = dy.run(scen, space, cfg)
+    ref_state = _carry_free_run(scen, space, cfg)
+    assert state.t == ref_state.t
+    for got, want in ((state.U, ref_state.U), (state.V, ref_state.V)):
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def _count_assemblies(monkeypatch):
+    """(dt of the step, Newton iteration within it) of each Jacobian
+    factorization; a factor made at iteration 1 comes before any solve."""
+    made, now = [], [None, 0]
+    real_step, real_invert = dy.step_midpoint, dy._invert_at
+    real_assemble = dy._assemble_midpoint_jacobian
+
+    def step(scenario, space, state, dt, carry=None):
+        now[:] = [dt, 0]
+        return real_step(scenario, space, state, dt, carry)
+
+    def invert(scenario, E, warm, space, stage, t, members=None):
+        now[1] += stage.startswith("midpoint")
+        return real_invert(scenario, E, warm, space, stage, t, members)
+
+    def assemble(space, mass, factor, model, T):
+        made.append(tuple(now))
+        return real_assemble(space, mass, factor, model, T)
+
+    monkeypatch.setattr(dy, "step_midpoint", step)
+    monkeypatch.setattr(dy, "_invert_at", invert)
+    monkeypatch.setattr(dy, "_assemble_midpoint_jacobian", assemble)
+    return made
+
+
+def test_run_reuses_the_midpoint_factor(monkeypatch):
+    scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.05)
+    made = _count_assemblies(monkeypatch)
+    dy.run(scen, interval_space(64), dy.SolverConfig(dt=1e-3, t_end=0.05))
+    assert 1 <= len(made) < 50
+
+
+def test_run_refactors_for_a_shorter_last_step(monkeypatch):
+    scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.05)
+    made = _count_assemblies(monkeypatch)
+    state, _ = dy.run(scen, interval_space(64), dy.SolverConfig(dt=1e-3, t_end=0.0105))
+    assert state.t == pytest.approx(0.0105, abs=1e-12)
+    assert made[0] == (1e-3, 1)
+    # the shorter step's first iteration already solves with a new factor
+    last = [it for dt, it in made if dt != 1e-3]
+    assert last and last[0] == 1
+
+
+# ---------------------------------------------------------------------------
 # run loop
 
 
