@@ -88,18 +88,15 @@ def fit_order(axis, values):
 # energy ledger
 
 
-def energy_snapshot(state, space, scenario, fields=None):
-    """EnergyLedger at one state; reuses per-qp fields when provided."""
+def energy_snapshot(state, space, scenario):
+    """EnergyLedger at one State, from the strain and stress it carries."""
     m = scenario.model
-    if fields is None:
-        fields = dyn.evaluate_fields(scenario, space, state.t, state.U, state.V,
-                                     state.stress)
     qp, qw = space.qp, space.qw
     v_full = space.value_at_qp(state.V) + scenario.lift.dt_value(state.t, qp)
     kinetic = 0.5 * space.l2_norm_qp(v_full) ** 2
 
-    eps = fields["eps"]
-    T = fields["stress"]
+    eps = state.eps
+    T = state.stress
     e = m.alpha * st.norm(eps)
     L = con.limit_L(m)
     if np.isfinite(L) and float(np.max(e)) >= L:
@@ -160,10 +157,10 @@ class EnergyRecorder:
         self.records = []
         self._first = first
 
-    def __call__(self, state, fields):
+    def __call__(self, state):
         record, self._first = self._first, None
         if record is None:
-            record = energy_snapshot(state, self.space, self.scenario, fields)
+            record = energy_snapshot(state, self.space, self.scenario)
         self.records.append(record)
 
     def table(self):
@@ -177,14 +174,14 @@ class StrainRecorder:
         self.limit = con.limit_L(scenario.model)
         self.records = []
 
-    def __call__(self, state, fields):
-        mx = float(np.max(st.norm(fields["E"])))
+    def __call__(self, state):
+        mx = float(np.max(st.norm(state.E)))
         self.records.append(StrainMonitor(
             t=float(state.t),
             max_strain_expr=mx,
             margin=self.limit - mx,
-            max_eps=float(np.max(st.norm(fields["eps"]))),
-            max_stress=float(np.max(st.norm(fields["stress"]))),
+            max_eps=float(np.max(st.norm(state.eps))),
+            max_stress=float(np.max(st.norm(state.stress))),
         ))
 
     def table(self):
@@ -229,7 +226,7 @@ def regularization_sweep(scenario, space, config, n_list):
     per_step = []          # per record: the successive differences
 
     def keep(i):
-        def observe(state, fields):
+        def observe(state):
             latest[i] = state.U
             if i == len(n_list) - 1:          # the last member closes a record
                 per_step.append([space.l2_norm_qp(space.value_at_qp(ub - ua))
@@ -249,18 +246,14 @@ def regularization_sweep(scenario, space, config, n_list):
     )
 
 
-def _space_for(scenario, cells):
-    return fe.FESpace(fe.box_mesh(scenario.domain, (cells,) * scenario.dim))
-
-
-def refinement_study(scenario, axis, levels, config, cells=256):
+def refinement_study(scenario, axis, levels, config, space=None):
     """Convergence along one axis.
 
-    axis="h": levels are cell counts; each level runs on its own mesh at
-    config.dt and reports the L2 displacement error against the exact
-    solution at t_end.  axis="dt": levels are time steps on one mesh
-    (cells per direction) and errors are differences against a
-    reference run at min(levels)/4, so the fixed spatial error cancels.
+    axis="h": levels are cell counts per direction; each level runs on its
+    own mesh at config.dt and reports the L2 displacement error against
+    the exact solution at t_end.  axis="dt": levels are time steps on
+    space and errors are differences against a reference run at
+    min(levels)/4, so the fixed spatial error cancels.
     """
     if len(levels) < 3:
         raise ValueError("refinement study needs at least 3 levels")
@@ -270,8 +263,8 @@ def refinement_study(scenario, axis, levels, config, cells=256):
         cellcounts = [int(c) for c in levels]
         hs, errs = [], []
         for c in cellcounts:
-            sp_c = _space_for(scenario, c)
-            final, _ = _run_or_annotate(scenario, sp_c, config, f"cells={c}")
+            sp_c = fe.FESpace(fe.box_mesh(scenario.domain, (c,) * scenario.dim))
+            final = _run_or_annotate(scenario, sp_c, config, f"cells={c}")
             vals = (sp_c.value_at_qp(final.U)
                     + scenario.lift.value(final.t, sp_c.qp)
                     - scenario.exact.value(final.t, sp_c.qp))
@@ -285,19 +278,17 @@ def refinement_study(scenario, axis, levels, config, cells=256):
         )
     if axis == "dt":
         dts = [float(d) for d in levels]
-        space = _space_for(scenario, cells)
         dt_ref = min(dts) / 4.0
-        ref, _ = _run_or_annotate(scenario, space, replace(config, dt=dt_ref),
-                                  f"dt_ref={dt_ref:g}")
+        ref = _run_or_annotate(scenario, space, replace(config, dt=dt_ref),
+                               f"dt_ref={dt_ref:g}")
         errs = []
         for d in dts:
-            final, _ = _run_or_annotate(scenario, space, replace(config, dt=d),
-                                        f"dt={d:g}")
+            final = _run_or_annotate(scenario, space, replace(config, dt=d), f"dt={d:g}")
             errs.append(space.l2_norm_qp(space.value_at_qp(final.U - ref.U)))
         return ConvergenceReport(
             axis_name="dt", axis=np.array(dts), values=np.array(errs),
             fitted_order=fit_order(dts, errs),
-            extra={"cells": cells, "dt_ref": dt_ref},
+            extra={"elements": space.mesh.n_elems, "dt_ref": dt_ref},
         )
     raise ValueError(f"unknown refinement axis {axis!r}")
 
@@ -328,10 +319,10 @@ def stability_study(scenario, space, config, delta_list, seed=0):
     V0 = np.stack([np.zeros(space.ndof)] + [d * direction for d in deltas])
     finals = _run_or_annotate(members, space, config,
                               ["base"] + [f"delta={d:g}" for d in deltas], V0=V0)
-    base = finals[0][0]
+    base = finals[0]
     factors = np.array([
         float((np.linalg.norm(final.U - base.U) + np.linalg.norm(final.V - base.V)) / d)
-        for d, (final, _) in zip(deltas, finals[1:])])
+        for d, final in zip(deltas, finals[1:])])
 
     t_end = float(base.t)
     g = float(np.mean(factors))

@@ -9,6 +9,7 @@ defaults.  Outputs are plain CSV.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -47,6 +48,10 @@ MODELS = ("prototype", "powerlaw", "linear")
 # most time steps one run may take, ceil(t_end / dt); a config asking for
 # more is rejected before anything runs
 MAX_STEPS = 10_000_000
+# most mesh cells one space may have (2^20, 256 times the 64x64 pluck),
+# counted over the config's cell keys and over each refinement level; a
+# config asking for more is rejected before any mesh is built
+MAX_CELLS = 2 ** 20
 SCHEMES = (dy.SCHEME_RK4, dy.SCHEME_MIDPOINT)
 STUDIES = ("regularization", "refinement", "refinement-dt", "stability")
 
@@ -202,11 +207,13 @@ def parse_config(text):
         line = f" at line {seen[key][1]}" if key in seen else ""
         raise RangeError(f"key {key!r}{line}: {msg}")
 
-    def bound_steps(keys, what, steps):
-        if steps > MAX_STEPS:
+    def bound(keys, what, count, limit, unit):
+        if count > limit:
             where = " and ".join(f"{k!r} at line {seen[k][1]}" for k in keys)
-            raise RangeError(f"keys {where}: {what} = {steps:.3g} steps, "
-                             f"more than the maximum of {MAX_STEPS}")
+            # an integer count may be too large for a float
+            shown = float(count) if count < 1e308 else math.inf
+            raise RangeError(f"key{'s' * (len(keys) > 1)} {where}: {what} = {shown:.3g} "
+                             f"{unit}, more than the maximum of {limit}")
 
     if values["dim"] not in (1, 2):
         bad("dim", "must be 1 or 2")
@@ -232,6 +239,9 @@ def parse_config(text):
                 bad(k, "must be >= 1")
         if values["cells"] is not None:
             bad("cells", "only valid for dim = 1 (use 'cells_x'/'cells_y')")
+    cell_keys = ("cells",) if values["dim"] == 1 else ("cells_x", "cells_y")
+    bound(cell_keys, " * ".join(cell_keys), math.prod(values[k] for k in cell_keys),
+          MAX_CELLS, "cells")
     if values["model"] not in MODELS:
         bad("model", f"must be one of {', '.join(MODELS)}")
     if values["q"] < 1.0:
@@ -250,7 +260,7 @@ def parse_config(text):
         bad("dt", "must be > 0")
     if not values["t_end"] >= 0.0:
         bad("t_end", "must be >= 0")
-    bound_steps(("t_end", "dt"), "t_end / dt", values["t_end"] / values["dt"])
+    bound(("t_end", "dt"), "t_end / dt", values["t_end"] / values["dt"], MAX_STEPS, "steps")
     if values["scenario"] not in sc.SCENARIO_NAMES:
         bad("scenario", f"must be one of {', '.join(sc.SCENARIO_NAMES)}")
     if values["study"] is not None and values["study"] not in STUDIES:
@@ -260,8 +270,14 @@ def parse_config(text):
         if not all(lv > 0.0 for lv in values["levels"]):
             bad("levels", "entries must be > 0 for the refinement-dt study")
         dt_ref = min(values["levels"]) / 4.0
-        bound_steps(("levels", "t_end"), "t_end / (min(levels) / 4)",
-                    values["t_end"] / dt_ref if dt_ref > 0.0 else np.inf)
+        bound(("levels", "t_end"), "t_end / (min(levels) / 4)",
+              values["t_end"] / dt_ref if dt_ref > 0.0 else np.inf, MAX_STEPS, "steps")
+    if values["study"] == "refinement" and values["levels"]:
+        # the levels are cell counts per direction of a square mesh
+        if not all(lv >= 1.0 and lv == int(lv) for lv in values["levels"]):
+            bad("levels", "entries must be integers >= 1 for the refinement study")
+        bound(("levels",), f"max(levels) ** {values['dim']}",
+              int(max(values["levels"])) ** values["dim"], MAX_CELLS, "cells")
     if values["n_list"] is not None and len(values["n_list"]) < 3:
         bad("n_list", "needs at least 3 entries")
     if values["delta_list"] is not None and any(d <= 0 for d in values["delta_list"]):
@@ -297,7 +313,7 @@ def _write_table(path, table):
                                                    for c in table.values()]))
 
 
-def _write_state(path, space, scenario, state, fields):
+def _write_state(path, space, scenario, state):
     d, m = space.dim, space.m
     qp = space.qp
     u = space.value_at_qp(state.U) + scenario.lift.value(state.t, qp)
@@ -305,7 +321,7 @@ def _write_state(path, space, scenario, state, fields):
     header = (["x", "y"][:d]
               + [f"u{i}" for i in range(d)] + [f"v{i}" for i in range(d)]
               + [f"eps{i}" for i in range(m)] + [f"stress{i}" for i in range(m)])
-    rows = np.column_stack([qp, u, v, fields["eps"], fields["stress"]])
+    rows = np.column_stack([qp, u, v, state.eps, state.stress])
     _write_csv(path, header, rows)
 
 
@@ -336,7 +352,8 @@ def _prepare(cfg):
             return None, None, None, 1
         zero = np.zeros(space.ndof)
         try:
-            ledger = dg.energy_snapshot(dy.State(0.0, zero, zero, None), space, scenario)
+            ledger = dg.energy_snapshot(dy.evaluate_fields(scenario, space, 0.0, zero, zero),
+                                        space, scenario)
         except RUNTIME_ERRORS:
             return space, scenario, None, None
     if not np.isfinite(ledger.elastic):
@@ -352,14 +369,14 @@ def cmd_run(cfg):
         return code
     out = cfg.values["out_dir"]
     os.makedirs(out, exist_ok=True)
-    # the t=0 record is the one _prepare computed from the same cold fields
+    # the t=0 record is the one _prepare computed from the same cold state
     energy = dg.EnergyRecorder(scenario, space, ledger)
     monitor = dg.StrainRecorder(scenario, space)
     snaps = []
 
-    def keep(state, fields):
+    def keep(state):
         if not snaps:
-            snaps.append((state, fields))
+            snaps.append(state)
 
     try:
         final = dy.run(scenario, space, cfg.solver_config(),
@@ -369,9 +386,8 @@ def cmd_run(cfg):
         return 2
     _write_table(os.path.join(out, "energy.csv"), energy.table())
     _write_table(os.path.join(out, "monitor.csv"), monitor.table())
-    for state, fields in (snaps[0], final):
-        _write_state(os.path.join(out, f"state_{state.t:.6f}.csv"),
-                     space, scenario, state, fields)
+    for state in (snaps[0], final):
+        _write_state(os.path.join(out, f"state_{state.t:.6f}.csv"), space, scenario, state)
     print(f"run complete: {len(energy.records)} records in {out}")
     return 0
 
@@ -404,12 +420,10 @@ def cmd_sweep(cfg):
             report = dg.regularization_sweep(scenario, space, solver,
                                              list(cfg.values["n_list"]))
         elif study == "refinement":
-            levels = [int(c) for c in cfg.values["levels"]]
-            report = dg.refinement_study(scenario, "h", levels, solver)
+            report = dg.refinement_study(scenario, "h", list(cfg.values["levels"]), solver)
         elif study == "refinement-dt":
-            cells = cfg.values["cells"] if cfg.values["dim"] == 1 else cfg.values["cells_x"]
             report = dg.refinement_study(scenario, "dt", list(cfg.values["levels"]),
-                                         solver, cells=cells)
+                                         solver, space=space)
         else:
             report = dg.stability_study(scenario, space, solver,
                                         list(cfg.values["delta_list"]),

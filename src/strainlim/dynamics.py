@@ -50,17 +50,20 @@ class MidpointNoConvergence(RuntimeError):
 
 @dataclass
 class State:
-    """Time, interior coefficients, and the per-qp stress cache.
+    """One configuration of the discrete system: time, interior
+    coefficients, and at every quadrature point the strain eps, the strain
+    expression E = alpha*eps + beta*dt_eps and the stress that solves the
+    constitutive relation G(stress) = E to the inversion tolerance.
 
-    The cache holds the stress from the most recent inversion at this
-    state, so the constitutive relation holds at every quadrature point
-    to the inversion tolerance.
+    evaluate_fields builds one from (t, U, V); the steppers return one.
     """
 
     t: float
     U: np.ndarray
     V: np.ndarray
-    stress: np.ndarray = None
+    eps: np.ndarray
+    E: np.ndarray
+    stress: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -139,16 +142,16 @@ class Members:
 
 
 def evaluate_fields(scenario, space, t, U, V, warm=None):
-    """Strain, the strain expression E = alpha*eps + beta*dt_eps, and the
-    stress at the quadrature points of one (t, U, V) configuration (per
-    member when scenario is Members)."""
+    """The State at (t, U, V): its strain, strain expression and stress at
+    the quadrature points (per member when scenario is Members).  warm is
+    a stress to start the inversion from."""
     m = scenario.model
     qp = space.qp
     eps = space.strain_at_qp(U) + scenario.lift.strain(t, qp)
     deps = space.strain_at_qp(V) + scenario.lift.dt_strain(t, qp)
     E = m.alpha * eps + m.beta * deps
     T = _invert_at(scenario, E, warm, space, "t", t)
-    return {"eps": eps, "E": E, "stress": T}
+    return State(t, U, V, eps, E, T)
 
 
 def _invert_at(scenario, E, warm, space, stage, t, members=None):
@@ -216,41 +219,33 @@ def _loads(scenario, space, t):
     return load
 
 
-def _accel(scenario, space, t, U, V, warm, fields=None):
-    """Acceleration at (t, U, V) and the fields there; fields already
-    evaluated at that configuration are used as given."""
-    if fields is None:
-        fields = evaluate_fields(scenario, space, t, U, V, warm)
-    resid = _loads(scenario, space, t) - space.load_from_stress(fields["stress"])
-    return space.mass_solve(resid), fields
+def _accel(scenario, space, state):
+    """Acceleration at one State."""
+    resid = _loads(scenario, space, state.t) - space.load_from_stress(state.stress)
+    return space.mass_solve(resid)
 
 
-def step_rk4(scenario, space, state, dt, fields=None):
+def step_rk4(scenario, space, state, dt):
     """Classical four-stage explicit update.
 
-    fields, when given, are the fields of state itself (what the previous
-    step returned); the first stage uses them instead of inverting again.
+    Stage 1 is state itself, with the stress it carries; stages 2-4 and
+    the returned State each invert once, warm-started from the stress of
+    the stage before (the returned State from stage 3's, as stage 4).
     With Members every operation acts on all members at once.
     """
     t, U, V = state.t, state.U, state.V
-    warm = state.stress
-    a1, f1 = _accel(scenario, space, t, U, V, warm, fields)
-    k1u, k1v = V, a1
-    warm = f1["stress"]
-    a2, f2 = _accel(scenario, space, t + 0.5 * dt, U + 0.5 * dt * k1u,
-                    V + 0.5 * dt * k1v, warm)
-    k2u, k2v = V + 0.5 * dt * k1v, a2
-    warm = f2["stress"]
-    a3, f3 = _accel(scenario, space, t + 0.5 * dt, U + 0.5 * dt * k2u,
-                    V + 0.5 * dt * k2v, warm)
-    k3u, k3v = V + 0.5 * dt * k2v, a3
-    warm = f3["stress"]
-    a4, _ = _accel(scenario, space, t + dt, U + dt * k3u, V + dt * k3v, warm)
-    k4u, k4v = V + dt * k3v, a4
-    Un = U + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-    Vn = V + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    fields = evaluate_fields(scenario, space, t + dt, Un, Vn, warm)
-    return State(t + dt, Un, Vn, fields["stress"]), fields
+    a1 = _accel(scenario, space, state)
+    s2 = evaluate_fields(scenario, space, t + 0.5 * dt, U + 0.5 * dt * V,
+                         V + 0.5 * dt * a1, state.stress)
+    a2 = _accel(scenario, space, s2)
+    s3 = evaluate_fields(scenario, space, t + 0.5 * dt, U + 0.5 * dt * s2.V,
+                         V + 0.5 * dt * a2, s2.stress)
+    a3 = _accel(scenario, space, s3)
+    s4 = evaluate_fields(scenario, space, t + dt, U + dt * s3.V, V + dt * a3, s3.stress)
+    a4 = _accel(scenario, space, s4)
+    Un = U + (dt / 6.0) * (V + 2.0 * s2.V + 2.0 * s3.V + s4.V)
+    Vn = V + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+    return evaluate_fields(scenario, space, t + dt, Un, Vn, s3.stress)
 
 
 # contraction order of B_e^T A_e B_e: (B_e^T A_e) first, then B_e; a fixed
@@ -312,7 +307,8 @@ def step_midpoint(scenario, space, state, dt, carry=None):
     carry is run's _NewtonCarry, updated in place: while dt stays the
     same, the first iteration reuses the factor of an earlier step, and
     Newton starts from the extrapolated velocities.  Without it the step
-    factors afresh and starts from Vm = V.
+    factors afresh and starts from Vm = V.  The returned State's
+    inversion starts from Newton's last stress.
 
     With Members each member keeps its own Newton state: its Jacobian
     factor, its refresh decision and its convergence test.  A member
@@ -386,33 +382,29 @@ def step_midpoint(scenario, space, state, dt, carry=None):
         ), i)
 
     carry.past = [V] + carry.past[:1]
-    Un = U + dt * Vm
-    Vn = 2.0 * Vm - V
-    fields = evaluate_fields(scenario, space, state.t + dt, Un, Vn, warm)
-    return State(state.t + dt, Un, Vn, fields["stress"]), fields
+    return evaluate_fields(scenario, space, state.t + dt, U + dt * Vm, 2.0 * Vm - V, warm)
 
 
 def run(scenario, space, config, observers=(), V0=None):
-    """Integrate from t=0 to t_end; return the final (state, fields).
+    """Integrate from t=0 to t_end; return the final State.
 
     Initial interior coefficients are zero (the lift carries initial and
     boundary data) unless V0 overrides the velocity ones, as the
-    stability study does.  Observers are called with (state, fields) at
-    the initial state and after every step; fields holds per-qp eps, the
-    strain expression E, and stress.  Observers are the only per-step
+    stability study does.  Observers are called as observer(state) at the
+    initial state and after every step.  Observers are the only per-step
     output: a caller that needs a history records it in one.  An RK4 step
-    starts from the fields the observers just saw, so they must not
-    modify them.  Midpoint steps hand each other a Newton carry (the
-    Jacobian factors and the last velocities, see step_midpoint) that
-    lives only as long as this call.
+    starts from the State the observers just saw, so they must not modify
+    it.  Midpoint steps hand each other a Newton carry (the Jacobian
+    factors and the last velocities, see step_midpoint) that lives only
+    as long as this call.
 
     scenario may be Members, stepped as one batch; a lone scenario is
     the one-member case of the same loop, without the member axis.  For
     Members, V0 is (members, ndof), observers holds one sequence of
     observers per member, and the return value is the list of every
-    member's final (state, fields).  Each observer sees only its
-    member's view (1D U and V, per-qp fields without the member axis);
-    at every record the members' observers are called in member order.
+    member's final State.  Each observer sees only its member's view (1D
+    U and V, per-qp fields without the member axis); at every record the
+    members' observers are called in member order.
     """
     batch = isinstance(scenario, Members)
     shape = (len(scenario), space.ndof) if batch else (space.ndof,)
@@ -424,37 +416,35 @@ def run(scenario, space, config, observers=(), V0=None):
         raise ValueError("observers need one sequence per member")
     notify = _notify if batch else _notify_lone
     carry = _NewtonCarry(len(scenario) if batch else 1)
-    state = State(0.0, U, V, None)
-    fields = evaluate_fields(scenario, space, 0.0, U, V)
-    state.stress = fields["stress"]
-    final = notify(observers, state, fields)
+    state = evaluate_fields(scenario, space, 0.0, U, V)
+    final = notify(observers, state)
 
     t_end = config.t_end
     tiny = 1e-12 * max(1.0, t_end)
     while state.t < t_end - tiny:
         dtk = min(config.dt, t_end - state.t)
         if config.scheme == SCHEME_RK4:
-            state, fields = step_rk4(scenario, space, state, dtk, fields)
+            state = step_rk4(scenario, space, state, dtk)
         else:
-            state, fields = step_midpoint(scenario, space, state, dtk, carry)
-        final = notify(observers, state, fields)
+            state = step_midpoint(scenario, space, state, dtk, carry)
+        final = notify(observers, state)
     return final
 
 
-def _notify_lone(observers, state, fields):
+def _notify_lone(observers, state):
     for obs in observers:
-        obs(state, fields)
-    return state, fields
+        obs(state)
+    return state
 
 
-def _notify(observers, state, fields):
-    """Hand every member's view of (state, fields) to its observers, in
-    member order; return the views."""
+def _notify(observers, state):
+    """Hand every member's view of state to its observers, in member
+    order; return the views."""
     views = []
     for i in range(len(state.U)):
-        f = {key: val[i] for key, val in fields.items()}
-        s = State(state.t, state.U[i], state.V[i], f["stress"])
+        view = State(state.t, state.U[i], state.V[i], state.eps[i], state.E[i],
+                     state.stress[i])
         for obs in (observers[i] if observers else ()):
-            obs(s, f)
-        views.append((s, f))
+            obs(view)
+        views.append(view)
     return views

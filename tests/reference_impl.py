@@ -156,8 +156,8 @@ def strain_history_residual(scenario, space, config):
     """Gap between the final strain of a run and its integrating-factor
     reconstruction from the run's stress history.
 
-    The run records fields["eps"] and fields["stress"], the per-qp
-    strains and stresses, at every state.  The constitutive relation at
+    The run records state.eps and state.stress, the per-qp strains and
+    stresses, at every state.  The constitutive relation at
     each quadrature point is the linear ODE
     beta d(eps)/dt + alpha eps = G_n(T), whose solution is
     eps(t) = e^{-ct} eps(0) + int_0^t e^{-c(t-s)} G_n(T(s))/beta ds with
@@ -167,14 +167,14 @@ def strain_history_residual(scenario, space, config):
     Returns the max over quadrature points of the tensor-norm gap.
     """
     records, model = [], scenario.model
-    dy.run(scenario, space, config, observers=(lambda s, f: records.append((s, f)),))
-    ts = np.array([state.t for state, _ in records])
+    dy.run(scenario, space, config, observers=(records.append,))
+    ts = np.array([state.t for state in records])
     if len(ts) < 2:
         return 0.0
-    eps = [fields["eps"] for _, fields in records]
+    eps = [state.eps for state in records]
     c = model.alpha / model.beta
     t_end = ts[-1]
-    G = np.array([con.g_apply(model, fields["stress"]) for _, fields in records])
+    G = np.array([con.g_apply(model, state.stress) for state in records])
     recon = np.exp(-c * (t_end - ts[0])) * eps[0]
     for k in range(len(ts) - 1):
         a, b = ts[k], ts[k + 1]

@@ -74,7 +74,7 @@ def test_criterion_04_manufactured_convergence():
     cfg = dy.SolverConfig(dt=1e-4, t_end=0.4, scheme=dy.SCHEME_MIDPOINT)
     rep_h = dg.refinement_study(scen, "h", [32, 64, 128, 256], cfg)
     rep_dt = dg.refinement_study(scen, "dt", [4e-3, 2e-3, 1e-3, 5e-4], cfg,
-                                 cells=256)
+                                 space=interval_space(256))
     dt_wall = time.perf_counter() - t0
     ok = (abs(rep_h.fitted_order - 2.0) <= 0.2
           and abs(rep_dt.fitted_order - 2.0) <= 0.2 and dt_wall < 300.0)
@@ -157,7 +157,7 @@ def test_criterion_08_stability_growth():
     spread = float(np.max(growth) / np.min(growth) - 1.0)
     tr1, tr2 = [], []
     for rec in (tr1, tr2):
-        dy.run(scen, space, cfg, observers=(lambda s, f: rec.append((s.U, s.V)),))
+        dy.run(scen, space, cfg, observers=(lambda s: rec.append((s.U, s.V)),))
     identical = len(tr1) == len(tr2) and all(
         np.array_equal(U1, U2) and np.array_equal(V1, V2)
         for (U1, V1), (U2, V2) in zip(tr1, tr2))

@@ -25,8 +25,8 @@ def ramp_lift(slope, rate):
     )
 
 
-def rest_state(space):
-    return dy.State(0.0, np.zeros(space.ndof), np.zeros(space.ndof), None)
+def rest_state(scen, space):
+    return dy.evaluate_fields(scen, space, 0.0, np.zeros(space.ndof), np.zeros(space.ndof))
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +38,7 @@ def test_rest_ledger_all_zero():
     scen = sc.Scenario(name="r", dim=1, domain=((0.0, 1.0),), model=m,
                        lift=sc.zero_field(1), t_end=1.0)
     space = interval_space(4)
-    led = dg.energy_snapshot(rest_state(space), space, scen)
+    led = dg.energy_snapshot(rest_state(scen, space), space, scen)
     assert led.kinetic == 0.0 and led.elastic == 0.0
     assert led.dissipation_rate == 0.0 and led.external_power == 0.0
 
@@ -50,7 +50,7 @@ def test_hand_ledger_no_rate():
     scen = sc.Scenario(name="h", dim=1, domain=((0.0, 1.0),), model=m,
                        lift=ramp_lift(0.6, 0.0), t_end=1.0)
     space = interval_space(2)
-    led = dg.energy_snapshot(rest_state(space), space, scen)
+    led = dg.energy_snapshot(rest_state(scen, space), space, scen)
     assert led.elastic == pytest.approx(0.2, abs=1e-12)
     assert led.kinetic == 0.0
     assert abs(led.dissipation_rate) < 1e-12
@@ -63,7 +63,7 @@ def test_hand_ledger_with_rate():
     scen = sc.Scenario(name="h", dim=1, domain=((0.0, 1.0),), model=m,
                        lift=ramp_lift(0.6, 0.2), t_end=1.0)
     space = interval_space(2)
-    led = dg.energy_snapshot(rest_state(space), space, scen)
+    led = dg.energy_snapshot(rest_state(scen, space), space, scen)
     assert led.dissipation_rate == pytest.approx(7.0 / 60.0, abs=1e-12)
     assert led.elastic == pytest.approx(0.2, abs=1e-12)
     assert led.kinetic == pytest.approx(0.5 * 0.04 / 3.0, abs=1e-12)
@@ -74,9 +74,8 @@ def test_ledger_solves_the_radius_once(monkeypatch):
     m = proto_model(reg_n=16, beta=0.5)
     scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), m, 0.1)
     space = interval_space(16)
-    state = rest_state(space)
-    state.V = 0.3 * np.sin(np.pi * np.arange(1, space.ndof + 1) / (space.ndof + 1))
-    fields = dy.evaluate_fields(scen, space, 0.0, state.U, state.V)
+    V = 0.3 * np.sin(np.pi * np.arange(1, space.ndof + 1) / (space.ndof + 1))
+    state = dy.evaluate_fields(scen, space, 0.0, np.zeros(space.ndof), V)
     calls = []
     real = con.invert_radius
 
@@ -85,14 +84,14 @@ def test_ledger_solves_the_radius_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(con, "invert_radius", counting)
-    led = dg.energy_snapshot(state, space, scen, fields)
+    led = dg.energy_snapshot(state, space, scen)
     assert len(calls) == 1
     monkeypatch.setattr(con, "invert_radius", real)
-    e = m.alpha * st.norm(fields["eps"])
+    e = m.alpha * st.norm(state.eps)
     cold = float(np.sum(space.qw * con.effective_conjugate(m, e))) / m.alpha
     assert led.elastic == pytest.approx(cold, rel=1e-14)
-    T0 = con.invert(m, m.alpha * fields["eps"])
-    rate = float(np.sum(space.qw * con.dissipation_pair(m, fields["stress"], T0))) / m.beta
+    T0 = con.invert(m, m.alpha * state.eps)
+    rate = float(np.sum(space.qw * con.dissipation_pair(m, state.stress, T0))) / m.beta
     assert led.dissipation_rate == pytest.approx(rate, rel=1e-12)
     assert led.dissipation_rate > 0.0
 
@@ -103,7 +102,7 @@ def test_ledger_external_power():
     scen = sc.Scenario(name="f", dim=1, domain=((0.0, 1.0),), model=m,
                        lift=ramp_lift(0.0, 0.5), forcing=forcing, t_end=1.0)
     space = interval_space(8)
-    led = dg.energy_snapshot(rest_state(space), space, scen)
+    led = dg.energy_snapshot(rest_state(scen, space), space, scen)
     # int 2 * 0.5 x dx = 0.5
     assert led.external_power == pytest.approx(0.5, abs=1e-12)
 
@@ -113,7 +112,7 @@ def test_elastic_sentinel_beyond_limit():
     scen = sc.Scenario(name="b", dim=1, domain=((0.0, 1.0),), model=m,
                        lift=ramp_lift(1.2, 0.0), t_end=1.0)
     space = interval_space(4)
-    led = dg.energy_snapshot(rest_state(space), space, scen)
+    led = dg.energy_snapshot(rest_state(scen, space), space, scen)
     assert led.elastic == np.inf
     assert np.isnan(led.dissipation_rate)
     # suspended rows are ignored by the balance residual
@@ -240,7 +239,8 @@ def test_refinement_study_h_order_2():
 def test_refinement_study_dt_order_2():
     scen = sc.build_scenario("standing-wave", 1, (0.0, 1.0), proto_model(reg_n=16), 0.2)
     cfg = dy.SolverConfig(dt=1e-3, t_end=0.2)
-    rep = dg.refinement_study(scen, "dt", [8e-3, 4e-3, 2e-3], cfg, cells=64)
+    rep = dg.refinement_study(scen, "dt", [8e-3, 4e-3, 2e-3], cfg,
+                              space=interval_space(64))
     assert 1.8 <= rep.fitted_order <= 2.2
 
 
@@ -315,7 +315,7 @@ def _spy_batch(monkeypatch):
 
     def spy(members, space, config, observers=(), V0=None):
         hist = [[] for _ in range(len(members))]
-        obs = [tuple(own) + ((lambda s, f, h=h: h.append((s.U, s.V))),)
+        obs = [tuple(own) + ((lambda s, h=h: h.append((s.U, s.V))),)
                for own, h in zip(observers or [()] * len(members), hist)]
         seen.update(members=members, V0=V0, hist=hist)
         return real(members, space, config, observers=obs, V0=V0)
@@ -336,7 +336,7 @@ def test_study_members_match_their_own_runs(monkeypatch, study, scheme, dim):
     for i, member in enumerate(members.scenarios):
         alone = []
         real(member, space, cfg, V0=None if seen["V0"] is None else seen["V0"][i],
-             observers=(lambda s, f: alone.append((s.U, s.V)),))
+             observers=(lambda s: alone.append((s.U, s.V)),))
         batch = seen["hist"][i]
         assert len(batch) == len(alone) == 31
         assert all(np.array_equal(U, Ua) and np.array_equal(V, Va)

@@ -98,6 +98,11 @@ def test_range_errors_carry_key_and_line():
     for levels in ("0.004 0.0 0.001", "0.004 -0.002 0.001"):
         with pytest.raises(dr.RangeError, match=r"'levels' at line 12: entries must be > 0"):
             dr.parse_config(base_cfg(f"study = refinement-dt\nlevels = {levels}\n"))
+    # refinement levels are cell counts: fractions are not truncated
+    for levels in ("4.7 8.2 16.9", "8 16 32.5", "0 8 16", "-4 8 16"):
+        with pytest.raises(dr.RangeError,
+                           match=r"'levels' at line 12: entries must be integers >= 1"):
+            dr.parse_config(base_cfg(f"study = refinement\nlevels = {levels}\n"))
 
 
 def test_domain_length_must_match_dim():
@@ -304,6 +309,39 @@ def test_step_count_at_the_bound_parses():
     assert cfg.values["t_end"] / (min(cfg.values["levels"]) / 4) <= dr.MAX_STEPS
 
 
+TWO_D = ("dim = 2\ndomain = 0.0 1.0 0.0 1.0\ncells_x = {nx}\ncells_y = {ny}\n"
+         "model = prototype\nbeta = 0.1\nreg_n = 16\ndt = 0.01\nt_end = 0.02\n"
+         "scenario = gaussian-pluck\n")
+
+
+@pytest.mark.parametrize("text,keys", [
+    (base_cfg().replace("cells = 32", "cells = 10000000000000"), "key 'cells' at line 3"),
+    (TWO_D.format(nx=2048, ny=1024), "keys 'cells_x' at line 3 and 'cells_y' at line 4"),
+    (base_cfg("study = refinement\nlevels = 64 128 1048577\n"), "key 'levels' at line 12"),
+    (TWO_D.format(nx=8, ny=8) + "study = refinement\nlevels = 256 512 1025\n",
+     "key 'levels' at line 12"),
+    (TWO_D.format(nx=8, ny=8) + "study = refinement\nlevels = 8 16 1e300\n",
+     "key 'levels' at line 12"),
+], ids=["1d-1e13", "2d-product", "1d-level", "2d-level", "2d-level-1e300"])
+def test_cell_count_bound_exits_1(tmp_path, capsys, text, keys):
+    # a mesh too large to build is refused before any mesh is built
+    text += f"out_dir = {tmp_path / 'o'}\n"
+    with pytest.raises(dr.RangeError, match=rf"{keys}: .*maximum of {dr.MAX_CELLS}"):
+        dr.parse_config(text)
+    assert run_main(tmp_path, text, "sweep" if "study" in text else "run") == 1
+    out, err = capsys.readouterr()
+    assert keys in out and err == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_cell_count_at_the_bound_parses():
+    assert dr.MAX_CELLS == 2 ** 20
+    dr.parse_config(base_cfg().replace("cells = 32", f"cells = {dr.MAX_CELLS}"))
+    dr.parse_config(TWO_D.format(nx=1024, ny=1024))
+    dr.parse_config(base_cfg(f"study = refinement\nlevels = 64 128 {dr.MAX_CELLS}\n"))
+    dr.parse_config(TWO_D.format(nx=8, ny=8) + "study = refinement\nlevels = 256 512 1024\n")
+
+
 @pytest.mark.parametrize("domain", ["0.0 1e300", "0.0 1e-300"], ids=["huge", "tiny"])
 def test_huge_domain_pluck_exits_1(tmp_path, capsys, domain):
     # the unit bump's strain underflows to 0 on a 1e300-wide domain, and its
@@ -478,6 +516,27 @@ def test_cmd_sweep_refinement_dt(tmp_path):
     assert run_main(tmp_path, text, "sweep") == 0
     _, rows = read_csv(out / "report.csv")
     assert len(rows) == 3 and float(rows[2][2]) > 1.0
+
+
+def test_cmd_sweep_refinement_dt_2d_steps_on_the_configured_mesh(tmp_path, capsys,
+                                                                 monkeypatch):
+    # a 4 x 12 config steps every level on its own 4 x 12 mesh (96 triangles)
+    elems = []
+    real = dg.dyn.run
+
+    def spy(scenario, space, config, **kw):
+        elems.append(space.mesh.n_elems)
+        return real(scenario, space, config, **kw)
+
+    monkeypatch.setattr(dg.dyn, "run", spy)
+    out = tmp_path / "s"
+    text = TWO_D.format(nx=4, ny=12) + (f"out_dir = {out}\nstudy = refinement-dt\n"
+                                        "levels = 0.01 0.005 0.0025\n")
+    assert run_main(tmp_path, text, "sweep") == 0
+    assert elems == [96] * 4
+    assert "elements = 96" in capsys.readouterr().out
+    _, rows = read_csv(out / "report.csv")
+    assert len(rows) == 3
 
 
 def test_cmd_sweep_stability(tmp_path):

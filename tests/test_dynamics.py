@@ -41,23 +41,24 @@ def test_single_cell_hand_ode():
     m = linear_model(alpha=1.3, beta=0.4)
     space = interval_space(2)
     scen = zero_scenario(m)
-    dV, fields = dy._accel(scen, space, 0.0, np.array([0.2]), np.array([-0.1]), None)
+    state = dy.evaluate_fields(scen, space, 0.0, np.array([0.2]), np.array([-0.1]))
+    dV = dy._accel(scen, space, state)
     assert abs(dV[0] - (-12.0 * (1.3 * 0.2 + 0.4 * (-0.1)))) < 1e-12
-    assert fields["stress"].shape == (space.n_qp, space.m)
+    assert state.stress.shape == (space.n_qp, space.m)
 
 
 def test_rest_state_is_stationary():
     m = proto_model()
     space = interval_space(8)
     scen = zero_scenario(m)
-    state = dy.State(0.0, np.zeros(space.ndof), np.zeros(space.ndof), None)
-    dV, _ = dy._accel(scen, space, 0.0, state.U, state.V, None)
+    state = dy.evaluate_fields(scen, space, 0.0, np.zeros(space.ndof), np.zeros(space.ndof))
+    dV = dy._accel(scen, space, state)
     assert np.max(np.abs(dV)) < 1e-13
 
-    s1, _ = dy.step_rk4(scen, space, state, 1e-2)
+    s1 = dy.step_rk4(scen, space, state, 1e-2)
     assert np.max(np.abs(s1.U)) < 1e-14 and np.max(np.abs(s1.V)) < 1e-14
     assert s1.t == pytest.approx(1e-2)
-    s2, _ = dy.step_midpoint(scen, space, state, 1e-2)
+    s2 = dy.step_midpoint(scen, space, state, 1e-2)
     assert np.max(np.abs(s2.U)) < 1e-14 and np.max(np.abs(s2.V)) < 1e-14
 
 
@@ -74,7 +75,7 @@ def test_linear_rhs_matches_hand_assembled_operator():
     rng = np.random.default_rng(7)
     U = rng.standard_normal(n)
     V = rng.standard_normal(n)
-    dV, _ = dy._accel(scen, space, 0.0, U, V, None)
+    dV = dy._accel(scen, space, dy.evaluate_fields(scen, space, 0.0, U, V))
     want = np.linalg.solve(space.mass.toarray(), -K @ (m.alpha * U + m.beta * V))
     assert np.max(np.abs(dV - want)) < 1e-10
 
@@ -143,7 +144,7 @@ def test_members_differ_only_in_reg_n():
     with pytest.raises(ValueError, match="shape"):
         dy.run(members, space, cfg, V0=np.zeros(space.ndof))
     finals = dy.run(members, space, cfg)
-    assert len(finals) == 2 and finals[0][0].U.shape == (space.ndof,)
+    assert len(finals) == 2 and finals[0].U.shape == (space.ndof,)
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +159,15 @@ def test_rk4_self_convergence_order_4():
     finals = []
     for dt in dts:
         cfg = dy.SolverConfig(dt=dt, t_end=0.1, scheme="rk4")
-        finals.append(dy.run(scen, space, cfg)[0].U)
+        finals.append(dy.run(scen, space, cfg).U)
     order = self_convergence_order(dts, finals, space)
     assert 3.7 <= order <= 4.3
 
 
 @pytest.mark.parametrize("steps", [1, 5])
 def test_rk4_run_inverts_once_per_stage(monkeypatch, steps):
-    # stage 1 of each step reuses the fields that closed the previous one:
-    # one inversion at t = 0, then stages 2-4 and the closing fields
+    # stage 1 of each step is the State that closed the previous one:
+    # one inversion at t = 0, then stages 2-4 and the closing State
     scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.05)
     space = interval_space(8)
     calls = []
@@ -184,10 +185,11 @@ def test_rk4_run_inverts_once_per_stage(monkeypatch, steps):
 def test_rk4_stage_reuse_matches_fresh_stage():
     scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.05)
     space = interval_space(16)
-    state, fields = dy.run(scen, space, dy.SolverConfig(dt=1e-3, t_end=0.02, scheme="rk4"))
-    fresh = dy.State(0.0, np.zeros(space.ndof), np.zeros(space.ndof), None)
+    state = dy.run(scen, space, dy.SolverConfig(dt=1e-3, t_end=0.02, scheme="rk4"))
+    fresh = dy.evaluate_fields(scen, space, 0.0, np.zeros(space.ndof), np.zeros(space.ndof))
     for _ in range(20):
-        fresh, _ = dy.step_rk4(scen, space, fresh, 1e-3)
+        fresh = dy.evaluate_fields(scen, space, fresh.t, fresh.U, fresh.V, fresh.stress)
+        fresh = dy.step_rk4(scen, space, fresh, 1e-3)
     assert fresh.t == pytest.approx(state.t, abs=1e-15)
     scale = 1.0 + np.max(np.abs(fresh.V))
     assert np.max(np.abs(state.U - fresh.U)) <= 1e-14 * scale
@@ -201,7 +203,7 @@ def test_midpoint_self_convergence_order_2():
     finals = []
     for dt in dts:
         cfg = dy.SolverConfig(dt=dt, t_end=0.1, scheme="midpoint")
-        finals.append(dy.run(scen, space, cfg)[0].U)
+        finals.append(dy.run(scen, space, cfg).U)
     order = self_convergence_order(dts, finals, space)
     assert 1.8 <= order <= 2.2
 
@@ -209,8 +211,8 @@ def test_midpoint_self_convergence_order_2():
 def test_midpoint_agrees_with_rk4():
     scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.05)
     space = interval_space(32)
-    mid, _ = dy.run(scen, space, dy.SolverConfig(dt=1e-3, t_end=0.05))
-    rk, _ = dy.run(scen, space, dy.SolverConfig(dt=2e-4, t_end=0.05, scheme="rk4"))
+    mid = dy.run(scen, space, dy.SolverConfig(dt=1e-3, t_end=0.05))
+    rk = dy.run(scen, space, dy.SolverConfig(dt=2e-4, t_end=0.05, scheme="rk4"))
     d = space.l2_norm_qp(space.value_at_qp(mid.U - rk.U))
     assert d < 1e-6
 
@@ -232,7 +234,7 @@ def test_midpoint_near_conservation_linear():
 
     energies = []
     dy.run(scen, space, cfg, V0=V0,
-           observers=(lambda s, f: energies.append(energy(s.U, s.V)),))
+           observers=(lambda s: energies.append(energy(s.U, s.V)),))
     assert len(energies) == 1001
     e0 = energies[0]
     drift = max(abs(e - e0) for e in energies)
@@ -242,10 +244,9 @@ def test_midpoint_near_conservation_linear():
 def test_midpoint_stress_cache_satisfies_relation():
     scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.05)
     space = interval_space(16)
-    state = dy.State(0.0, np.zeros(space.ndof), np.zeros(space.ndof), None)
-    state.stress = dy.evaluate_fields(scen, space, 0.0, state.U, state.V)["stress"]
-    nxt, fields = dy.step_midpoint(scen, space, state, 1e-3)
-    gap = con.g_apply(scen.model, nxt.stress) - fields["E"]
+    state = dy.evaluate_fields(scen, space, 0.0, np.zeros(space.ndof), np.zeros(space.ndof))
+    nxt = dy.step_midpoint(scen, space, state, 1e-3)
+    gap = con.g_apply(scen.model, nxt.stress) - nxt.E
     assert float(np.max(st.norm(gap))) < 1e-10
 
 
@@ -254,7 +255,7 @@ def test_midpoint_no_convergence_error(monkeypatch):
     monkeypatch.setattr(dy, "NEWTON_MAX", 3)
     scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.05)
     space = interval_space(16)
-    state = dy.State(0.0, np.zeros(space.ndof), np.zeros(space.ndof), None)
+    state = dy.evaluate_fields(scen, space, 0.0, np.zeros(space.ndof), np.zeros(space.ndof))
     with pytest.raises(dy.MidpointNoConvergence) as err:
         dy.step_midpoint(scen, space, state, 1e-2)
     assert len(err.value.trace) == 3
@@ -326,10 +327,9 @@ def test_midpoint_jacobian_pattern_built_once(monkeypatch):
 def _carry_free_run(scen, space, cfg):
     """run's loop written with direct step_midpoint calls: every step
     factors afresh and starts Newton from Vm = V."""
-    state = dy.State(0.0, np.zeros(space.ndof), np.zeros(space.ndof), None)
-    state.stress = dy.evaluate_fields(scen, space, 0.0, state.U, state.V)["stress"]
+    state = dy.evaluate_fields(scen, space, 0.0, np.zeros(space.ndof), np.zeros(space.ndof))
     while state.t < cfg.t_end - 1e-12 * max(1.0, cfg.t_end):
-        state, _ = dy.step_midpoint(scen, space, state, min(cfg.dt, cfg.t_end - state.t))
+        state = dy.step_midpoint(scen, space, state, min(cfg.dt, cfg.t_end - state.t))
     return state
 
 
@@ -339,7 +339,7 @@ def test_run_carry_matches_carry_free_steps(dim):
     scen = sc.build_scenario("gaussian-pluck", dim, dom, proto_model(), 0.03)
     space = fe.FESpace(fe.box_mesh(dom, (64,) if dim == 1 else (16, 16)))
     cfg = dy.SolverConfig(dt=1e-3, t_end=0.03)
-    state, _ = dy.run(scen, space, cfg)
+    state = dy.run(scen, space, cfg)
     ref_state = _carry_free_run(scen, space, cfg)
     assert state.t == ref_state.t
     for got, want in ((state.U, ref_state.U), (state.V, ref_state.V)):
@@ -381,7 +381,7 @@ def test_run_reuses_the_midpoint_factor(monkeypatch):
 def test_run_refactors_for_a_shorter_last_step(monkeypatch):
     scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.05)
     made = _count_assemblies(monkeypatch)
-    state, _ = dy.run(scen, interval_space(64), dy.SolverConfig(dt=1e-3, t_end=0.0105))
+    state = dy.run(scen, interval_space(64), dy.SolverConfig(dt=1e-3, t_end=0.0105))
     assert state.t == pytest.approx(0.0105, abs=1e-12)
     assert made[0] == (1e-3, 1)
     # the shorter step's first iteration already solves with a new factor
@@ -394,10 +394,9 @@ def test_run_refactors_for_a_shorter_last_step(monkeypatch):
 
 
 def _recorded_run(scen, space, cfg, **kw):
-    """Observer records (state, fields) of one run, and run's return value."""
+    """Observer records the states of one run, and run's return value."""
     seen = []
-    final = dy.run(scen, space, cfg, observers=(lambda s, f: seen.append((s, f)),),
-                   **kw)
+    final = dy.run(scen, space, cfg, observers=(seen.append,), **kw)
     return seen, final
 
 
@@ -405,25 +404,56 @@ def test_run_t_end_zero_single_record():
     scen = zero_scenario(proto_model())
     space = interval_space(8)
     seen, _ = _recorded_run(scen, space, dy.SolverConfig(dt=1e-2, t_end=0.0))
-    assert len(seen) == 1 and seen[0][0].t == 0.0
+    assert len(seen) == 1 and seen[0].t == 0.0
 
 
 @pytest.mark.parametrize("t_end", [0.0, 5e-3], ids=["t_end-0", "five-steps"])
 def test_run_returns_last_observed_state(t_end):
     scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.05)
     space = interval_space(8)
-    seen, (state, fields) = _recorded_run(scen, space,
-                                          dy.SolverConfig(dt=1e-3, t_end=t_end))
-    assert state is seen[-1][0] and fields is seen[-1][1]
+    seen, state = _recorded_run(scen, space, dy.SolverConfig(dt=1e-3, t_end=t_end))
+    assert state is seen[-1]
     assert state.t == pytest.approx(t_end, abs=1e-12)
-    assert state.stress is fields["stress"]
+
+
+def _assert_own_record(scen, space, state):
+    """state is the State evaluate_fields gives at its own (t, U, V)."""
+    want = dy.evaluate_fields(scen, space, state.t, state.U, state.V)
+    assert np.array_equal(state.eps, want.eps) and np.array_equal(state.E, want.E)
+    assert np.max(np.abs(state.stress - want.stress)) <= 1e-12 * np.max(np.abs(want.stress))
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "midpoint"])
+def test_observed_states_are_their_own_records(scheme):
+    scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.05)
+    space = interval_space(16)
+    seen, final = _recorded_run(scen, space, dy.SolverConfig(dt=1e-3, t_end=0.01,
+                                                             scheme=scheme))
+    assert len(seen) == 11 and final is seen[-1]
+    for state in seen:
+        _assert_own_record(scen, space, state)
+
+
+def test_member_views_are_their_own_records():
+    base = proto_model(reg_n=4)
+    scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), base, 0.05)
+    members = dy.Members([scen, scen.with_model(base.with_reg(64))])
+    space = interval_space(16)
+    seen = [[], []]
+    finals = dy.run(members, space, dy.SolverConfig(dt=1e-3, t_end=0.01),
+                    observers=[(seen[0].append,), (seen[1].append,)])
+    for member, states, final in zip(members.scenarios, seen, finals):
+        assert len(states) == 11 and final is states[-1]
+        for state in states:
+            assert state.U.shape == (space.ndof,)
+            _assert_own_record(member, space, state)
 
 
 def test_run_partial_final_step():
     scen = zero_scenario(proto_model())
     space = interval_space(8)
     seen, _ = _recorded_run(scen, space, dy.SolverConfig(dt=1e-3, t_end=0.0105))
-    ts = [s.t for s, _ in seen]
+    ts = [s.t for s in seen]
     assert len(ts) == 12
     assert ts[-1] == pytest.approx(0.0105, abs=1e-12)
     assert ts[-1] - ts[-2] == pytest.approx(5e-4, abs=1e-12)
@@ -437,7 +467,7 @@ def test_run_deterministic():
     r2, _ = _recorded_run(scen, space, cfg)
     assert len(r1) == len(r2)
     assert all(np.array_equal(a.U, b.U) and np.array_equal(a.V, b.V)
-               for (a, _), (b, _) in zip(r1, r2))
+               for a, b in zip(r1, r2))
 
 
 def test_run_observer_sees_every_state():
@@ -445,7 +475,7 @@ def test_run_observer_sees_every_state():
     space = interval_space(8)
     seen = []
     dy.run(scen, space, dy.SolverConfig(dt=1e-3, t_end=5e-3),
-           observers=(lambda s, f: seen.append((s.t, f["stress"].shape)),))
+           observers=(lambda s: seen.append((s.t, s.stress.shape)),))
     assert len(seen) == 6
     assert seen[0][0] == 0.0
     assert all(shape == (space.n_qp, space.m) for _, shape in seen)
@@ -459,9 +489,9 @@ def test_run_strain_bound_with_slack():
     cfg = dy.SolverConfig(dt=2e-3, t_end=0.2)
     bound_ok = []
 
-    def check(state, fields):
-        emax = float(np.max(st.norm(fields["E"])))
-        tmax = float(np.max(st.norm(fields["stress"])))
+    def check(state):
+        emax = float(np.max(st.norm(state.E)))
+        tmax = float(np.max(st.norm(state.stress)))
         bound_ok.append(emax <= 1.0 + tmax / 64 + 1e-10)
 
     dy.run(scen, space, cfg, observers=(check,))
