@@ -89,7 +89,8 @@ def fit_order(axis, values):
 
 
 def energy_snapshot(state, space, scenario):
-    """EnergyLedger at one State, from the strain and stress it carries."""
+    """EnergyLedger at one State, from the strain, stress and forcing it
+    carries."""
     m = scenario.model
     qp, qw = space.qp, space.qw
     v_full = space.value_at_qp(state.V) + scenario.lift.dt_value(state.t, qp)
@@ -112,11 +113,10 @@ def energy_snapshot(state, space, scenario):
             m, e, radius=st.norm(T0)))) / m.alpha
         rate = float(np.sum(qw * con.dissipation_pair(m, T, T0))) / m.beta
 
-    if scenario.forcing is None:
+    if state.forcing is None:
         power = 0.0
     else:
-        fval = scenario.forcing.value(state.t, qp)
-        power = float(np.sum(qw * st.dot(fval, v_full)))
+        power = float(np.sum(qw * st.dot(state.forcing, v_full)))
     return EnergyLedger(t=float(state.t), kinetic=kinetic, elastic=elastic,
                         dissipation_rate=rate, external_power=power)
 

@@ -333,43 +333,44 @@ def _prepare(cfg):
     """Build space and scenario, enforcing the safety margin and finite
     elastic energy of the initial data.
 
-    Returns (space, scenario, ledger, None) on success, where ledger is
-    the energy record of the initial state (None when evaluating it
-    failed; the run then fails the same way at t=0 and reports it), or
-    (None, None, None, exit_code) after printing the validation failure.
+    Returns (space, scenario, start, ledger, None) on success, where
+    start is the State at t=0 and ledger its energy record (both None
+    when evaluating them failed; the run then fails the same way at t=0
+    and reports it), or (None, None, None, None, exit_code) after
+    printing the validation failure.
     """
     try:
         space = cfg.build_space()
         scenario = cfg.build_scenario()
     except ValueError as exc:
         print(f"invalid configuration: {exc}")
-        return None, None, None, 1
+        return None, None, None, None, 1
     with np.errstate(over="ignore", invalid="ignore"):
         margin = sc.safety_margin(scenario, space)
         if not margin > 0.0:
             print(f"safety strain condition violated: margin = {margin:.6g} "
                   f"(strain expression of the data reaches the response limit)")
-            return None, None, None, 1
+            return None, None, None, None, 1
         zero = np.zeros(space.ndof)
         try:
-            ledger = dg.energy_snapshot(dy.evaluate_fields(scenario, space, 0.0, zero, zero),
-                                        space, scenario)
+            start = dy.evaluate_fields(scenario, space, 0.0, zero, zero)
+            ledger = dg.energy_snapshot(start, space, scenario)
         except RUNTIME_ERRORS:
-            return space, scenario, None, None
+            return space, scenario, None, None, None
     if not np.isfinite(ledger.elastic):
         print(f"invalid configuration: initial data have elastic energy "
               f"{ledger.elastic:.6g}; a finite one is required")
-        return None, None, None, 1
-    return space, scenario, ledger, None
+        return None, None, None, None, 1
+    return space, scenario, start, ledger, None
 
 
 def cmd_run(cfg):
-    space, scenario, ledger, code = _prepare(cfg)
+    space, scenario, start, ledger, code = _prepare(cfg)
     if code is not None:
         return code
     out = cfg.values["out_dir"]
     os.makedirs(out, exist_ok=True)
-    # the t=0 record is the one _prepare computed from the same cold state
+    # the t=0 State and its record are the ones _prepare evaluated
     energy = dg.EnergyRecorder(scenario, space, ledger)
     monitor = dg.StrainRecorder(scenario, space)
     snaps = []
@@ -380,7 +381,7 @@ def cmd_run(cfg):
 
     try:
         final = dy.run(scenario, space, cfg.solver_config(),
-                       observers=(energy, monitor, keep))
+                       observers=(energy, monitor, keep), start=start)
     except RUNTIME_ERRORS as exc:
         print(f"run failed: {exc}")
         return 2
@@ -409,7 +410,7 @@ def cmd_sweep(cfg):
     if cfg.values[key] is None:
         print(f"invalid configuration: {key!r} is required for the {study} study")
         return 1
-    space, scenario, _, code = _prepare(cfg)
+    space, scenario, _, _, code = _prepare(cfg)
     if code is not None:
         return code
     out = cfg.values["out_dir"]

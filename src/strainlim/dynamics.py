@@ -16,6 +16,7 @@ every array.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,9 @@ NEWTON_MAX = 50
 # a Newton update larger than NEWTON_RHO times the previous one refreshes
 # the frozen Jacobian factor
 NEWTON_RHO = 0.1
+# steps whose forcing run evaluates in one call, at two times per step; the
+# exact-stress inversion then holds 2 * FORCING_BLOCK * n_qp points at once
+FORCING_BLOCK = 4
 
 
 class NonFiniteStrainError(RuntimeError):
@@ -53,7 +57,8 @@ class State:
     """One configuration of the discrete system: time, interior
     coefficients, and at every quadrature point the strain eps, the strain
     expression E = alpha*eps + beta*dt_eps and the stress that solves the
-    constitutive relation G(stress) = E to the inversion tolerance.
+    constitutive relation G(stress) = E to the inversion tolerance, and the
+    forcing there at t (None without a forcing).
 
     evaluate_fields builds one from (t, U, V); the steppers return one.
     """
@@ -64,6 +69,7 @@ class State:
     eps: np.ndarray
     E: np.ndarray
     stress: np.ndarray
+    forcing: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -83,13 +89,16 @@ class SolverConfig:
 
 class _Stacked:
     """The members' own analytic fields, called together: every value
-    comes back with a leading member axis."""
+    comes back with a leading member axis.  A field object that several
+    members share is called once, and its value serves them all."""
 
     def __init__(self, fields):
         self.fields = tuple(fields)
+        self._distinct = {id(f): f for f in self.fields}
 
     def _stack(self, name, t, X):
-        return np.stack([getattr(f, name)(t, X) for f in self.fields])
+        vals = {i: getattr(f, name)(t, X) for i, f in self._distinct.items()}
+        return np.stack([vals[id(f)] for f in self.fields])
 
     def value(self, t, X):
         return self._stack("value", t, X)
@@ -141,17 +150,47 @@ class Members:
         return len(self.scenarios)
 
 
-def evaluate_fields(scenario, space, t, U, V, warm=None):
-    """The State at (t, U, V): its strain, strain expression and stress at
-    the quadrature points (per member when scenario is Members).  warm is
-    a stress to start the inversion from."""
+def evaluate_fields(scenario, space, t, U, V, warm=None, forcing=None):
+    """The State at (t, U, V): its strain, strain expression, stress and
+    forcing at the quadrature points (per member when scenario is
+    Members).  warm is a stress to start the inversion from; forcing is
+    the forcing at t from run's block, evaluated here when not given."""
     m = scenario.model
     qp = space.qp
     eps = space.strain_at_qp(U) + scenario.lift.strain(t, qp)
     deps = space.strain_at_qp(V) + scenario.lift.dt_strain(t, qp)
     E = m.alpha * eps + m.beta * deps
     T = _invert_at(scenario, E, warm, space, "t", t)
-    return State(t, U, V, eps, E, T)
+    if forcing is None:
+        forcing = _forcing_at(scenario, space, [t])[0]
+    return State(t, U, V, eps, E, T, forcing)
+
+
+def _step_times(t, dt):
+    """The half-step and end times of a step of dt from t: the midpoint
+    and RK4 stage times, and the times of run's forcing block."""
+    return t + 0.5 * dt, t + dt
+
+
+def _steps(t, dt, t_end):
+    """(start, length) of every step from t to t_end: dt, the last one
+    shortened to end at t_end."""
+    tiny = 1e-12 * max(1.0, t_end)
+    while t < t_end - tiny:
+        dtk = min(dt, t_end - t)
+        yield t, dtk
+        t = _step_times(t, dtk)[1]
+
+
+def _forcing_at(scenario, space, ts):
+    """The forcing at the quadrature points at every time of ts, from one
+    call on the points stacked over the times: per time an (n_qp, dim)
+    array (per member for Members), or None without a forcing."""
+    if scenario.forcing is None:
+        return [None] * len(ts)
+    nq = space.n_qp
+    f = scenario.forcing.value(np.repeat(ts, nq), np.tile(space.qp, (len(ts), 1)))
+    return np.moveaxis(f.reshape(f.shape[:-2] + (len(ts), nq, f.shape[-1])), -3, 0)
 
 
 def _invert_at(scenario, E, warm, space, stage, t, members=None):
@@ -205,11 +244,12 @@ def _for_member(exc, member):
     return exc
 
 
-def _loads(scenario, space, t):
-    """Forcing load minus lift inertia load at time t (may be scalar 0)."""
+def _loads(scenario, space, t, forcing):
+    """Load of the forcing values at the quadrature points (None without a
+    forcing) minus the lift inertia load at time t (may be scalar 0)."""
     load = 0.0
-    if scenario.forcing is not None:
-        load = space.load_from_values(scenario.forcing.value(t, space.qp))
+    if forcing is not None:
+        load = space.load_from_values(forcing)
     # a lift that never accelerates here (a static lift started at rest)
     # is not evaluated at all
     if scenario.lift.accelerates(space.qp):
@@ -221,31 +261,37 @@ def _loads(scenario, space, t):
 
 def _accel(scenario, space, state):
     """Acceleration at one State."""
-    resid = _loads(scenario, space, state.t) - space.load_from_stress(state.stress)
+    resid = _loads(scenario, space, state.t, state.forcing) \
+        - space.load_from_stress(state.stress)
     return space.mass_solve(resid)
 
 
-def step_rk4(scenario, space, state, dt):
+def step_rk4(scenario, space, state, dt, forcing):
     """Classical four-stage explicit update.
 
-    Stage 1 is state itself, with the stress it carries; stages 2-4 and
-    the returned State each invert once, warm-started from the stress of
-    the stage before (the returned State from stage 3's, as stage 4).
-    With Members every operation acts on all members at once.
+    Stage 1 is state itself, with the stress and forcing it carries;
+    stages 2-4 and the returned State each invert once, warm-started from
+    the stress of the stage before (the returned State from stage 3's, as
+    stage 4).  forcing is the pair of the forcing at the half-step and
+    end times (_step_times), or of Nones without a forcing.  With Members
+    every operation acts on all members at once.
     """
     t, U, V = state.t, state.U, state.V
+    t_half, t_next = _step_times(t, dt)
+    f_half, f_next = forcing
     a1 = _accel(scenario, space, state)
-    s2 = evaluate_fields(scenario, space, t + 0.5 * dt, U + 0.5 * dt * V,
-                         V + 0.5 * dt * a1, state.stress)
+    s2 = evaluate_fields(scenario, space, t_half, U + 0.5 * dt * V,
+                         V + 0.5 * dt * a1, state.stress, f_half)
     a2 = _accel(scenario, space, s2)
-    s3 = evaluate_fields(scenario, space, t + 0.5 * dt, U + 0.5 * dt * s2.V,
-                         V + 0.5 * dt * a2, s2.stress)
+    s3 = evaluate_fields(scenario, space, t_half, U + 0.5 * dt * s2.V,
+                         V + 0.5 * dt * a2, s2.stress, f_half)
     a3 = _accel(scenario, space, s3)
-    s4 = evaluate_fields(scenario, space, t + dt, U + dt * s3.V, V + dt * a3, s3.stress)
+    s4 = evaluate_fields(scenario, space, t_next, U + dt * s3.V, V + dt * a3, s3.stress,
+                         f_next)
     a4 = _accel(scenario, space, s4)
     Un = U + (dt / 6.0) * (V + 2.0 * s2.V + 2.0 * s3.V + s4.V)
     Vn = V + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-    return evaluate_fields(scenario, space, t + dt, Un, Vn, s3.stress)
+    return evaluate_fields(scenario, space, t_next, Un, Vn, s3.stress, f_next)
 
 
 # contraction order of B_e^T A_e B_e: (B_e^T A_e) first, then B_e; a fixed
@@ -295,7 +341,7 @@ class _NewtonCarry:
         return V.copy()
 
 
-def step_midpoint(scenario, space, state, dt, carry=None):
+def step_midpoint(scenario, space, state, dt, forcing, carry=None):
     """Implicit midpoint update solved for the midpoint velocity.
 
     With Vm the midpoint velocity, Um = U + (dt/2) Vm and the update
@@ -303,6 +349,8 @@ def step_midpoint(scenario, space, state, dt, carry=None):
     M (Vm - V) + (dt/2) [S(t_mid, Um, Vm) - F(t_mid) + M0(t_mid)] = 0
     by modified Newton with a factored Jacobian that is refreshed
     whenever an update exceeds NEWTON_RHO times the previous one.
+    forcing is the pair of the forcing at t_mid and at t + dt
+    (_step_times), or of Nones without a forcing.
 
     carry is run's _NewtonCarry, updated in place: while dt stays the
     same, the first iteration reuses the factor of an earlier step, and
@@ -318,13 +366,14 @@ def step_midpoint(scenario, space, state, dt, carry=None):
     models = scenario.models if isinstance(scenario, Members) else (scenario.model,)
     k = len(models)
     m = scenario.model
-    t_mid = state.t + 0.5 * dt
+    t_mid, t_next = _step_times(state.t, dt)
+    f_mid, f_next = forcing
     qp = space.qp
     ndof, nq, mcomp = space.ndof, space.n_qp, space.m
     U, V = state.U, state.V
     eps_l = scenario.lift.strain(t_mid, qp)
     deps_l = scenario.lift.dt_strain(t_mid, qp)
-    const_load = np.full(U.shape, -0.5 * dt * _loads(scenario, space, t_mid))
+    const_load = np.full(U.shape, -0.5 * dt * _loads(scenario, space, t_mid, f_mid))
     mass = space.mass
     factor = 0.5 * dt * (m.beta + 0.5 * dt * m.alpha)
 
@@ -382,21 +431,23 @@ def step_midpoint(scenario, space, state, dt, carry=None):
         ), i)
 
     carry.past = [V] + carry.past[:1]
-    return evaluate_fields(scenario, space, state.t + dt, U + dt * Vm, 2.0 * Vm - V, warm)
+    return evaluate_fields(scenario, space, t_next, U + dt * Vm, 2.0 * Vm - V, warm, f_next)
 
 
-def run(scenario, space, config, observers=(), V0=None):
+def run(scenario, space, config, observers=(), V0=None, start=None):
     """Integrate from t=0 to t_end; return the final State.
 
     Initial interior coefficients are zero (the lift carries initial and
     boundary data) unless V0 overrides the velocity ones, as the
-    stability study does.  Observers are called as observer(state) at the
+    stability study does; start, an already evaluated State at t=0,
+    replaces both.  Observers are called as observer(state) at the
     initial state and after every step.  Observers are the only per-step
     output: a caller that needs a history records it in one.  An RK4 step
     starts from the State the observers just saw, so they must not modify
     it.  Midpoint steps hand each other a Newton carry (the Jacobian
     factors and the last velocities, see step_midpoint) that lives only
-    as long as this call.
+    as long as this call.  One forcing call serves FORCING_BLOCK steps:
+    each step takes its values at its two _step_times from that block.
 
     scenario may be Members, stepped as one batch; a lone scenario is
     the one-member case of the same loop, without the member axis.  For
@@ -407,27 +458,30 @@ def run(scenario, space, config, observers=(), V0=None):
     members' observers are called in member order.
     """
     batch = isinstance(scenario, Members)
-    shape = (len(scenario), space.ndof) if batch else (space.ndof,)
-    U = np.zeros(shape)
-    V = np.zeros(shape) if V0 is None else np.array(V0, dtype=float)
-    if V.shape != shape:
-        raise ValueError("initial coefficient shape does not match the space")
     if batch and observers and len(observers) != len(scenario):
         raise ValueError("observers need one sequence per member")
+    if start is None:
+        shape = (len(scenario), space.ndof) if batch else (space.ndof,)
+        V = np.zeros(shape) if V0 is None else np.array(V0, dtype=float)
+        if V.shape != shape:
+            raise ValueError("initial coefficient shape does not match the space")
+        start = evaluate_fields(scenario, space, 0.0, np.zeros(shape), V)
     notify = _notify if batch else _notify_lone
     carry = _NewtonCarry(len(scenario) if batch else 1)
-    state = evaluate_fields(scenario, space, 0.0, U, V)
+    state = start
     final = notify(observers, state)
 
-    t_end = config.t_end
-    tiny = 1e-12 * max(1.0, t_end)
-    while state.t < t_end - tiny:
-        dtk = min(config.dt, t_end - state.t)
-        if config.scheme == SCHEME_RK4:
-            state = step_rk4(scenario, space, state, dtk)
-        else:
-            state = step_midpoint(scenario, space, state, dtk, carry)
-        final = notify(observers, state)
+    grid = _steps(state.t, config.dt, config.t_end)
+    while block := list(itertools.islice(grid, FORCING_BLOCK)):
+        forcing = _forcing_at(scenario, space,
+                              [s for t, dt in block for s in _step_times(t, dt)])
+        for j, (_, dt) in enumerate(block):
+            pair = forcing[2 * j:2 * j + 2]
+            if config.scheme == SCHEME_RK4:
+                state = step_rk4(scenario, space, state, dt, pair)
+            else:
+                state = step_midpoint(scenario, space, state, dt, pair, carry)
+            final = notify(observers, state)
     return final
 
 
@@ -443,7 +497,7 @@ def _notify(observers, state):
     views = []
     for i in range(len(state.U)):
         view = State(state.t, state.U[i], state.V[i], state.eps[i], state.E[i],
-                     state.stress[i])
+                     state.stress[i], None if state.forcing is None else state.forcing[i])
         for obs in (observers[i] if observers else ()):
             obs(view)
         views.append(view)

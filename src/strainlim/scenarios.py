@@ -53,6 +53,11 @@ class AnalyticField:
     accelerates(X), when given, is False where dtt_value is known to
     vanish at every point of X for all t; by default a field accelerates
     wherever it declares dtt_value.
+
+    t is a float, or for some fields an (n,) vector of per-point times:
+    product fields (_product_field) and the manufactured forcing take
+    one, so run evaluates a block of forcing times in one call; the
+    lifts of lift_static_bc and lift_timedep_bc take a float only.
     """
 
     def __init__(self, dim, value, grad=None, dt_value=None, dt_grad=None,
@@ -278,7 +283,8 @@ def stress_divergence(model, u_exact, t, X):
 
     d_k T = DG_n(T)^{-1} d_k E with d_k E the packed symmetric part of
     alpha*d_k grad u + beta*d_k dt_grad u, so one inversion gives T and
-    the closed-form tangent inverse at T does the rest.
+    the closed-form tangent inverse at T does the rest.  t may hold one
+    time per point of X, so that one call serves a block of times.
     """
     d = u_exact.dim
     T = exact_stress(model, u_exact, t, X)

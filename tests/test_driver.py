@@ -215,6 +215,40 @@ def test_cmd_run_makes_one_snapshot_per_record(tmp_path, monkeypatch):
     assert made == [float(r[0]) for r in rows]
 
 
+def test_cmd_run_evaluates_the_initial_state_once(tmp_path, monkeypatch):
+    # run starts from the t=0 State that the elastic-energy check evaluated
+    seen = []
+    real = dr.dy.evaluate_fields
+
+    def evaluate(scenario, space, t, *args):
+        seen.append(t)
+        return real(scenario, space, t, *args)
+
+    monkeypatch.setattr(dr.dy, "evaluate_fields", evaluate)
+    assert run_main(tmp_path, base_cfg(f"out_dir = {tmp_path / 'out'}\n"), "run") == 0
+    assert seen.count(0.0) == 1 and len(seen) == 11
+
+
+def test_cmd_run_wave_evaluates_the_forcing_in_blocks(tmp_path, monkeypatch):
+    # the wave1d-mid benchmark run: 600 midpoint steps, each with its
+    # forcing at t_mid and its ledger record at the step's end, take one
+    # forcing call per block of dy.FORCING_BLOCK = 4 steps, plus one at t=0
+    calls = []
+    real = dr.sc.stress_divergence
+
+    def divergence(model, u_exact, t, X):
+        calls.append(np.unique(t))
+        return real(model, u_exact, t, X)
+
+    monkeypatch.setattr(dr.sc, "stress_divergence", divergence)
+    text = base_cfg("cells = 256\nreg_n = 16\ndt = 1e-3\nt_end = 0.6\n"
+                    f"scenario = manufactured:standing-wave\nout_dir = {tmp_path / 'out'}\n",
+                    drop=("cells", "reg_n", "dt", "t_end", "scenario"))
+    assert run_main(tmp_path, text, "run") == 0
+    assert len(calls) <= 151
+    assert sum(len(ts) for ts in calls) == 1 + 2 * 600
+
+
 def test_cmd_run_2d(tmp_path):
     out = tmp_path / "out2"
     text = ("dim = 2\ndomain = 0.0 1.0 0.0 1.0\ncells_x = 6\ncells_y = 6\n"

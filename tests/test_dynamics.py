@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from strainlim import constitutive as con
+from strainlim import diagnostics as dg
 from strainlim import dynamics as dy
 from strainlim import fespace as fe
 from strainlim import scenarios as sc
@@ -12,6 +13,9 @@ from strainlim import symtensor as st
 
 import reference_impl as ref
 from reference_impl import interval_space, proto_model
+
+# the forcing pair a stepper takes for a scenario without a forcing
+NO_FORCING = (None, None)
 
 
 def zero_scenario(model, domain=(0.0, 1.0)):
@@ -55,10 +59,10 @@ def test_rest_state_is_stationary():
     dV = dy._accel(scen, space, state)
     assert np.max(np.abs(dV)) < 1e-13
 
-    s1 = dy.step_rk4(scen, space, state, 1e-2)
+    s1 = dy.step_rk4(scen, space, state, 1e-2, NO_FORCING)
     assert np.max(np.abs(s1.U)) < 1e-14 and np.max(np.abs(s1.V)) < 1e-14
     assert s1.t == pytest.approx(1e-2)
-    s2 = dy.step_midpoint(scen, space, state, 1e-2)
+    s2 = dy.step_midpoint(scen, space, state, 1e-2, NO_FORCING)
     assert np.max(np.abs(s2.U)) < 1e-14 and np.max(np.abs(s2.V)) < 1e-14
 
 
@@ -103,7 +107,7 @@ def test_lift_at_rest_is_never_accelerated():
     real = scen.lift._dtt_value
     scen.lift._dtt_value = lambda t, X: calls.append(t) or real(t, X)
     assert not scen.lift.accelerates(space.qp)
-    assert dy._loads(scen, space, 0.3) == 0.0
+    assert dy._loads(scen, space, 0.3, None) == 0.0
     dy.run(scen, space, dy.SolverConfig(dt=1e-3, t_end=5e-3, scheme="rk4"))
     dy.run(scen, space, dy.SolverConfig(dt=1e-3, t_end=5e-3))
     assert calls == []
@@ -123,7 +127,7 @@ def test_moving_lift_keeps_its_inertia_load():
     assert len(v_calls) == 1                  # kept for the read-only points
     for t in (0.0, 0.3):
         want = 0.0 - space.load_from_values(lift.dtt_value(t, space.qp))
-        assert np.array_equal(dy._loads(scen, space, t), want)
+        assert np.array_equal(dy._loads(scen, space, t, None), want)
 
 
 def test_members_differ_only_in_reg_n():
@@ -189,7 +193,7 @@ def test_rk4_stage_reuse_matches_fresh_stage():
     fresh = dy.evaluate_fields(scen, space, 0.0, np.zeros(space.ndof), np.zeros(space.ndof))
     for _ in range(20):
         fresh = dy.evaluate_fields(scen, space, fresh.t, fresh.U, fresh.V, fresh.stress)
-        fresh = dy.step_rk4(scen, space, fresh, 1e-3)
+        fresh = dy.step_rk4(scen, space, fresh, 1e-3, NO_FORCING)
     assert fresh.t == pytest.approx(state.t, abs=1e-15)
     scale = 1.0 + np.max(np.abs(fresh.V))
     assert np.max(np.abs(state.U - fresh.U)) <= 1e-14 * scale
@@ -245,7 +249,7 @@ def test_midpoint_stress_cache_satisfies_relation():
     scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.05)
     space = interval_space(16)
     state = dy.evaluate_fields(scen, space, 0.0, np.zeros(space.ndof), np.zeros(space.ndof))
-    nxt = dy.step_midpoint(scen, space, state, 1e-3)
+    nxt = dy.step_midpoint(scen, space, state, 1e-3, NO_FORCING)
     gap = con.g_apply(scen.model, nxt.stress) - nxt.E
     assert float(np.max(st.norm(gap))) < 1e-10
 
@@ -257,7 +261,7 @@ def test_midpoint_no_convergence_error(monkeypatch):
     space = interval_space(16)
     state = dy.evaluate_fields(scen, space, 0.0, np.zeros(space.ndof), np.zeros(space.ndof))
     with pytest.raises(dy.MidpointNoConvergence) as err:
-        dy.step_midpoint(scen, space, state, 1e-2)
+        dy.step_midpoint(scen, space, state, 1e-2, NO_FORCING)
     assert len(err.value.trace) == 3
 
 
@@ -329,7 +333,8 @@ def _carry_free_run(scen, space, cfg):
     factors afresh and starts Newton from Vm = V."""
     state = dy.evaluate_fields(scen, space, 0.0, np.zeros(space.ndof), np.zeros(space.ndof))
     while state.t < cfg.t_end - 1e-12 * max(1.0, cfg.t_end):
-        state = dy.step_midpoint(scen, space, state, min(cfg.dt, cfg.t_end - state.t))
+        state = dy.step_midpoint(scen, space, state, min(cfg.dt, cfg.t_end - state.t),
+                                 NO_FORCING)
     return state
 
 
@@ -353,9 +358,9 @@ def _count_assemblies(monkeypatch):
     real_step, real_invert = dy.step_midpoint, dy._invert_at
     real_assemble = dy._assemble_midpoint_jacobian
 
-    def step(scenario, space, state, dt, carry=None):
+    def step(scenario, space, state, dt, forcing, carry=None):
         now[:] = [dt, 0]
-        return real_step(scenario, space, state, dt, carry)
+        return real_step(scenario, space, state, dt, forcing, carry)
 
     def invert(scenario, E, warm, space, stage, t, members=None):
         now[1] += stage.startswith("midpoint")
@@ -524,3 +529,103 @@ def test_solver_config_validation():
         dy.SolverConfig(dt=1e-3, t_end=-1.0)
     with pytest.raises(ValueError):
         dy.SolverConfig(dt=1e-3, t_end=1.0, scheme="euler")
+
+
+# ---------------------------------------------------------------------------
+# the forcing, evaluated in blocks of steps
+
+
+@pytest.mark.parametrize("reg_n", [16, None], ids=["reg16", "unregularized"])
+@pytest.mark.parametrize("name, space", [
+    ("manufactured:standing-wave", interval_space(32)),
+    ("manufactured:standing-wave-2d", fe.FESpace(fe.rectangle_mesh(0.0, 1.0, 0.0, 1.0, 6, 6))),
+], ids=["1d", "2d"])
+def test_block_forcing_equals_per_time_calls(name, space, reg_n):
+    scen = sc.build_scenario(name, space.dim, ((0.0, 1.0),) * space.dim,
+                             proto_model(reg_n=reg_n), 0.6)
+    ts = [s for k in range(dy.FORCING_BLOCK)
+          for s in dy._step_times(0.1 + k * 1e-3, 1e-3)] + [0.0, 0.6]
+    block = dy._forcing_at(scen, space, ts)
+    for t, f in zip(ts, block):
+        assert np.array_equal(f, scen.forcing.value(t, space.qp))
+    if reg_n is not None:
+        # members with their own forcing: each member's rows are its own
+        members = dy.Members([scen, scen.with_model(scen.model.with_reg(64))])
+        for t, f in zip(ts, dy._forcing_at(members, space, ts)):
+            for member, rows in zip(members.scenarios, f):
+                assert np.array_equal(rows, member.forcing.value(t, space.qp))
+
+
+def _forcing_times(monkeypatch):
+    """The times of every stress_divergence call, one array per call."""
+    calls = []
+    real = sc.stress_divergence
+
+    def divergence(model, u_exact, t, X):
+        calls.append(np.broadcast_to(t, len(X)))
+        return real(model, u_exact, t, X)
+
+    monkeypatch.setattr(sc, "stress_divergence", divergence)
+    return calls
+
+
+def _former_forcing_times(dt, t_end):
+    """The distinct times at which run's former per-time loop evaluated
+    the forcing: t=0, then each step's half-step and end time."""
+    t, times = 0.0, {0.0}
+    while t < t_end - 1e-12 * max(1.0, t_end):
+        dtk = min(dt, t_end - t)
+        times |= {t + 0.5 * dtk, t + dtk}
+        t = t + dtk
+    return sorted(times)
+
+
+def test_rk4_evaluates_the_forcing_at_two_times_per_step(monkeypatch):
+    # the four stages share two times (the half step twice, the end
+    # twice), and stage 1 and the ledger read the State's own forcing
+    scen = sc.build_scenario("manufactured:standing-wave", 1, (0.0, 1.0), proto_model(), 0.01)
+    space = interval_space(16)
+    calls = _forcing_times(monkeypatch)
+    energy = dg.EnergyRecorder(scen, space)
+    dy.run(scen, space, dy.SolverConfig(dt=1e-3, t_end=0.01, scheme="rk4"),
+           observers=(energy,))
+    per_call = [np.unique(t) for t in calls]
+    assert len(calls) == 1 + 3                  # t=0, then blocks of 4, 4 and 2 steps
+    assert sum(len(ts) for ts in per_call) == 1 + 2 * 10
+    assert np.concatenate(per_call).tolist() == _former_forcing_times(1e-3, 0.01)
+    assert len(energy.records) == 11
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "midpoint"])
+def test_partial_last_step_keeps_its_forcing_times(monkeypatch, scheme):
+    scen = sc.build_scenario("manufactured:standing-wave", 1, (0.0, 1.0), proto_model(),
+                             0.0105)
+    space = interval_space(8)
+    calls = _forcing_times(monkeypatch)
+    seen, _ = _recorded_run(scen, space, dy.SolverConfig(dt=1e-3, t_end=0.0105, scheme=scheme))
+    times = np.concatenate([np.unique(t) for t in calls]).tolist()
+    assert times == _former_forcing_times(1e-3, 0.0105)
+    assert [s.t for s in seen] == times[::2]    # every record carries its own forcing
+    for state in seen:
+        assert np.array_equal(state.forcing, scen.forcing.value(state.t, space.qp))
+
+
+def test_shared_fields_are_called_once_per_time(monkeypatch):
+    # the stability study steps the base run and its perturbations as
+    # members that share one lift and one forcing object: every call of
+    # theirs serves all members, as many calls as a lone run makes
+    scen = sc.build_scenario("manufactured:standing-wave", 1, (0.0, 1.0), proto_model(), 0.01)
+    space = interval_space(16)
+    cfg = dy.SolverConfig(dt=1e-3, t_end=0.01)
+    calls = []
+    for field, attr in ((scen.forcing, "_value"), (scen.lift, "_strain"),
+                        (scen.lift, "_dt_strain")):
+        real = getattr(field, attr)
+        monkeypatch.setattr(field, attr, lambda t, X, real=real, attr=attr:
+                            calls.append(attr) or real(t, X))
+    dy.run(scen, space, cfg)
+    lone = sorted(calls)
+    calls.clear()
+    dg.stability_study(scen, space, cfg, [1e-3, 1e-2, 1e-1])
+    assert sorted(calls) == lone
+    assert lone.count("_value") == 1 + 3
