@@ -90,35 +90,42 @@ def fit_order(axis, values):
 
 def energy_snapshot(state, space, scenario):
     """EnergyLedger at one State, from the strain, stress and forcing it
-    carries."""
+    carries; for a block of states (see dynamics.State) the list of
+    their records, from one inversion for all of them."""
+    block = dyn.as_block(state)
     m = scenario.model
     qp, qw = space.qp, space.qw
-    v_full = space.value_at_qp(state.V) + scenario.lift.dt_value(state.t, qp)
-    kinetic = 0.5 * space.l2_norm_qp(v_full) ** 2
+    v_full = space.value_at_qp(block.V) \
+        + dyn.stack_rows([scenario.lift.dt_value(t, qp) for t in block.t])
+    kinetic = 0.5 * np.sqrt(np.sum(qw * st.dot(v_full, v_full), axis=-1)) ** 2
 
-    eps = state.eps
-    T = state.stress
+    eps = block.eps
+    T = block.stress
     e = m.alpha * st.norm(eps)
+    # records whose strain is at or beyond the limit have a divergent
+    # conjugate energy, and their balance residual is suspended
+    elastic = np.full(len(block.t), np.inf)
+    rate = np.full(len(block.t), np.nan)
     L = con.limit_L(m)
-    if np.isfinite(L) and float(np.max(e)) >= L:
-        # strain at or beyond the limit: conjugate energy diverges and the
-        # balance residual is suspended for this record
-        elastic = np.inf
-        rate = np.nan
-    else:
+    ok = ~(np.isfinite(L) & (np.max(e, axis=-1) >= L))
+    if not ok.all():
+        eps, T, e = eps[ok], T[ok], e[ok]
+    if len(e):
         T0 = con.invert(m, m.alpha * eps, warm_stress=T)
         # the conjugate is stationary in the radius at h(r) = e, so the
         # radius of T0 serves it without a second solve
-        elastic = float(np.sum(qw * con.effective_conjugate(
-            m, e, radius=st.norm(T0)))) / m.alpha
-        rate = float(np.sum(qw * con.dissipation_pair(m, T, T0))) / m.beta
+        elastic[ok] = np.sum(qw * con.effective_conjugate(
+            m, e, radius=st.norm(T0)), axis=-1) / m.alpha
+        rate[ok] = np.sum(qw * con.dissipation_pair(m, T, T0), axis=-1) / m.beta
 
-    if state.forcing is None:
-        power = 0.0
+    if block.forcing is None:
+        power = np.zeros(len(block.t))
     else:
-        power = float(np.sum(qw * st.dot(state.forcing, v_full)))
-    return EnergyLedger(t=float(state.t), kinetic=kinetic, elastic=elastic,
-                        dissipation_rate=rate, external_power=power)
+        power = np.sum(qw * st.dot(block.forcing, v_full), axis=-1)
+    records = [EnergyLedger(t=float(t), kinetic=float(kinetic[j]), elastic=float(elastic[j]),
+                            dissipation_rate=float(rate[j]), external_power=float(power[j]))
+               for j, t in enumerate(block.t)]
+    return records if block is state else records[0]
 
 
 def _columns(kind, records):
@@ -145,11 +152,14 @@ def ledger_table(records):
 
 
 class EnergyRecorder:
-    """run() observer accumulating EnergyLedger records.
+    """run() observer accumulating EnergyLedger records, one
+    energy_snapshot per block of states (observes_blocks).
 
     first, when given, is the record of the first state observed, already
     computed by the caller; it is taken as is instead of a second snapshot.
     """
+
+    observes_blocks = True
 
     def __init__(self, scenario, space, first=None):
         self.scenario = scenario
@@ -157,11 +167,13 @@ class EnergyRecorder:
         self.records = []
         self._first = first
 
-    def __call__(self, state):
-        record, self._first = self._first, None
-        if record is None:
-            record = energy_snapshot(state, self.space, self.scenario)
-        self.records.append(record)
+    def __call__(self, block):
+        if self._first is not None:
+            # run observes its initial state on its own
+            self.records.append(self._first)
+            self._first = None
+        else:
+            self.records.extend(energy_snapshot(block, self.space, self.scenario))
 
     def table(self):
         return ledger_table(self.records)

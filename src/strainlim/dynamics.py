@@ -9,6 +9,8 @@ implicit midpoint rule, the latter solved by a modified Newton
 iteration whose Jacobian uses the closed-form inverse of the
 constitutive tangent per quadrature point; within a run its factor is
 kept across steps and Newton starts from extrapolated velocities.
+The end-of-step fields of a block of midpoint steps are evaluated in
+one stacked call, and only when an observer reads them.
 Runs that share the space and time grid and differ only in reg_n or
 initial data step together as Members, with a leading member axis on
 every array.
@@ -35,9 +37,9 @@ NEWTON_MAX = 50
 # a Newton update larger than NEWTON_RHO times the previous one refreshes
 # the frozen Jacobian factor
 NEWTON_RHO = 0.1
-# steps whose forcing run evaluates in one call, at two times per step; the
-# exact-stress inversion then holds 2 * FORCING_BLOCK * n_qp points at once
-FORCING_BLOCK = 4
+# quadrature points per stacked call: each of run's blocks holds as many
+# steps (at least one), and each forcing call as many times
+BLOCK_POINTS = 4096
 
 
 class NonFiniteStrainError(RuntimeError):
@@ -61,6 +63,8 @@ class State:
     forcing there at t (None without a forcing).
 
     evaluate_fields builds one from (t, U, V); the steppers return one.
+    A block of states is one State whose t is the list of their times
+    and whose arrays carry a leading row per state.
     """
 
     t: float
@@ -154,16 +158,48 @@ def evaluate_fields(scenario, space, t, U, V, warm=None, forcing=None):
     """The State at (t, U, V): its strain, strain expression, stress and
     forcing at the quadrature points (per member when scenario is
     Members).  warm is a stress to start the inversion from; forcing is
-    the forcing at t from run's block, evaluated here when not given."""
+    the forcing at t from run's block, evaluated here when not given.
+
+    For a list of times t, U, V, warm and forcing hold a leading row per
+    time, and the block of those states comes from one inversion."""
     m = scenario.model
     qp = space.qp
-    eps = space.strain_at_qp(U) + scenario.lift.strain(t, qp)
-    deps = space.strain_at_qp(V) + scenario.lift.dt_strain(t, qp)
+    block = isinstance(t, list)
+    if block:
+        eps_l = stack_rows([scenario.lift.strain(s, qp) for s in t])
+        deps_l = stack_rows([scenario.lift.dt_strain(s, qp) for s in t])
+    else:
+        eps_l, deps_l = scenario.lift.strain(t, qp), scenario.lift.dt_strain(t, qp)
+    eps = space.strain_at_qp(U) + eps_l
+    deps = space.strain_at_qp(V) + deps_l
     E = m.alpha * eps + m.beta * deps
     T = _invert_at(scenario, E, warm, space, "t", t)
-    if forcing is None:
-        forcing = _forcing_at(scenario, space, [t])[0]
+    if forcing is None and scenario.forcing is not None:
+        forcing = _forcing_at(scenario, space, t) if block else \
+            _forcing_at(scenario, space, [t])[0]
     return State(t, U, V, eps, E, T, forcing)
+
+
+def stack_rows(arrays):
+    """The arrays stacked along a new leading axis; a lone one as a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _index(state, t, ix):
+    """The State at time t whose arrays are state's indexed by ix (views)."""
+    return State(t, *(None if a is None else a[ix] for a in (
+        state.U, state.V, state.eps, state.E, state.stress, state.forcing)))
+
+
+def as_block(state):
+    """state as a block (see State): a lone State becomes the block of
+    itself, by views; a block is returned as it is."""
+    return state if isinstance(state.t, list) else _index(state, [state.t], None)
+
+
+def _states(block):
+    """The States of a block, as views of its rows."""
+    return [_index(block, t, j) for j, t in enumerate(block.t)]
 
 
 def _step_times(t, dt):
@@ -182,22 +218,34 @@ def _steps(t, dt, t_end):
         t = _step_times(t, dtk)[1]
 
 
+def _block_steps(space):
+    """Steps per block of run: as many as have BLOCK_POINTS quadrature
+    points, at least one."""
+    return max(1, BLOCK_POINTS // space.n_qp)
+
+
 def _forcing_at(scenario, space, ts):
-    """The forcing at the quadrature points at every time of ts, from one
-    call on the points stacked over the times: per time an (n_qp, dim)
-    array (per member for Members), or None without a forcing."""
+    """The forcing at the quadrature points at every time of ts, stacked
+    (n_qp, dim) arrays (per member for Members), from calls of
+    _block_steps(space) times each; None without a forcing."""
     if scenario.forcing is None:
-        return [None] * len(ts)
+        return None
     nq = space.n_qp
-    f = scenario.forcing.value(np.repeat(ts, nq), np.tile(space.qp, (len(ts), 1)))
-    return np.moveaxis(f.reshape(f.shape[:-2] + (len(ts), nq, f.shape[-1])), -3, 0)
+    per = _block_steps(space)
+    chunks = []
+    for i in range(0, len(ts), per):
+        tc = ts[i:i + per]
+        f = scenario.forcing.value(np.repeat(tc, nq), np.tile(space.qp, (len(tc), 1)))
+        chunks.append(np.moveaxis(f.reshape(f.shape[:-2] + (len(tc), nq, f.shape[-1])), -3, 0))
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def _invert_at(scenario, E, warm, space, stage, t, members=None):
     """Stress at every quadrature point; failures name the stage, its time,
     the worst qp and, in a batch of several, its member.
 
-    members lists the batch members that E holds, in order, when only
+    For a block (t a list of times, see State) it names the time of
+    the row that holds the worst qp.  members lists the batch members that E holds, in order, when only
     some of them are inverted.  A non-finite strain expression (an
     unstable step has blown up) raises NonFiniteStrainError; inversion
     failures keep their type.  The raised error carries the index of
@@ -211,29 +259,31 @@ def _invert_at(scenario, E, warm, space, stage, t, members=None):
     except (con.SupercriticalStrainError, con.NewtonConvergenceError) as exc:
         nrm = st.norm(E)
         k = int(np.argmax(nrm))
-        where, member = _locate(scenario, space, nrm.shape, k, members)
+        where, member = _locate(scenario, space, nrm.shape, k, members, stage, t)
         raise _for_member(type(exc)(
-            f"{exc} [{stage}={t:.6g}, {where}, "
-            f"|strain expression|={float(nrm.flat[k]):.6g}]"), member) from exc
+            f"{exc} [{where}, |strain expression|={float(nrm.flat[k]):.6g}]"),
+            member) from exc
     except ValueError as exc:
         with np.errstate(over="ignore", invalid="ignore"):
             finite = np.isfinite(st.norm(E))
         if np.all(finite):
             raise
         where, member = _locate(scenario, space, finite.shape, int(np.argmin(finite)),
-                                members)
+                                members, stage, t)
         raise _for_member(NonFiniteStrainError(
-            f"non-finite strain expression [{stage}={t:.6g}, {where}]"), member) from exc
+            f"non-finite strain expression [{where}]"), member) from exc
 
 
-def _locate(scenario, space, shape, flat, members):
-    """Text naming the point at index flat of a per-point array of this
-    shape, and the batch member it belongs to."""
+def _locate(scenario, space, shape, flat, members, stage, t):
+    """Text naming the stage time and the point at index flat of a
+    per-point array of this shape, and the batch member it belongs to."""
     *lead, q = np.unravel_index(flat, shape)
+    if isinstance(t, list):
+        t = t[lead.pop(0)]
     member = int(lead[0]) if lead else 0
     if members is not None:
         member = int(members[member])
-    where = f"worst qp #{q} at x={space.qp[q]}"
+    where = f"{stage}={t:.6g}, worst qp #{q} at x={space.qp[q]}"
     if isinstance(scenario, Members) and len(scenario) > 1:
         where += f" of member #{member}"
     return where, member
@@ -322,13 +372,15 @@ def _assemble_midpoint_jacobian(space, mass, factor, model, T):
 
 class _NewtonCarry:
     """What one run's midpoint steps hand on to the next: each member's
-    Jacobian factor, the dt it was built for, and the velocities of the
-    last two states, newest first (per-member rows in a batch)."""
+    Jacobian factor, the dt it was built for, the velocities of the last
+    two states, newest first, and Newton's last midpoint stress (per-member
+    rows in a batch)."""
 
     def __init__(self, k):
         self.lus = [None] * k
         self.dt = None
         self.past = []
+        self.stress = None
 
     def start(self, V):
         """Newton's first midpoint velocity: the quadratic extrapolation of
@@ -349,14 +401,15 @@ def step_midpoint(scenario, space, state, dt, forcing, carry=None):
     M (Vm - V) + (dt/2) [S(t_mid, Um, Vm) - F(t_mid) + M0(t_mid)] = 0
     by modified Newton with a factored Jacobian that is refreshed
     whenever an update exceeds NEWTON_RHO times the previous one.
-    forcing is the pair of the forcing at t_mid and at t + dt
-    (_step_times), or of Nones without a forcing.
+    forcing holds the forcing at t_mid and, for a direct call, at
+    t + dt (_step_times); its values are None without a forcing.
 
     carry is run's _NewtonCarry, updated in place: while dt stays the
     same, the first iteration reuses the factor of an earlier step, and
-    Newton starts from the extrapolated velocities.  Without it the step
-    factors afresh and starts from Vm = V.  The returned State's
-    inversion starts from Newton's last stress.
+    Newton starts from the extrapolated velocities and from the last
+    midpoint stress.  The returned State then holds t, U and V only.
+    Without a carry the step factors afresh, starts from Vm = V and
+    state.stress, and returns the whole next State.
 
     With Members each member keeps its own Newton state: its Jacobian
     factor, its refresh decision and its convergence test.  A member
@@ -367,17 +420,17 @@ def step_midpoint(scenario, space, state, dt, forcing, carry=None):
     k = len(models)
     m = scenario.model
     t_mid, t_next = _step_times(state.t, dt)
-    f_mid, f_next = forcing
     qp = space.qp
     ndof, nq, mcomp = space.ndof, space.n_qp, space.m
     U, V = state.U, state.V
     eps_l = scenario.lift.strain(t_mid, qp)
     deps_l = scenario.lift.dt_strain(t_mid, qp)
-    const_load = np.full(U.shape, -0.5 * dt * _loads(scenario, space, t_mid, f_mid))
+    const_load = np.full(U.shape, -0.5 * dt * _loads(scenario, space, t_mid, forcing[0]))
     mass = space.mass
     factor = 0.5 * dt * (m.beta + 0.5 * dt * m.alpha)
 
-    if carry is None:
+    direct = carry is None
+    if direct:
         carry = _NewtonCarry(k)
     if carry.dt != dt:
         carry.lus = [None] * k
@@ -385,7 +438,7 @@ def step_midpoint(scenario, space, state, dt, forcing, carry=None):
     lus = carry.lus
     Vm = carry.start(V)
     rows = Vm.reshape(k, ndof)             # each member's Vm, a view (a lone one too)
-    warm = state.stress
+    warm = state.stress if carry.stress is None else carry.stress
     traces = [[] for _ in range(k)]
     prev = [np.inf] * k
     active = list(range(k))
@@ -431,7 +484,11 @@ def step_midpoint(scenario, space, state, dt, forcing, carry=None):
         ), i)
 
     carry.past = [V] + carry.past[:1]
-    return evaluate_fields(scenario, space, t_next, U + dt * Vm, 2.0 * Vm - V, warm, f_next)
+    carry.stress = warm
+    U_next, V_next = U + dt * Vm, 2.0 * Vm - V
+    if direct:
+        return evaluate_fields(scenario, space, t_next, U_next, V_next, warm, forcing[1])
+    return State(t_next, U_next, V_next, None, None, None, None)
 
 
 def run(scenario, space, config, observers=(), V0=None, start=None):
@@ -440,22 +497,27 @@ def run(scenario, space, config, observers=(), V0=None, start=None):
     Initial interior coefficients are zero (the lift carries initial and
     boundary data) unless V0 overrides the velocity ones, as the
     stability study does; start, an already evaluated State at t=0,
-    replaces both.  Observers are called as observer(state) at the
-    initial state and after every step.  Observers are the only per-step
-    output: a caller that needs a history records it in one.  An RK4 step
-    starts from the State the observers just saw, so they must not modify
-    it.  Midpoint steps hand each other a Newton carry (the Jacobian
-    factors and the last velocities, see step_midpoint) that lives only
-    as long as this call.  One forcing call serves FORCING_BLOCK steps:
-    each step takes its values at its two _step_times from that block.
+    replaces both.  Observers are the only per-step output: a caller
+    that needs a history records it in one.  They must not modify what
+    they are handed: an RK4 step starts from the State they just saw.
+
+    Steps go in blocks of _block_steps(space), each with its forcing at
+    its steps' _step_times from _forcing_at.  Observers are called in
+    order at the initial state and, once a block's fields exist, at each
+    of its states, or once with the block (see State) if their
+    ``observes_blocks`` attribute is true.  Midpoint steps hand each
+    other a Newton carry (see step_midpoint) that lives only as long as
+    this call.  With observers, the fields of a block of midpoint states
+    come from one evaluate_fields call; without, run skips them and the
+    end-time forcing and evaluates only the final State.
 
     scenario may be Members, stepped as one batch; a lone scenario is
     the one-member case of the same loop, without the member axis.  For
     Members, V0 is (members, ndof), observers holds one sequence of
     observers per member, and the return value is the list of every
     member's final State.  Each observer sees only its member's view (1D
-    U and V, per-qp fields without the member axis); at every record the
-    members' observers are called in member order.
+    U and V, per-qp fields without the member axis); the members'
+    observers are called in member order.
     """
     batch = isinstance(scenario, Members)
     if batch and observers and len(observers) != len(scenario):
@@ -467,38 +529,58 @@ def run(scenario, space, config, observers=(), V0=None, start=None):
             raise ValueError("initial coefficient shape does not match the space")
         start = evaluate_fields(scenario, space, 0.0, np.zeros(shape), V)
     notify = _notify if batch else _notify_lone
+    observed = any(observers) if batch else bool(observers)
+    midpoint = config.scheme == SCHEME_MIDPOINT
+    # forcing times per step: the end time serves RK4 and observed states
+    per = 1 if midpoint and not observed else 2
     carry = _NewtonCarry(len(scenario) if batch else 1)
     state = start
     final = notify(observers, state)
 
     grid = _steps(state.t, config.dt, config.t_end)
-    while block := list(itertools.islice(grid, FORCING_BLOCK)):
+    while block := list(itertools.islice(grid, _block_steps(space))):
         forcing = _forcing_at(scenario, space,
-                              [s for t, dt in block for s in _step_times(t, dt)])
+                              [s for t, dt in block for s in _step_times(t, dt)[:per]])
+        ends, warms = [], []
         for j, (_, dt) in enumerate(block):
-            pair = forcing[2 * j:2 * j + 2]
-            if config.scheme == SCHEME_RK4:
-                state = step_rk4(scenario, space, state, dt, pair)
-            else:
+            pair = (None, None) if forcing is None else forcing[per * j:per * j + per]
+            if midpoint:
                 state = step_midpoint(scenario, space, state, dt, pair, carry)
-            final = notify(observers, state)
+                ends.append(state)
+                warms.append(carry.stress)
+            else:
+                state = step_rk4(scenario, space, state, dt, pair)
+                final = notify(observers, state)
+        if ends and observed:
+            fields = evaluate_fields(
+                scenario, space, [s.t for s in ends], stack_rows([s.U for s in ends]),
+                stack_rows([s.V for s in ends]), stack_rows(warms),
+                None if forcing is None else forcing[1::2])
+            final = notify(observers, fields)
+    if midpoint and not observed and state is not start:
+        final = notify(observers, evaluate_fields(scenario, space, state.t, state.U,
+                                                  state.V, carry.stress))
     return final
 
 
 def _notify_lone(observers, state):
+    """Hand state, one State or a block, to the observers in order; return
+    the last State."""
+    block = as_block(state)
+    states = _states(block)
     for obs in observers:
-        obs(state)
-    return state
+        if getattr(obs, "observes_blocks", False):
+            obs(block)
+        else:
+            for s in states:
+                obs(s)
+    return states[-1]
 
 
 def _notify(observers, state):
     """Hand every member's view of state to its observers, in member
-    order; return the views."""
-    views = []
-    for i in range(len(state.U)):
-        view = State(state.t, state.U[i], state.V[i], state.eps[i], state.E[i],
-                     state.stress[i], None if state.forcing is None else state.forcing[i])
-        for obs in (observers[i] if observers else ()):
-            obs(view)
-        views.append(view)
-    return views
+    order; return the views of the last State."""
+    block = isinstance(state.t, list)
+    return [_notify_lone(observers[i] if observers else (),
+                         _index(state, state.t, (slice(None), i) if block else i))
+            for i in range(state.U.shape[block])]

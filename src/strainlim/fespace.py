@@ -139,8 +139,10 @@ class CouplingPattern:
 
 
 def _apply_rows(A, X):
-    """A @ X for one vector, or A applied to every row of a (k, n) stack;
+    """A @ X for one vector, or A applied to every row of a (..., n) stack;
     the rows come back C-contiguous."""
+    if X.ndim > 2:
+        return _apply_rows(A, X.reshape(-1, X.shape[-1])).reshape(X.shape[:-1] + (-1,))
     return np.ascontiguousarray((A @ X.T).T)
 
 

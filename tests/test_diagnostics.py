@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -105,6 +106,27 @@ def test_ledger_external_power():
     led = dg.energy_snapshot(rest_state(scen, space), space, scen)
     # int 2 * 0.5 x dx = 0.5
     assert led.external_power == pytest.approx(0.5, abs=1e-12)
+
+
+def test_block_snapshot_equals_one_state_snapshots():
+    # a moving lift (eps = 0.8 + t) and a time-dependent forcing, with two
+    # rows beyond the strain limit, whose records are suspended
+    m = proto_model(reg_n=8, beta=0.5)
+    forcing = sc.AnalyticField(1, value=lambda t, X: 2.0 + np.reshape(t, (-1, 1)) * X)
+    scen = sc.Scenario(name="f", dim=1, domain=((0.0, 1.0),), model=m,
+                       lift=ramp_lift(0.8, 1.0), forcing=forcing, t_end=1.0)
+    space = interval_space(8)
+    rng = np.random.default_rng(3)
+    U, V = 1e-3 * rng.standard_normal((2, 4, space.ndof))
+    block = dy.evaluate_fields(scen, space, [0.0, 0.05, 0.3, 0.25], U, V)
+    records = dg.energy_snapshot(block, space, scen)
+    singles = [dg.energy_snapshot(state, space, scen) for state in dy._states(block)]
+    assert [np.isinf(r.elastic) for r in records] == [False, False, True, True]
+    assert len(records) == len(singles) == 4
+    for got, want in zip(records, singles):
+        assert np.array_equal(astuple(got), astuple(want), equal_nan=True)
+    one = dy._states(block)[1]
+    assert dg.energy_snapshot(dy.as_block(one), space, scen) == [singles[1]]
 
 
 def test_elastic_sentinel_beyond_limit():

@@ -199,7 +199,9 @@ def test_cmd_run_values_round_trip_exactly(tmp_path):
 
 
 def test_cmd_run_makes_one_snapshot_per_record(tmp_path, monkeypatch):
-    # the t=0 record is the snapshot that the elastic-energy check made
+    # the t=0 record is the snapshot that the elastic-energy check made;
+    # the 10 steps of 64 points are one block, whose records come from one
+    # snapshot of the block
     made = []
     real = dg.energy_snapshot
 
@@ -212,7 +214,7 @@ def test_cmd_run_makes_one_snapshot_per_record(tmp_path, monkeypatch):
     assert run_main(tmp_path, base_cfg(f"out_dir = {out}\n"), "run") == 0
     _, rows = read_csv(out / "energy.csv")
     assert len(rows) == 11
-    assert made == [float(r[0]) for r in rows]
+    assert made == [0.0, [float(r[0]) for r in rows[1:]]]
 
 
 def test_cmd_run_evaluates_the_initial_state_once(tmp_path, monkeypatch):
@@ -226,13 +228,14 @@ def test_cmd_run_evaluates_the_initial_state_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(dr.dy, "evaluate_fields", evaluate)
     assert run_main(tmp_path, base_cfg(f"out_dir = {tmp_path / 'out'}\n"), "run") == 0
-    assert seen.count(0.0) == 1 and len(seen) == 11
+    # and evaluates the fields of its 10 steps, one block, in one call
+    assert seen.count(0.0) == 1 and len(seen) == 2
 
 
 def test_cmd_run_wave_evaluates_the_forcing_in_blocks(tmp_path, monkeypatch):
     # the wave1d-mid benchmark run: 600 midpoint steps, each with its
     # forcing at t_mid and its ledger record at the step's end, take one
-    # forcing call per block of dy.FORCING_BLOCK = 4 steps, plus one at t=0
+    # forcing call per 4 steps (8 times of 512 points), plus one at t=0
     calls = []
     real = dr.sc.stress_divergence
 

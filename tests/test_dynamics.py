@@ -540,14 +540,16 @@ def test_solver_config_validation():
     ("manufactured:standing-wave", interval_space(32)),
     ("manufactured:standing-wave-2d", fe.FESpace(fe.rectangle_mesh(0.0, 1.0, 0.0, 1.0, 6, 6))),
 ], ids=["1d", "2d"])
-def test_block_forcing_equals_per_time_calls(name, space, reg_n):
+def test_block_forcing_equals_per_time_calls(monkeypatch, name, space, reg_n):
     scen = sc.build_scenario(name, space.dim, ((0.0, 1.0),) * space.dim,
                              proto_model(reg_n=reg_n), 0.6)
-    ts = [s for k in range(dy.FORCING_BLOCK)
-          for s in dy._step_times(0.1 + k * 1e-3, 1e-3)] + [0.0, 0.6]
+    ts = [s for k in range(4) for s in dy._step_times(0.1 + k * 1e-3, 1e-3)] + [0.0, 0.6]
     block = dy._forcing_at(scen, space, ts)
     for t, f in zip(ts, block):
         assert np.array_equal(f, scen.forcing.value(t, space.qp))
+    # calls of 3 times each (3, 3, 3 and 1) give the same values
+    monkeypatch.setattr(dy, "BLOCK_POINTS", 3 * space.n_qp)
+    assert np.array_equal(dy._forcing_at(scen, space, ts), block)
     if reg_n is not None:
         # members with their own forcing: each member's rows are its own
         members = dy.Members([scen, scen.with_model(scen.model.with_reg(64))])
@@ -585,6 +587,8 @@ def test_rk4_evaluates_the_forcing_at_two_times_per_step(monkeypatch):
     # twice), and stage 1 and the ledger read the State's own forcing
     scen = sc.build_scenario("manufactured:standing-wave", 1, (0.0, 1.0), proto_model(), 0.01)
     space = interval_space(16)
+    # blocks of 8 steps, whose forcing calls hold 8 times each
+    monkeypatch.setattr(dy, "BLOCK_POINTS", 8 * space.n_qp)
     calls = _forcing_times(monkeypatch)
     energy = dg.EnergyRecorder(scen, space)
     dy.run(scen, space, dy.SolverConfig(dt=1e-3, t_end=0.01, scheme="rk4"),
@@ -628,4 +632,96 @@ def test_shared_fields_are_called_once_per_time(monkeypatch):
     calls.clear()
     dg.stability_study(scen, space, cfg, [1e-3, 1e-2, 1e-1])
     assert sorted(calls) == lone
-    assert lone.count("_value") == 1 + 3
+    # t=0, one block of the steps' half-step times, the final State
+    assert lone.count("_value") == 1 + 1 + 1
+
+
+# ---------------------------------------------------------------------------
+# end-of-step fields, evaluated in blocks and only for observers
+
+
+def test_unobserved_midpoint_run_evaluates_the_forcing_at_t_mid_only(monkeypatch):
+    # the wave1d-mid run without observers: the forcing at t=0, at each
+    # step's half-step time and at the final State's time
+    scen = sc.build_scenario("manufactured:standing-wave", 1, (0.0, 1.0),
+                             proto_model(reg_n=16), 0.6)
+    calls = _forcing_times(monkeypatch)
+    final = dy.run(scen, interval_space(256), dy.SolverConfig(dt=1e-3, t_end=0.6))
+    assert final.t == pytest.approx(0.6, abs=1e-12) and final.stress is not None
+    assert sum(len(np.unique(t)) for t in calls) <= 602
+
+
+def _midpoint_steps(monkeypatch, scen, space, cfg, observers):
+    """(t, U, V) of every midpoint step of one run."""
+    steps = []
+    real = dy.step_midpoint
+
+    def step(*args):
+        state = real(*args)
+        steps.append((state.t, state.U, state.V))
+        return state
+
+    monkeypatch.setattr(dy, "step_midpoint", step)
+    dy.run(scen, space, cfg, observers=observers)
+    monkeypatch.setattr(dy, "step_midpoint", real)
+    return steps
+
+
+def test_midpoint_steps_do_not_depend_on_the_observers(monkeypatch):
+    scen = sc.build_scenario("manufactured:standing-wave", 1, (0.0, 1.0),
+                             proto_model(reg_n=16), 0.03)
+    space = interval_space(32)
+    cfg = dy.SolverConfig(dt=1e-3, t_end=0.03)
+    plain = _midpoint_steps(monkeypatch, scen, space, cfg, ())
+    runs = []
+    for steps_per_block in (64, 7, 1):        # 64: one block, the rule on 64 points
+        monkeypatch.setattr(dy, "BLOCK_POINTS", steps_per_block * space.n_qp)
+        seen = []
+        runs.append(_midpoint_steps(monkeypatch, scen, space, cfg,
+                                    (dg.EnergyRecorder(scen, space), seen.append)))
+        for state in seen:
+            _assert_own_record(scen, space, state)
+    for steps in runs:
+        assert len(steps) == len(plain) == 30
+        for (t, U, V), (tp, Up, Vp) in zip(steps, plain):
+            assert t == tp and np.array_equal(U, Up) and np.array_equal(V, Vp)
+
+
+def test_energy_records_are_complete_when_run_returns(monkeypatch):
+    scen = sc.build_scenario("manufactured:standing-wave", 1, (0.0, 1.0), proto_model(), 0.01)
+    space = interval_space(16)
+    monkeypatch.setattr(dy, "BLOCK_POINTS", 4 * space.n_qp)    # blocks of 4, 4 and 2 steps
+    energy = dg.EnergyRecorder(scen, space)
+    seen = []
+    dy.run(scen, space, dy.SolverConfig(dt=1e-3, t_end=0.01), observers=(energy, seen.append))
+    assert len(energy.records) == 11
+    assert [r.t for r in energy.records] == [s.t for s in seen]
+
+
+def _supercritical_block(space, row):
+    """Four rows of coefficients of which only row is supercritical for
+    the unregularized prototype model: one node displaced by 1 on 1/8
+    cells gives strains of magnitude 8."""
+    U = np.zeros((4, space.ndof))
+    U[row, space.ndof // 2] = 1.0
+    return U
+
+
+def test_block_failure_names_its_own_row():
+    m = con.ConstitutiveModel(con.PrototypePotential(2.0), alpha=1.0, beta=0.1)
+    scen = zero_scenario(m)
+    space = interval_space(8)
+    ts = [0.1, 0.2, 0.3, 0.4]
+    U = _supercritical_block(space, 2)
+    q = int(np.argmax(st.norm(space.strain_at_qp(U[2]))))
+    with pytest.raises(con.SupercriticalStrainError) as err:
+        dy.evaluate_fields(scen, space, ts, U, np.zeros_like(U))
+    assert f"[t=0.3, worst qp #{q} at x={space.qp[q]}, " in str(err.value)
+
+    # a block of Members: rows, then members
+    members = dy.Members([scen, scen])
+    UM = np.stack([np.zeros_like(U), U], axis=1)
+    with pytest.raises(con.SupercriticalStrainError) as err:
+        dy.evaluate_fields(members, space, ts, UM, np.zeros_like(UM))
+    assert f"[t=0.3, worst qp #{q} at x={space.qp[q]} of member #1, " in str(err.value)
+    assert err.value.member == 1
