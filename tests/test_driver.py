@@ -293,6 +293,25 @@ def test_cmd_run_explicit_overflow_exits_2(tmp_path, capsys):
     assert "t=" in out and "worst qp #" in out
 
 
+def test_cmd_run_block_failure_names_its_row(tmp_path, capsys, monkeypatch):
+    # the third state of a block of end-of-step fields made supercritical:
+    # the run exits 2 and names that state's time
+    real = dr.dy.evaluate_fields
+
+    def evaluate(scenario, space, t, U, V, *args):
+        if isinstance(t, list):
+            U = U.copy()
+            U[2, space.ndof // 2] = 1.0
+        return real(scenario, space, t, U, V, *args)
+
+    monkeypatch.setattr(dr.dy, "evaluate_fields", evaluate)
+    text = base_cfg(f"out_dir = {tmp_path / 'o'}\n").replace("reg_n = 64", "reg_n = none")
+    assert run_main(tmp_path, text, "run") == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("run failed: no regularizer and strain magnitude")
+    assert "[t=0.006, worst qp #" in out and err == ""
+
+
 def test_cmd_sweep_explicit_overflow_exits_2(tmp_path, capsys):
     text = ("dim = 1\ndomain = 0.0 1.0\ncells = 64\nmodel = linear\n"
             "beta = 0.1\nreg_n = none\nscheme = rk4\ndt = 0.05\nt_end = 5\n"
