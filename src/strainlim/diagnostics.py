@@ -88,16 +88,15 @@ def fit_order(axis, values):
 # energy ledger
 
 
-def energy_snapshot(state, space, scenario):
-    """EnergyLedger at one State, from the strain, stress and forcing it
-    carries; for a block of states (see dynamics.State) the list of
-    their records, from one inversion for all of them."""
-    block = dyn.as_block(state)
+def energy_snapshot(block, space, scenario):
+    """The EnergyLedger records of a block of states (see dynamics.State),
+    from the strain, stress and forcing they carry and one inversion for
+    all of them; a lone State goes in as dynamics.as_block(state)."""
     m = scenario.model
     qp, qw = space.qp, space.qw
     v_full = space.value_at_qp(block.V) \
         + dyn.stack_rows([scenario.lift.dt_value(t, qp) for t in block.t])
-    kinetic = 0.5 * np.sqrt(np.sum(qw * st.dot(v_full, v_full), axis=-1)) ** 2
+    kinetic = 0.5 * space.l2_norm_qp(v_full, rows=True) ** 2
 
     eps = block.eps
     T = block.stress
@@ -122,10 +121,9 @@ def energy_snapshot(state, space, scenario):
         power = np.zeros(len(block.t))
     else:
         power = np.sum(qw * st.dot(block.forcing, v_full), axis=-1)
-    records = [EnergyLedger(t=float(t), kinetic=float(kinetic[j]), elastic=float(elastic[j]),
-                            dissipation_rate=float(rate[j]), external_power=float(power[j]))
-               for j, t in enumerate(block.t)]
-    return records if block is state else records[0]
+    return [EnergyLedger(t=float(t), kinetic=float(kinetic[j]), elastic=float(elastic[j]),
+                         dissipation_rate=float(rate[j]), external_power=float(power[j]))
+            for j, t in enumerate(block.t)]
 
 
 def _columns(kind, records):

@@ -354,7 +354,7 @@ def _prepare(cfg):
         zero = np.zeros(space.ndof)
         try:
             start = dy.evaluate_fields(scenario, space, 0.0, zero, zero)
-            ledger = dg.energy_snapshot(start, space, scenario)
+            ledger = dg.energy_snapshot(dy.as_block(start), space, scenario)[0]
         except RUNTIME_ERRORS:
             return space, scenario, None, None, None
     if not np.isfinite(ledger.elastic):

@@ -504,20 +504,23 @@ def run(scenario, space, config, observers=(), V0=None, start=None):
     Steps go in blocks of _block_steps(space), each with its forcing at
     its steps' _step_times from _forcing_at.  Observers are called in
     order at the initial state and, once a block's fields exist, at each
-    of its states, or once with the block (see State) if their
-    ``observes_blocks`` attribute is true.  Midpoint steps hand each
-    other a Newton carry (see step_midpoint) that lives only as long as
-    this call.  With observers, the fields of a block of midpoint states
+    of its states in time order, or once with the block (see State) if
+    their ``observes_blocks`` attribute is true.  Midpoint steps hand
+    each other a Newton carry (see step_midpoint) that lives only as
+    long as this call: Newton starts from the previous step's midpoint
+    stress.  With observers, the fields of a block of midpoint states
     come from one evaluate_fields call; without, run skips them and the
-    end-time forcing and evaluates only the final State.
+    end-time forcing and evaluates only the final State.  So a midpoint
+    state beyond the strain limit may be reported up to a block late,
+    by a later step's failure.
 
     scenario may be Members, stepped as one batch; a lone scenario is
     the one-member case of the same loop, without the member axis.  For
     Members, V0 is (members, ndof), observers holds one sequence of
     observers per member, and the return value is the list of every
     member's final State.  Each observer sees only its member's view (1D
-    U and V, per-qp fields without the member axis); the members'
-    observers are called in member order.
+    U and V, per-qp fields without the member axis); at every state the
+    members' observers are called in member order (see _notify).
     """
     batch = isinstance(scenario, Members)
     if batch and observers and len(observers) != len(scenario):
@@ -528,14 +531,13 @@ def run(scenario, space, config, observers=(), V0=None, start=None):
         if V.shape != shape:
             raise ValueError("initial coefficient shape does not match the space")
         start = evaluate_fields(scenario, space, 0.0, np.zeros(shape), V)
-    notify = _notify if batch else _notify_lone
     observed = any(observers) if batch else bool(observers)
     midpoint = config.scheme == SCHEME_MIDPOINT
     # forcing times per step: the end time serves RK4 and observed states
     per = 1 if midpoint and not observed else 2
     carry = _NewtonCarry(len(scenario) if batch else 1)
     state = start
-    final = notify(observers, state)
+    final = _notify(observers, state, batch)
 
     grid = _steps(state.t, config.dt, config.t_end)
     while block := list(itertools.islice(grid, _block_steps(space))):
@@ -550,37 +552,39 @@ def run(scenario, space, config, observers=(), V0=None, start=None):
                 warms.append(carry.stress)
             else:
                 state = step_rk4(scenario, space, state, dt, pair)
-                final = notify(observers, state)
+                final = _notify(observers, state, batch)
         if ends and observed:
             fields = evaluate_fields(
                 scenario, space, [s.t for s in ends], stack_rows([s.U for s in ends]),
                 stack_rows([s.V for s in ends]), stack_rows(warms),
                 None if forcing is None else forcing[1::2])
-            final = notify(observers, fields)
+            final = _notify(observers, fields, batch)
     if midpoint and not observed and state is not start:
-        final = notify(observers, evaluate_fields(scenario, space, state.t, state.U,
-                                                  state.V, carry.stress))
+        final = _notify(observers, evaluate_fields(scenario, space, state.t, state.U,
+                                                   state.V, carry.stress), batch)
     return final
 
 
-def _notify_lone(observers, state):
-    """Hand state, one State or a block, to the observers in order; return
-    the last State."""
+def _notify(observers, state, batch):
+    """Hand state, one State or a block, to the observers; return the
+    last State (for a batch, every member's view of it).  Row by row,
+    the members in member order, each one's per-state observers see its
+    view of the row; then its block observers see its view of the block."""
     block = as_block(state)
-    states = _states(block)
-    for obs in observers:
-        if getattr(obs, "observes_blocks", False):
-            obs(block)
-        else:
-            for s in states:
-                obs(s)
-    return states[-1]
-
-
-def _notify(observers, state):
-    """Hand every member's view of state to its observers, in member
-    order; return the views of the last State."""
-    block = isinstance(state.t, list)
-    return [_notify_lone(observers[i] if observers else (),
-                         _index(state, state.t, (slice(None), i) if block else i))
-            for i in range(state.U.shape[block])]
+    if batch:
+        views = [_index(block, block.t, (slice(None), i)) for i in range(block.U.shape[1])]
+        groups = observers or [()] * len(views)
+    else:
+        views, groups = [block], [observers]
+    rows = [_states(view) for view in views]
+    for j in range(len(block.t)):
+        for obs, states in zip(groups, rows):
+            for o in obs:
+                if not getattr(o, "observes_blocks", False):
+                    o(states[j])
+    for obs, view in zip(groups, views):
+        for o in obs:
+            if getattr(o, "observes_blocks", False):
+                o(view)
+    last = [states[-1] for states in rows]
+    return last if batch else last[0]

@@ -278,10 +278,13 @@ class FESpace:
         """Assemble entries sum_qp w * stress : strain(basis)."""
         return _apply_rows(self._B_T, self._w_m * _flat_qp(stress))
 
-    def l2_norm_qp(self, vals):
+    def l2_norm_qp(self, vals, rows=False):
+        """L2 norm of values at the quadrature points, (n_qp,) or (n_qp, k);
+        with rows, the array of the norms of each row of a stack of them."""
         vals = np.asarray(vals)
-        sq = vals * vals if vals.ndim == 1 else st.dot(vals, vals)
-        return float(np.sqrt(np.sum(self.qw * sq)))
+        sq = vals * vals if vals.ndim == 1 + rows else st.dot(vals, vals)
+        norms = np.sqrt(np.sum(self.qw * sq, axis=-1))
+        return norms if rows else float(norms)
 
     # -- mass -------------------------------------------------------------
 

@@ -34,12 +34,18 @@ def rest_state(scen, space):
 # energy snapshot
 
 
+def one_snapshot(state, space, scen):
+    """The ledger record of one State, from its block of one."""
+    [record] = dg.energy_snapshot(dy.as_block(state), space, scen)
+    return record
+
+
 def test_rest_ledger_all_zero():
     m = proto_model(reg_n=None, beta=1.0)
     scen = sc.Scenario(name="r", dim=1, domain=((0.0, 1.0),), model=m,
                        lift=sc.zero_field(1), t_end=1.0)
     space = interval_space(4)
-    led = dg.energy_snapshot(rest_state(scen, space), space, scen)
+    led = one_snapshot(rest_state(scen, space), space, scen)
     assert led.kinetic == 0.0 and led.elastic == 0.0
     assert led.dissipation_rate == 0.0 and led.external_power == 0.0
 
@@ -51,7 +57,7 @@ def test_hand_ledger_no_rate():
     scen = sc.Scenario(name="h", dim=1, domain=((0.0, 1.0),), model=m,
                        lift=ramp_lift(0.6, 0.0), t_end=1.0)
     space = interval_space(2)
-    led = dg.energy_snapshot(rest_state(scen, space), space, scen)
+    led = one_snapshot(rest_state(scen, space), space, scen)
     assert led.elastic == pytest.approx(0.2, abs=1e-12)
     assert led.kinetic == 0.0
     assert abs(led.dissipation_rate) < 1e-12
@@ -64,7 +70,7 @@ def test_hand_ledger_with_rate():
     scen = sc.Scenario(name="h", dim=1, domain=((0.0, 1.0),), model=m,
                        lift=ramp_lift(0.6, 0.2), t_end=1.0)
     space = interval_space(2)
-    led = dg.energy_snapshot(rest_state(scen, space), space, scen)
+    led = one_snapshot(rest_state(scen, space), space, scen)
     assert led.dissipation_rate == pytest.approx(7.0 / 60.0, abs=1e-12)
     assert led.elastic == pytest.approx(0.2, abs=1e-12)
     assert led.kinetic == pytest.approx(0.5 * 0.04 / 3.0, abs=1e-12)
@@ -85,7 +91,7 @@ def test_ledger_solves_the_radius_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(con, "invert_radius", counting)
-    led = dg.energy_snapshot(state, space, scen)
+    led = one_snapshot(state, space, scen)
     assert len(calls) == 1
     monkeypatch.setattr(con, "invert_radius", real)
     e = m.alpha * st.norm(state.eps)
@@ -103,7 +109,7 @@ def test_ledger_external_power():
     scen = sc.Scenario(name="f", dim=1, domain=((0.0, 1.0),), model=m,
                        lift=ramp_lift(0.0, 0.5), forcing=forcing, t_end=1.0)
     space = interval_space(8)
-    led = dg.energy_snapshot(rest_state(scen, space), space, scen)
+    led = one_snapshot(rest_state(scen, space), space, scen)
     # int 2 * 0.5 x dx = 0.5
     assert led.external_power == pytest.approx(0.5, abs=1e-12)
 
@@ -120,13 +126,11 @@ def test_block_snapshot_equals_one_state_snapshots():
     U, V = 1e-3 * rng.standard_normal((2, 4, space.ndof))
     block = dy.evaluate_fields(scen, space, [0.0, 0.05, 0.3, 0.25], U, V)
     records = dg.energy_snapshot(block, space, scen)
-    singles = [dg.energy_snapshot(state, space, scen) for state in dy._states(block)]
+    singles = [one_snapshot(state, space, scen) for state in dy._states(block)]
     assert [np.isinf(r.elastic) for r in records] == [False, False, True, True]
     assert len(records) == len(singles) == 4
     for got, want in zip(records, singles):
         assert np.array_equal(astuple(got), astuple(want), equal_nan=True)
-    one = dy._states(block)[1]
-    assert dg.energy_snapshot(dy.as_block(one), space, scen) == [singles[1]]
 
 
 def test_elastic_sentinel_beyond_limit():
@@ -134,7 +138,7 @@ def test_elastic_sentinel_beyond_limit():
     scen = sc.Scenario(name="b", dim=1, domain=((0.0, 1.0),), model=m,
                        lift=ramp_lift(1.2, 0.0), t_end=1.0)
     space = interval_space(4)
-    led = dg.energy_snapshot(rest_state(scen, space), space, scen)
+    led = one_snapshot(rest_state(scen, space), space, scen)
     assert led.elastic == np.inf
     assert np.isnan(led.dissipation_rate)
     # suspended rows are ignored by the balance residual
@@ -225,6 +229,21 @@ def test_regularization_sweep_cauchy():
     assert np.all(np.diff(rep.values) < 0.0)
     assert len(rep.values) == 3 and len(rep.extra["max_t_diffs"]) == 3
     assert np.all(rep.extra["max_t_diffs"] >= rep.values - 1e-15)
+
+
+def test_regularization_sweep_compares_levels_at_the_same_time(monkeypatch):
+    # the last level's observer closes each record from every level's
+    # latest state: with blocks of many steps (the default, 42 steps of
+    # 96 points here) as with blocks of one step, those are all at its time
+    m = con.ConstitutiveModel(con.PrototypePotential(2.0), alpha=1.0, beta=0.1)
+    scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), m, 0.15)
+    space = interval_space(48)
+    cfg = dy.SolverConfig(dt=2e-3, t_end=0.15)
+    blocks = dg.regularization_sweep(scen, space, cfg, [4, 16, 64])
+    monkeypatch.setattr(dy, "BLOCK_POINTS", space.n_qp)
+    steps = dg.regularization_sweep(scen, space, cfg, [4, 16, 64])
+    assert np.array_equal(blocks.values, steps.values)
+    assert np.array_equal(blocks.extra["max_t_diffs"], steps.extra["max_t_diffs"])
 
 
 def test_regularization_sweep_linear_scaling():

@@ -214,7 +214,7 @@ def test_cmd_run_makes_one_snapshot_per_record(tmp_path, monkeypatch):
     assert run_main(tmp_path, base_cfg(f"out_dir = {out}\n"), "run") == 0
     _, rows = read_csv(out / "energy.csv")
     assert len(rows) == 11
-    assert made == [0.0, [float(r[0]) for r in rows[1:]]]
+    assert made == [[0.0], [float(r[0]) for r in rows[1:]]]
 
 
 def test_cmd_run_evaluates_the_initial_state_once(tmp_path, monkeypatch):

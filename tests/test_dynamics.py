@@ -687,6 +687,42 @@ def test_midpoint_steps_do_not_depend_on_the_observers(monkeypatch):
             assert t == tp and np.array_equal(U, Up) and np.array_equal(V, Vp)
 
 
+@pytest.mark.parametrize("scheme", ["midpoint", "rk4"])
+def test_members_observers_see_every_member_at_each_time(monkeypatch, scheme):
+    # per-state observers go time by time, each time member by member;
+    # block observers follow with their member's block
+    scen = sc.build_scenario("manufactured:standing-wave", 1, (0.0, 1.0), proto_model(), 0.01)
+    space = interval_space(16)
+    monkeypatch.setattr(dy, "BLOCK_POINTS", 4 * space.n_qp)    # blocks of 4, 4 and 2 steps
+    members = dy.Members([scen, scen.with_model(scen.model.with_reg(64))])
+    calls = []
+
+    class Blocks:
+        observes_blocks = True
+
+        def __init__(self, i):
+            self.i = i
+
+        def __call__(self, block):
+            calls.append(("block", self.i, tuple(block.t)))
+
+    observers = [(lambda s, i=i: calls.append(("a", i, s.t)), Blocks(i),
+                  lambda s, i=i: calls.append(("b", i, s.t))) for i in range(2)]
+    dy.run(members, space, dy.SolverConfig(dt=1e-3, t_end=0.01, scheme=scheme),
+           observers=observers)
+    times = [t for k, i, t in calls if k == "a" and i == 0]
+    assert len(times) == 11
+    # t=0, then midpoint blocks of 4, 4 and 2 states; an RK4 state is a
+    # block of its own
+    groups = [times[:1], times[1:5], times[5:9], times[9:]] if scheme == "midpoint" \
+        else [[t] for t in times]
+    want = []
+    for ts in groups:
+        want += [(k, i, t) for t in ts for i in range(2) for k in "ab"]
+        want += [("block", i, tuple(ts)) for i in range(2)]
+    assert calls == want
+
+
 def test_energy_records_are_complete_when_run_returns(monkeypatch):
     scen = sc.build_scenario("manufactured:standing-wave", 1, (0.0, 1.0), proto_model(), 0.01)
     space = interval_space(16)

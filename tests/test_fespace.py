@@ -185,6 +185,15 @@ def test_interpolate_reproduces_linears():
     assert space.l2_norm_qp(np.zeros((space.n_qp, 1))) == 0.0
 
 
+@pytest.mark.parametrize("shape", [(3, 8), (3, 8, 1), (2, 8, 3)], ids=["bare", "1d", "2d"])
+def test_l2_norms_of_rows_are_each_rows_norm(shape):
+    space = fe.FESpace(fe.interval_mesh(0.0, 1.0, 4))
+    vals = np.random.default_rng(5).standard_normal(shape)
+    norms = space.l2_norm_qp(vals, rows=True)
+    assert norms.shape == shape[:1]
+    assert norms.tolist() == [space.l2_norm_qp(row) for row in vals]
+
+
 def test_interpolation_order_two():
     errs = []
     hs = []
