@@ -241,6 +241,7 @@ def regularization_sweep(scenario, space, config, n_list):
             if i == len(n_list) - 1:          # the last member closes a record
                 per_step.append([space.l2_norm_qp(space.value_at_qp(ub - ua))
                                  for ua, ub in zip(latest, latest[1:])])
+        observe.reads_fields = False
         return (observe,)
 
     _run_or_annotate(members, space, config, [f"n={n}" for n in n_list],

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partialmethod
 
 import numpy as np
 import scipy.sparse as sp
@@ -104,17 +105,10 @@ class _Stacked:
         vals = {i: getattr(f, name)(t, X) for i, f in self._distinct.items()}
         return np.stack([vals[id(f)] for f in self.fields])
 
-    def value(self, t, X):
-        return self._stack("value", t, X)
-
-    def strain(self, t, X):
-        return self._stack("strain", t, X)
-
-    def dt_strain(self, t, X):
-        return self._stack("dt_strain", t, X)
-
-    def dtt_value(self, t, X):
-        return self._stack("dtt_value", t, X)
+    value = partialmethod(_stack, "value")
+    strain = partialmethod(_stack, "strain")
+    dt_strain = partialmethod(_stack, "dt_strain")
+    dtt_value = partialmethod(_stack, "dtt_value")
 
     def accelerates(self, X):
         return any(f.accelerates(X) for f in self.fields)
@@ -508,11 +502,12 @@ def run(scenario, space, config, observers=(), V0=None, start=None):
     their ``observes_blocks`` attribute is true.  Midpoint steps hand
     each other a Newton carry (see step_midpoint) that lives only as
     long as this call: Newton starts from the previous step's midpoint
-    stress.  With observers, the fields of a block of midpoint states
-    come from one evaluate_fields call; without, run skips them and the
-    end-time forcing and evaluates only the final State.  So a midpoint
-    state beyond the strain limit may be reported up to a block late,
-    by a later step's failure.
+    stress.  The fields of a block of midpoint states come from one
+    evaluate_fields call, made only for observers that read fields: if
+    every observer's ``reads_fields`` attribute is false, observers and
+    the return value get States of t, U and V alone, and without
+    observers run evaluates only the final State.  So a midpoint state
+    beyond the strain limit may be reported up to a block late.
 
     scenario may be Members, stepped as one batch; a lone scenario is
     the one-member case of the same loop, without the member axis.  For
@@ -532,9 +527,11 @@ def run(scenario, space, config, observers=(), V0=None, start=None):
             raise ValueError("initial coefficient shape does not match the space")
         start = evaluate_fields(scenario, space, 0.0, np.zeros(shape), V)
     observed = any(observers) if batch else bool(observers)
+    fielded = any(getattr(o, "reads_fields", True)
+                  for obs in (observers if batch else [observers]) for o in obs)
     midpoint = config.scheme == SCHEME_MIDPOINT
-    # forcing times per step: the end time serves RK4 and observed states
-    per = 1 if midpoint and not observed else 2
+    # forcing times per step: the end time serves RK4 and observed fields
+    per = 1 if midpoint and not fielded else 2
     carry = _NewtonCarry(len(scenario) if batch else 1)
     state = start
     final = _notify(observers, state, batch)
@@ -554,11 +551,12 @@ def run(scenario, space, config, observers=(), V0=None, start=None):
                 state = step_rk4(scenario, space, state, dt, pair)
                 final = _notify(observers, state, batch)
         if ends and observed:
-            fields = evaluate_fields(
-                scenario, space, [s.t for s in ends], stack_rows([s.U for s in ends]),
-                stack_rows([s.V for s in ends]), stack_rows(warms),
-                None if forcing is None else forcing[1::2])
-            final = _notify(observers, fields, batch)
+            ts = [s.t for s in ends]
+            Us, Vs = stack_rows([s.U for s in ends]), stack_rows([s.V for s in ends])
+            states = evaluate_fields(scenario, space, ts, Us, Vs, stack_rows(warms),
+                                     None if forcing is None else forcing[1::2]) \
+                if fielded else State(ts, Us, Vs, None, None, None, None)
+            final = _notify(observers, states, batch)
     if midpoint and not observed and state is not start:
         final = _notify(observers, evaluate_fields(scenario, space, state.t, state.U,
                                                    state.V, carry.stress), batch)

@@ -5,7 +5,7 @@ inhomogeneous boundary data enters through an analytic lift handled by
 the caller, so the discrete unknowns always vanish on the boundary.
 
 All field evaluation is organized around two sparse operators built at
-construction time:
+construction time, straight into CSR from per-element index arrays:
 
     N: interior coefficients -> field values at quadrature points
     B: interior coefficients -> packed strains at quadrature points
@@ -64,12 +64,9 @@ def interval_mesh(a, b, cells):
         raise ValueError("need b > a")
     if cells < 1:
         raise ValueError("need at least one cell")
-    x = np.linspace(a, b, cells + 1)
-    nodes = x[:, None]
     elems = np.column_stack([np.arange(cells), np.arange(1, cells + 1)])
-    boundary = np.zeros(cells + 1, dtype=bool)
-    boundary[0] = boundary[-1] = True
-    return Mesh(1, nodes, elems.astype(np.int64), boundary)
+    boundary = ~np.pad(np.ones(cells - 1, dtype=bool), 1)     # the two end nodes
+    return Mesh(1, np.linspace(a, b, cells + 1)[:, None], elems.astype(np.int64), boundary)
 
 
 def rectangle_mesh(a, b, c, d, nx, ny):
@@ -78,27 +75,14 @@ def rectangle_mesh(a, b, c, d, nx, ny):
         raise ValueError("need b > a and d > c")
     if nx < 1 or ny < 1:
         raise ValueError("need at least one cell per direction")
-    xs = np.linspace(a, b, nx + 1)
-    ys = np.linspace(c, d, ny + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="xy")
+    X, Y = np.meshgrid(np.linspace(a, b, nx + 1), np.linspace(c, d, ny + 1), indexing="xy")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
-
-    def nid(ix, iy):
-        return iy * (nx + 1) + ix
-
-    elems = []
-    for iy in range(ny):
-        for ix in range(nx):
-            n00 = nid(ix, iy)
-            n10 = nid(ix + 1, iy)
-            n01 = nid(ix, iy + 1)
-            n11 = nid(ix + 1, iy + 1)
-            elems.append([n00, n10, n01])
-            elems.append([n10, n11, n01])
-    elems = np.array(elems, dtype=np.int64)
-    ix = np.tile(np.arange(nx + 1), ny + 1)
-    iy = np.repeat(np.arange(ny + 1), nx + 1)
-    boundary = (ix == 0) | (ix == nx) | (iy == 0) | (iy == ny)
+    # cell by cell, row by row: triangles (n00, n10, n01) and (n10, n11, n01)
+    n00 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    n01 = n00 + nx + 1
+    elems = np.column_stack([n00, n00 + 1, n01, n00 + 1, n01 + 1, n01]).reshape(-1, 3)
+    # the outer ring of the (ny + 1, nx + 1) node grid
+    boundary = ~np.pad(np.ones((ny - 1, nx - 1), dtype=bool), 1).ravel()
     return Mesh(2, nodes, elems, boundary)
 
 
@@ -212,48 +196,34 @@ class FESpace:
     def _build_operators(self, nloc, grads, k):
         mesh = self.mesh
         d, m, ne, nv = self.dim, self.m, mesh.n_elems, self.dim + 1
-        dofs = self._dof_of_node[mesh.elems]                  # (ne, nv), -1 on boundary
-        keep = dofs >= 0
+        nl = nv * d                                           # local dofs v*d + c
+        # each element's vertices in ascending dof order, boundary ones (-1) first
+        order = np.argsort(self._dof_of_node[mesh.elems], axis=1)
+        sdofs = self._dof_of_node[np.take_along_axis(mesh.elems, order, axis=1)].astype(np.int32)
+        scols = ((sdofs * d)[:, :, None] + np.arange(d, dtype=np.int32)).reshape(ne, nl)
 
-        # N: (nq*d, ndof) vector field values; one entry per (qp, node, comp)
-        e_idx = np.repeat(np.arange(ne), k * nv)
-        k_idx = np.tile(np.repeat(np.arange(k), nv), ne)
-        v_idx = np.tile(np.arange(nv), ne * k)
-        node_dof = dofs[e_idx, v_idx]
-        shape_val = nloc[k_idx, v_idx]
-        qp_glob = e_idx * k + k_idx
-        ok = node_dof >= 0
-        nrows = []
-        ncols = []
-        nvals = []
-        for c in range(d):
-            nrows.append(qp_glob[ok] * d + c)
-            ncols.append(node_dof[ok] * d + c)
-            nvals.append(shape_val[ok])
-        self.N = sp.csr_matrix(
-            (np.concatenate(nvals), (np.concatenate(nrows), np.concatenate(ncols))),
-            shape=(self.n_qp * d, self.ndof),
-        )
+        # N: (nq*d, ndof) vector field values; row (qp, comp), one entry per node
+        self.N = _rows_csr(nloc.T[order].transpose(0, 2, 1)[:, :, None, :],
+                           scols.reshape(ne, 1, nv, d).transpose(0, 1, 3, 2),
+                           (sdofs >= 0)[:, None, None, :], self.ndof)
 
         # local strain matrices B_e (ne, m, nl) of the element's vector basis
-        # functions, local dof l = v*d + c; P1 strains are constant per element
-        nl = nv * d
-        eye = np.eye(d)
-        g = grads[:, :, None, :]                              # (ne, nv, 1, d)
-        mat = 0.5 * (eye[:, :, None] * g[..., None, :] + g[..., :, None] * eye[:, None, :])
-        self._strain_local = st.pack(mat).reshape(ne, nl, m).transpose(0, 2, 1)
-        self._ldof = np.where(keep[:, :, None], dofs[:, :, None] * d + np.arange(d),
-                              -1).reshape(ne, nl)
+        # functions; P1 strains are constant per element
+        strain = st.sym_part(np.eye(d)[:, :, None] * grads[:, :, None, None, :]).reshape(ne, nl, m)
+        self._strain_local = strain.transpose(0, 2, 1)
 
-        # B: (nq*m, ndof) packed strains; each qp repeats its element's B_e
-        shape4 = (ne, k, m, nl)
-        brows = np.broadcast_to(
-            (np.arange(ne * k).reshape(ne, k, 1, 1) * m + np.arange(m)[:, None]), shape4)
-        bcols = np.broadcast_to(self._ldof[:, None, None, :], shape4)
-        bvals = np.broadcast_to(self._strain_local[:, None], shape4)
-        bok = bcols >= 0
-        self.B = sp.csr_matrix(
-            (bvals[bok], (brows[bok], bcols[bok])), shape=(self.n_qp * m, self.ndof))
+        # B: (nq*m, ndof) packed strains; each qp repeats its element's rows of
+        # B_e, vertices sorted.  Read back to back, an element's m rows are one
+        # row of a CSR container that one row gather repeats for its k qps
+        srows = (order[:, :, None] * d + np.arange(d) + nl * np.arange(ne)[:, None, None]).ravel()
+        rows = _rows_csr(np.take(strain.reshape(-1, m), srows, axis=0).reshape(
+                             ne, nl, m).transpose(0, 2, 1),
+                         scols[:, None, :], scols[:, None, :] >= 0, self.ndof)
+        reps = sp.csr_matrix((rows.data, rows.indices, rows.indptr[::m]),
+                             shape=(ne, self.ndof))[np.repeat(np.arange(ne), k)]
+        indptr = np.zeros(self.n_qp * m + 1, dtype=np.int32)
+        np.cumsum(np.repeat(np.diff(rows.indptr).reshape(ne, 1, m), k, axis=1), out=indptr[1:])
+        self.B = sp.csr_matrix((reps.data, reps.indices, indptr), shape=(self.n_qp * m, self.ndof))
 
         self._w_d = np.repeat(self.qw, d)
         self._w_m = np.repeat(self.qw, m)
@@ -312,22 +282,52 @@ class FESpace:
         return self._coupling
 
     def _build_coupling(self):
-        ne, nl = self._ldof.shape
-        ndof = self.ndof
-        rows = np.broadcast_to(self._ldof[:, :, None], (ne, nl, nl)).ravel()
-        cols = np.broadcast_to(self._ldof[:, None, :], (ne, nl, nl)).ravel()
-        ok = (rows >= 0) & (cols >= 0)
+        d, n = self.dim, self.interior_nodes.size
+        dofs = self._dof_of_node[self.mesh.elems]             # (ne, nv), -1 on boundary
+        # interior nodes that share an element: the pattern of E^T E for the
+        # element-node incidence E, symmetric, each column's rows sorted
+        sdofs = np.sort(dofs, axis=1).astype(np.int32)
+        adj = _rows_csr(1.0, sdofs, sdofs >= 0, n)
+        adj = (adj.T @ adj).tocsc()
+        adj.sort_indices()
+        cnt = np.diff(adj.indptr)
+        col = np.repeat(np.arange(n), cnt)
+
+        # the dof pattern is adj with d x d blocks: column j*d + cj starts at
+        # start[j, cj], where row i*d + ci has data position table[p, ci, cj]
+        # for adj's entry p at (i, j); pairs with a boundary node take nnz
+        comp = np.arange(d)
+        start = d * d * adj.indptr[:-1, None].astype(np.int64) + d * cnt[:, None] * comp
+        nnz = d * d * adj.nnz
+        table = np.full((adj.nnz + 1, d, d), nnz)
+        table[:-1] = (start[col] + d * (np.arange(adj.nnz) - adj.indptr[col])[:, None])[:, None] \
+            + comp[:, None]
+        indices = np.empty(nnz, dtype=np.int32)
+        indices[table[:-1]] = adj.indices[:, None, None] * d + comp[:, None]
+
+        # adj's entry p of node pairs (i, j) by their ascending keys j*n + i; a
+        # boundary node, as n*n, keys past them all to the last row
+        keys, node = col * n + adj.indices, np.where(dofs < 0, n * n, dofs)
+        p = np.searchsorted(keys, node[:, None, :] * n + node[:, :, None])  # (ne, i, j)
         mass = self.mass
-        mcols = np.repeat(np.arange(ndof), np.diff(mass.indptr))
-        # column-major keys, so sorted keys are CSC order
-        keys = np.concatenate([cols[ok] * ndof + rows[ok], mcols * ndof + mass.indices])
-        uniq, pos = np.unique(keys, return_inverse=True)
-        nnz = uniq.size
-        slot = np.full(rows.size, nnz)
-        slot[ok] = pos[:np.count_nonzero(ok)]
-        # int32 indices are what scipy keeps, so matrices share these arrays
-        indptr = np.zeros(ndof + 1, dtype=np.int32)
-        np.cumsum(np.bincount(uniq // ndof, minlength=ndof), out=indptr[1:])
-        return CouplingPattern(strain=self._strain_local, indptr=indptr,
-                               indices=(uniq % ndof).astype(np.int32),
-                               slot=slot, mass_slot=pos[np.count_nonzero(ok):])
+        mcols = np.repeat(np.arange(self.ndof), np.diff(mass.indptr))
+        mp = np.searchsorted(keys, (mcols // d) * n + mass.indices // d)
+        # int32 indices are what scipy keeps, so matrices share these arrays;
+        # slot is (element, row, column) over local dofs v*d + c
+        return CouplingPattern(
+            strain=self._strain_local, indptr=np.append(start, nnz).astype(np.int32),
+            indices=indices, mass_slot=np.take(table, (mp * d + mass.indices % d) * d + mcols % d),
+            slot=np.take(table.reshape(-1, d), p[:, :, None] * d + comp[:, None], axis=0).ravel())
+
+
+def _rows_csr(vals, cols, keep, n_cols):
+    """CSR matrix with a row for every index of the leading axes of the
+    broadcast (vals, cols, keep), holding the entries of the last axis
+    that keep marks; cols (int32) must ascend along it where kept."""
+    shape = np.broadcast_shapes(np.shape(vals), cols.shape, keep.shape)
+    indptr = np.zeros(int(np.prod(shape[:-1])) + 1, dtype=np.int32)
+    np.cumsum(np.broadcast_to(np.count_nonzero(keep, axis=-1), shape[:-1]), out=indptr[1:])
+    # flat contiguous copies take the fast path of boolean indexing
+    keep = np.broadcast_to(keep, shape).ravel()
+    vals, cols = (np.broadcast_to(a, shape).ravel()[keep] for a in (vals, cols))
+    return sp.csr_matrix((vals, cols, indptr), shape=(indptr.size - 1, n_cols))

@@ -52,7 +52,8 @@ class AnalyticField:
     directly; by default they are formed from grad and dt_grad.
     accelerates(X), when given, is False where dtt_value is known to
     vanish at every point of X for all t; by default a field accelerates
-    wherever it declares dtt_value.
+    wherever it declares dtt_value.  steady_rates, when given, is an
+    (alpha, beta) for which alpha*strain + beta*dt_strain is constant in t.
 
     t is a float, or for some fields an (n,) vector of per-point times:
     product fields (_product_field) and the manufactured forcing take
@@ -62,8 +63,9 @@ class AnalyticField:
 
     def __init__(self, dim, value, grad=None, dt_value=None, dt_grad=None,
                  dtt_value=None, hess=None, dt_hess=None, strain=None,
-                 dt_strain=None, accelerates=None):
+                 dt_strain=None, accelerates=None, steady_rates=None):
         self.dim = dim
+        self.steady_rates = steady_rates
         self._value = value
         self._grad = grad
         self._dt_value = dt_value
@@ -163,48 +165,43 @@ def lift_static_bc(u_init, v_init, alpha, beta):
     alpha*eps(u0) + beta*dt_eps(u0) = alpha*eps(u_init) + beta*eps(v_init)
     for all t.  v_init must vanish on the boundary.
 
-    The packed t=0 strains of u_init and v_init, and whether v_init is
-    nonzero anywhere (the lift accelerates only then), are kept for the
-    last read-only point set (a space's quadrature points) and reused
-    while the same array comes back; any other X is evaluated afresh.  A
-    v_init without a declared gradient contributes no strain.
+    The t=0 values and packed strains of u_init and v_init, and whether
+    v_init is nonzero anywhere (the lift accelerates only then), are kept
+    for the last read-only point set (a space's quadrature points) and
+    reused while the same array comes back; any other X is evaluated
+    afresh.  A v_init without a declared gradient contributes no strain.
     """
     a = alpha / beta
-    dim = u_init.dim
-    static_v = v_init._grad is None
-    kept = [None, None]                    # [X, (eps_u, eps_v, moving)]
+    kept = [None, None]                    # [X, (eps_u, eps_v, u, v, v nonzero)]
 
     def mix(t, f_u, f_v):
-        E = np.exp(-a * t)
-        return f_u + (beta / alpha) * (1.0 - E) * f_v
+        return f_u + (beta / alpha) * (1.0 - np.exp(-a * t)) * f_v
 
     def at_start(X):
         if X is not kept[0] or X.flags.writeable:
-            data = (u_init.strain(0.0, X), None if static_v else v_init.strain(0.0, X),
-                    bool(np.any(v_init.value(0.0, X))))
+            v = v_init.value(0.0, X)
+            data = (u_init.strain(0.0, X), None if v_init._grad is None else
+                    v_init.strain(0.0, X), u_init.value(0.0, X), v, bool(np.any(v)))
             if X.flags.writeable:
                 return data
             kept[:] = X, data
         return kept[1]
 
     def strain(t, X):
-        eps_u, eps_v, _ = at_start(X)
+        eps_u, eps_v = at_start(X)[:2]
         return eps_u.copy() if eps_v is None else mix(t, eps_u, eps_v)
 
-    def dt_strain(t, X):
-        eps_v = at_start(X)[1]
-        return np.zeros((X.shape[0], st.packed_len(dim))) if eps_v is None \
-            else np.exp(-a * t) * eps_v
-
     return AnalyticField(
-        dim,
-        value=lambda t, X: mix(t, u_init.value(0.0, X), v_init.value(0.0, X)),
+        u_init.dim,
+        value=lambda t, X: mix(t, *at_start(X)[2:4]),
         grad=lambda t, X: mix(t, u_init.grad(0.0, X), v_init.grad(0.0, X)),
-        dt_value=lambda t, X: np.exp(-a * t) * v_init.value(0.0, X),
+        dt_value=lambda t, X: np.exp(-a * t) * at_start(X)[3],
         dt_grad=lambda t, X: np.exp(-a * t) * v_init.grad(0.0, X),
-        dtt_value=lambda t, X: -a * np.exp(-a * t) * v_init.value(0.0, X),
-        strain=strain, dt_strain=dt_strain,
-        accelerates=lambda X: at_start(X)[2],
+        dtt_value=lambda t, X: -a * np.exp(-a * t) * at_start(X)[3],
+        strain=strain,
+        dt_strain=lambda t, X: np.zeros((X.shape[0], st.packed_len(u_init.dim)))
+        if at_start(X)[1] is None else np.exp(-a * t) * at_start(X)[1],
+        accelerates=lambda X: at_start(X)[4], steady_rates=(alpha, beta),
     )
 
 
@@ -254,15 +251,17 @@ def strain_expression(lift, alpha, beta, t, X):
 def safety_margin(scenario, space):
     """L minus the sampled sup of |alpha*eps(u0) + beta*dt_eps(u0)|.
 
-    Sampled over quadrature points times 64 uniform times on [0, t_end];
-    +inf for unbounded-response models.
+    Sampled over quadrature points times 64 uniform times on [0, t_end],
+    or at t=0 alone when the lift's steady_rates are the model's (the
+    expression does not depend on t); +inf for unbounded-response models.
     """
     L = con.limit_L(scenario.model)
     if not np.isfinite(L):
         return np.inf
     m = scenario.model
     worst = 0.0
-    for t in np.linspace(0.0, scenario.t_end, 64):
+    for t in [0.0] if scenario.lift.steady_rates == (m.alpha, m.beta) else \
+            np.linspace(0.0, scenario.t_end, 64):
         E = strain_expression(scenario.lift, m.alpha, m.beta, float(t), space.qp)
         worst = max(worst, float(np.max(st.norm(E))))
     return L - worst

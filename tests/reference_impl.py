@@ -4,7 +4,8 @@ Mostly independent reference routes that the tests compare the package
 against: each recomputes a quantity by a different route (full tensor
 Newton, a scalar root find, finite differences, barycentric shape
 values, an integrating-factor reconstruction, numpy's own reduction,
-the csv module) or reads a recorded run.
+the csv module, the loop-and-COO construction of the mesh, the operators
+and the coupling pattern) or reads a recorded run.
 Nothing in the package calls them.  The helpers that make the prototype
 model and the unit-interval space for several test modules live here too.
 """
@@ -138,6 +139,100 @@ def interior_to_nodal(space, U):
     out = np.zeros((space.mesh.n_nodes, space.dim))
     out[space.interior_nodes] = np.asarray(U).reshape(-1, space.dim)
     return out
+
+
+def loop_rectangle_mesh(a, b, c, d, nx, ny):
+    """fe.rectangle_mesh by a double loop over the cells, each split in
+    two triangles, the elements appended cell by cell."""
+    xs = np.linspace(a, b, nx + 1)
+    ys = np.linspace(c, d, ny + 1)
+    X, Y = np.meshgrid(xs, ys, indexing="xy")
+    nodes = np.column_stack([X.ravel(), Y.ravel()])
+
+    def nid(ix, iy):
+        return iy * (nx + 1) + ix
+
+    elems = []
+    for iy in range(ny):
+        for ix in range(nx):
+            n00 = nid(ix, iy)
+            n10 = nid(ix + 1, iy)
+            n01 = nid(ix, iy + 1)
+            n11 = nid(ix + 1, iy + 1)
+            elems.append([n00, n10, n01])
+            elems.append([n10, n11, n01])
+    elems = np.array(elems, dtype=np.int64)
+    ix = np.tile(np.arange(nx + 1), ny + 1)
+    iy = np.repeat(np.arange(ny + 1), nx + 1)
+    boundary = (ix == 0) | (ix == nx) | (iy == 0) | (iy == ny)
+    return fe.Mesh(2, nodes, elems, boundary)
+
+
+def coo_operators(space):
+    """(N, B, local strain matrices) of the space, N and B from broadcast
+    (row, column, value) triplets through scipy's COO-to-CSR conversion."""
+    mesh = space.mesh
+    d, m, ne, nv = space.dim, space.m, mesh.n_elems, space.dim + 1
+    if d == 1:
+        nloc = np.stack([1.0 - fe._QP_1D, fe._QP_1D], axis=1)
+    else:
+        nloc = np.column_stack([1.0 - fe._QP_2D.sum(axis=1), fe._QP_2D[:, 0], fe._QP_2D[:, 1]])
+    k = nloc.shape[0]
+    dofs = space._dof_of_node[mesh.elems]
+    keep = dofs >= 0
+
+    e_idx = np.repeat(np.arange(ne), k * nv)
+    k_idx = np.tile(np.repeat(np.arange(k), nv), ne)
+    v_idx = np.tile(np.arange(nv), ne * k)
+    node_dof = dofs[e_idx, v_idx]
+    shape_val = nloc[k_idx, v_idx]
+    qp_glob = e_idx * k + k_idx
+    ok = node_dof >= 0
+    nrows, ncols, nvals = [], [], []
+    for c in range(d):
+        nrows.append(qp_glob[ok] * d + c)
+        ncols.append(node_dof[ok] * d + c)
+        nvals.append(shape_val[ok])
+    N = sp.csr_matrix(
+        (np.concatenate(nvals), (np.concatenate(nrows), np.concatenate(ncols))),
+        shape=(space.n_qp * d, space.ndof))
+
+    nl = nv * d
+    eye = np.eye(d)
+    g = space._grads[:, :, None, :]
+    mat = 0.5 * (eye[:, :, None] * g[..., None, :] + g[..., :, None] * eye[:, None, :])
+    strain_local = st.pack(mat).reshape(ne, nl, m).transpose(0, 2, 1)
+    ldof = np.where(keep[:, :, None], dofs[:, :, None] * d + np.arange(d), -1).reshape(ne, nl)
+    shape4 = (ne, k, m, nl)
+    brows = np.broadcast_to(
+        (np.arange(ne * k).reshape(ne, k, 1, 1) * m + np.arange(m)[:, None]), shape4)
+    bcols = np.broadcast_to(ldof[:, None, None, :], shape4)
+    bvals = np.broadcast_to(strain_local[:, None], shape4)
+    bok = bcols >= 0
+    B = sp.csr_matrix((bvals[bok], (brows[bok], bcols[bok])), shape=(space.n_qp * m, space.ndof))
+    return N, B, strain_local
+
+
+def unique_coupling(space, mass):
+    """(indptr, indices, slot, mass_slot) of the space's coupling pattern
+    with the mass matrix mass, from np.unique over column-major 64-bit
+    (column, row) keys of every element block entry and every mass entry."""
+    d, ndof = space.dim, space.ndof
+    dofs = space._dof_of_node[space.mesh.elems]
+    ne, nl = dofs.shape[0], dofs.shape[1] * d
+    ldof = np.where(dofs[:, :, None] >= 0, dofs[:, :, None] * d + np.arange(d), -1).reshape(ne, nl)
+    rows = np.broadcast_to(ldof[:, :, None], (ne, nl, nl)).ravel()
+    cols = np.broadcast_to(ldof[:, None, :], (ne, nl, nl)).ravel()
+    ok = (rows >= 0) & (cols >= 0)
+    mcols = np.repeat(np.arange(ndof), np.diff(mass.indptr))
+    keys = np.concatenate([cols[ok] * ndof + rows[ok], mcols * ndof + mass.indices])
+    uniq, pos = np.unique(keys, return_inverse=True)
+    nnz = uniq.size
+    slot = np.full(rows.size, nnz)
+    slot[ok] = pos[:np.count_nonzero(ok)]
+    indptr = np.zeros(ndof + 1, dtype=np.int32)
+    np.cumsum(np.bincount(uniq // ndof, minlength=ndof), out=indptr[1:])
+    return indptr, (uniq % ndof).astype(np.int32), slot, pos[np.count_nonzero(ok):]
 
 
 def _exp_weight_factor(x):

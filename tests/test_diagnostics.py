@@ -246,6 +246,37 @@ def test_regularization_sweep_compares_levels_at_the_same_time(monkeypatch):
     assert np.array_equal(blocks.extra["max_t_diffs"], steps.extra["max_t_diffs"])
 
 
+def test_midpoint_sweep_skips_the_fields_nobody_reads(monkeypatch):
+    # a 1D 64-cell midpoint sweep of 100 steps over four levels: its
+    # observers read only U, so the fields of its 100 states x 4 members x
+    # 128 qps go uninverted; an observer that reads fields brings them back
+    m = con.ConstitutiveModel(con.PrototypePotential(2.0), alpha=1.0, beta=0.1, reg_n=4)
+    scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), m, 0.1)
+    space = interval_space(64)
+    cfg = dy.SolverConfig(dt=1e-3, t_end=0.1)
+    points = []
+    real_invert, real_run = con.invert, dy.run
+
+    def counting_invert(model, E, **kw):
+        points[-1] += E.size // E.shape[-1]
+        return real_invert(model, E, **kw)
+
+    def run_reading_fields(scenario, space, config, observers=(), **kw):
+        reading = [tuple(obs) + (lambda state: state.stress,) for obs in observers]
+        return real_run(scenario, space, config, observers=reading, **kw)
+
+    monkeypatch.setattr(con, "invert", counting_invert)
+    reports = []
+    for run in (real_run, run_reading_fields):
+        monkeypatch.setattr(dy, "run", run)
+        points.append(0)
+        reports.append(dg.regularization_sweep(scen, space, cfg, [4, 16, 64, 256]))
+    assert points[1] - points[0] == 100 * 4 * 128
+    assert reports[0].values.tolist() == reports[1].values.tolist()
+    assert reports[0].extra["max_t_diffs"].tolist() == reports[1].extra["max_t_diffs"].tolist()
+    assert reports[0].extra["cauchy"] == reports[1].extra["cauchy"]
+
+
 def test_regularization_sweep_linear_scaling():
     # with the linear response the PDE solution depends on n only through
     # the factor 1/(1+1/n), so successive diffs scale like 1/n gaps

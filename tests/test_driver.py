@@ -264,6 +264,19 @@ def test_cmd_run_2d(tmp_path):
     assert len(rows) == 6 * 6 * 2 * 3  # three quadrature points per triangle
 
 
+@pytest.mark.parametrize("cells", ["cells = 1", "cells_x = 1\ncells_y = 1"], ids=["1d", "2d"])
+def test_cmd_run_without_interior_dofs(tmp_path, cells):
+    # one cell leaves every node on the boundary: the lift carries the
+    # whole run, on empty operators and an empty coupling pattern
+    out = tmp_path / "out"
+    dim, domain = ("1", "0.0 1.0") if cells == "cells = 1" else ("2", "0.0 1.0 0.0 1.0")
+    text = (f"dim = {dim}\ndomain = {domain}\n{cells}\nmodel = prototype\nbeta = 0.1\n"
+            f"reg_n = 16\ndt = 0.005\nt_end = 0.02\nscenario = gaussian-pluck\nout_dir = {out}\n")
+    assert run_main(tmp_path, text, "run") == 0
+    _, rows = read_csv(out / "energy.csv")
+    assert len(rows) == 5 and all(float(r[1]) == 0.0 for r in rows)
+
+
 def test_cmd_run_safety_violation_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(dr.sc, "safety_margin", lambda scen, space: -0.25)
     code = run_main(tmp_path, base_cfg(f"out_dir = {tmp_path / 'o'}\n"), "run")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from strainlim import fespace as fe
 from strainlim import symtensor as st
@@ -235,3 +236,42 @@ def test_quadrature_points_read_only():
     space = fe.FESpace(fe.interval_mesh(0.0, 1.0, 4))
     with pytest.raises(ValueError):
         space.qp[0, 0] = 0.5
+
+
+# ---------------------------------------------------------------------------
+# construction against the loop-and-COO route of reference_impl
+
+
+def _same_array(a, b):
+    """Equal dtype, shape and bytes, so signed zeros count too."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_sparse(A, B):
+    return (type(A) is type(B) and A.shape == B.shape
+            and all(_same_array(getattr(A, f), getattr(B, f))
+                    for f in ("indptr", "indices", "data")))
+
+
+@pytest.mark.parametrize("cells", [(1,), (2,), (7,), (1, 1), (1, 5), (5, 1), (3, 4), (64, 64)],
+                         ids=lambda c: "x".join(map(str, c)))
+def test_construction_matches_loop_and_coo_route(cells):
+    if len(cells) == 1:
+        mesh = fe.interval_mesh(-0.5, 2.0, *cells)
+    else:
+        mesh = fe.rectangle_mesh(-0.5, 2.0, 0.25, 1.0, *cells)
+        loop = ref.loop_rectangle_mesh(-0.5, 2.0, 0.25, 1.0, *cells)
+        for name in ("nodes", "elems", "boundary"):
+            assert _same_array(getattr(mesh, name), getattr(loop, name)), name
+    space = fe.FESpace(mesh)
+    N, B, strain = ref.coo_operators(space)
+    assert _same_sparse(space.N, N)
+    assert _same_sparse(space.B, B)
+    mass = (N.T @ sp.diags(space._w_d) @ N).tocsc()
+    assert _same_sparse(space.mass, mass)
+    pat = space.coupling_pattern
+    assert _same_array(pat.strain, strain)
+    for name, want in zip(("indptr", "indices", "slot", "mass_slot"),
+                          ref.unique_coupling(space, mass)):
+        assert _same_array(getattr(pat, name), want), name

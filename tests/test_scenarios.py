@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from strainlim import constitutive as con
+from strainlim import diagnostics as dg
+from strainlim import dynamics as dy
 from strainlim import fespace as fe
 from strainlim import scenarios as sc
 from strainlim import symtensor as st
@@ -352,6 +354,23 @@ def test_static_lift_recomputes_writeable_points():
     assert np.all(lift.dt_strain(0.4, X) == 0.0) and lift.dt_strain(0.4, X).shape == (9, 1)
 
 
+def test_static_lift_keeps_values_for_read_only_points():
+    # an observed 50-step standing-wave run reads the lift's velocity at
+    # every ledger record; the initial-velocity profile behind it is
+    # evaluated once, at the space's quadrature points
+    u = sc._standing_wave_field(1, ((0.0, 1.0),))
+    calls, velocity = [], u._dt_value
+    u._dt_value = lambda t, X: calls.append(t) or velocity(t, X)
+    scen = sc.manufactured(u, ref.proto_model(reg_n=16), (0.0, 1.0), t_end=0.05)
+    space = fe.FESpace(fe.interval_mesh(0.0, 1.0, 32))
+    energy = dg.EnergyRecorder(scen, space)
+    dy.run(scen, space, dy.SolverConfig(dt=1e-3, t_end=0.05), observers=(energy,))
+    assert len(energy.records) == 51 and len(calls) <= 2
+    for t in (0.0, 0.02, 0.05):
+        assert np.array_equal(scen.lift.dt_value(t, space.qp),
+                              np.exp(-10.0 * t) * velocity(0.0, space.qp))
+
+
 def test_timedep_lift_matches_data_and_boundary():
     m = proto_model(alpha=1.0, beta=0.2)
     u_ext = sc._standing_wave_field(1, ((0.0, 1.0),))
@@ -398,6 +417,40 @@ def test_safety_margin_pluck_matches_calibration():
     margin = sc.safety_margin(s, space)
     # quadrature sampling can only miss the true sup, never exceed it
     assert 0.3 - 1e-10 <= margin <= 0.32
+
+
+def test_safety_margin_samples_a_steady_lift_once(monkeypatch):
+    m = proto_model()
+    space = fe.FESpace(fe.interval_mesh(0.0, 1.0, 64))
+    pluck = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), m, 1.0)
+    wave = sc.build_scenario("standing-wave", 1, (0.0, 1.0), ref.proto_model(), 1.0)
+    Xb = np.array([[0.0], [1.0]])
+    moving = sc.Scenario(name="moving", dim=1, domain=((0.0, 1.0),), model=m, t_end=1.0,
+                         lift=sc.lift_timedep_bc(wave.exact, sc.zero_field(1), m.alpha, m.beta,
+                                                 boundary_points=Xb))
+    other = sc.Scenario(name="other", dim=1, domain=((0.0, 1.0),), model=proto_model(beta=0.2),
+                        lift=pluck.lift, t_end=1.0)
+    times, real = [], sc.strain_expression
+
+    def sampled(lift, alpha, beta, t, X):
+        times.append(t)
+        return real(lift, alpha, beta, t, X)
+
+    def sampled_sup(scen):
+        """The sup of the expression over the quadrature points at 64 times."""
+        return max(float(np.max(st.norm(real(scen.lift, scen.model.alpha, scen.model.beta,
+                                              float(t), space.qp))))
+                   for t in np.linspace(0.0, scen.t_end, 64))
+
+    monkeypatch.setattr(sc, "strain_expression", sampled)
+    counts = []
+    for scen in (pluck, wave, moving, other):
+        times.clear()
+        margin = sc.safety_margin(scen, space)
+        counts.append(len(times))
+        assert abs(margin - (1.0 - sampled_sup(scen))) <= 1e-15
+    # the static lift's expression is constant in t for its own rates only
+    assert counts == [1, 1, 64, 64]
 
 
 def test_safety_margin_unbounded_model():
