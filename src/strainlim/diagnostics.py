@@ -91,7 +91,7 @@ def fit_order(axis, values):
 def energy_snapshot(block, space, scenario):
     """The EnergyLedger records of a block of states (see dynamics.State),
     from the strain, stress and forcing they carry and one inversion for
-    all of them; a lone State goes in as dynamics.as_block(state)."""
+    all of them; a lone State goes in as dynamics.block_of([state])."""
     m = scenario.model
     qp, qw = space.qp, space.qw
     v_full = space.value_at_qp(block.V) \
@@ -151,13 +151,11 @@ def ledger_table(records):
 
 class EnergyRecorder:
     """run() observer accumulating EnergyLedger records, one
-    energy_snapshot per block of states (observes_blocks).
+    energy_snapshot per block of states it is handed.
 
     first, when given, is the record of the first state observed, already
     computed by the caller; it is taken as is instead of a second snapshot.
     """
-
-    observes_blocks = True
 
     def __init__(self, scenario, space, first=None):
         self.scenario = scenario
@@ -178,21 +176,18 @@ class EnergyRecorder:
 
 
 class StrainRecorder:
-    """run() observer tracking the strain-limit monitor quantities."""
+    """run() observer tracking the strain-limit monitor quantities, one
+    record per state of each block it is handed."""
 
-    def __init__(self, scenario, space):
+    def __init__(self, scenario):
         self.limit = con.limit_L(scenario.model)
         self.records = []
 
-    def __call__(self, state):
-        mx = float(np.max(st.norm(state.E)))
-        self.records.append(StrainMonitor(
-            t=float(state.t),
-            max_strain_expr=mx,
-            margin=self.limit - mx,
-            max_eps=float(np.max(st.norm(state.eps))),
-            max_stress=float(np.max(st.norm(state.stress))),
-        ))
+    def __call__(self, block):
+        mx, eps, stress = (np.max(st.norm(a), axis=-1).tolist()
+                           for a in (block.E, block.eps, block.stress))
+        self.records.extend(StrainMonitor(float(t), m, self.limit - m, e, s)
+                            for t, m, e, s in zip(block.t, mx, eps, stress))
 
     def table(self):
         return _columns(StrainMonitor, self.records)
@@ -202,11 +197,11 @@ class StrainRecorder:
 # study drivers
 
 
-def _run_or_annotate(scenario, space, config, label, **kw):
-    """dyn.run, with a failure annotated by its study case: label, or for
-    Members the list of labels, indexed by the failing member."""
+def _annotated(label, fn, *args, **kw):
+    """fn(*args, **kw), with a failure annotated by its study case: label,
+    or for Members the list of labels, indexed by the failing member."""
     try:
-        return dyn.run(scenario, space, config, **kw)
+        return fn(*args, **kw)
     except Exception as exc:
         if not isinstance(label, str):
             member = getattr(exc, "member", None)
@@ -223,8 +218,8 @@ def regularization_sweep(scenario, space, config, n_list):
     All levels run as one batch (dynamics.Members): they share the space
     and time grid, and each level's model differs only in reg_n.  Every
     level's states equal those of its own run bit for bit.  The
-    differences are taken as the states arrive, so the sweep keeps one
-    state per level, not a history.
+    differences are taken as the blocks arrive, so the sweep keeps one
+    block per level, not a history.
     """
     n_list = [int(n) for n in n_list]
     if len(n_list) < 3:
@@ -236,16 +231,16 @@ def regularization_sweep(scenario, space, config, n_list):
     per_step = []          # per record: the successive differences
 
     def keep(i):
-        def observe(state):
-            latest[i] = state.U
-            if i == len(n_list) - 1:          # the last member closes a record
-                per_step.append([space.l2_norm_qp(space.value_at_qp(ub - ua))
-                                 for ua, ub in zip(latest, latest[1:])])
+        def observe(block):
+            latest[i] = block.U
+            if i == len(n_list) - 1:          # the last member closes the records
+                gaps = space.value_at_qp(np.diff(np.stack(latest), axis=0))
+                per_step.extend(space.l2_norm_qp(gaps, rows=True).T.tolist())
         observe.reads_fields = False
         return (observe,)
 
-    _run_or_annotate(members, space, config, [f"n={n}" for n in n_list],
-                     observers=[keep(i) for i in range(len(n_list))])
+    _annotated([f"n={n}" for n in n_list], dyn.run, members, space, config,
+               observers=[keep(i) for i in range(len(n_list))])
     diffs = np.array(per_step[-1])
     max_t_diffs = [max(col) for col in zip(*per_step)]
     cauchy = bool(np.all(np.diff(diffs) < 0.0))
@@ -275,7 +270,7 @@ def refinement_study(scenario, axis, levels, config, space=None):
         hs, errs = [], []
         for c in cellcounts:
             sp_c = fe.FESpace(fe.box_mesh(scenario.domain, (c,) * scenario.dim))
-            final = _run_or_annotate(scenario, sp_c, config, f"cells={c}")
+            final = _annotated(f"cells={c}", dyn.run, scenario, sp_c, config)
             vals = (sp_c.value_at_qp(final.U)
                     + scenario.lift.value(final.t, sp_c.qp)
                     - scenario.exact.value(final.t, sp_c.qp))
@@ -290,11 +285,11 @@ def refinement_study(scenario, axis, levels, config, space=None):
     if axis == "dt":
         dts = [float(d) for d in levels]
         dt_ref = min(dts) / 4.0
-        ref = _run_or_annotate(scenario, space, replace(config, dt=dt_ref),
-                               f"dt_ref={dt_ref:g}")
+        ref = _annotated(f"dt_ref={dt_ref:g}", dyn.run, scenario, space,
+                         replace(config, dt=dt_ref))
         errs = []
         for d in dts:
-            final = _run_or_annotate(scenario, space, replace(config, dt=d), f"dt={d:g}")
+            final = _annotated(f"dt={d:g}", dyn.run, scenario, space, replace(config, dt=d))
             errs.append(space.l2_norm_qp(space.value_at_qp(final.U - ref.U)))
         return ConvergenceReport(
             axis_name="dt", axis=np.array(dts), values=np.array(errs),
@@ -328,8 +323,9 @@ def stability_study(scenario, space, config, delta_list, seed=0):
 
     members = dyn.Members([scenario] * (len(deltas) + 1))
     V0 = np.stack([np.zeros(space.ndof)] + [d * direction for d in deltas])
-    finals = _run_or_annotate(members, space, config,
-                              ["base"] + [f"delta={d:g}" for d in deltas], V0=V0)
+    labels = ["base"] + [f"delta={d:g}" for d in deltas]
+    start = _annotated(labels, dyn.evaluate_fields, members, space, 0.0, np.zeros_like(V0), V0)
+    finals = _annotated(labels, dyn.run, members, space, config, start=start)
     base = finals[0]
     factors = np.array([
         float((np.linalg.norm(final.U - base.U) + np.linalg.norm(final.V - base.V)) / d)

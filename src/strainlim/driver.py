@@ -354,7 +354,7 @@ def _prepare(cfg):
         zero = np.zeros(space.ndof)
         try:
             start = dy.evaluate_fields(scenario, space, 0.0, zero, zero)
-            ledger = dg.energy_snapshot(dy.as_block(start), space, scenario)[0]
+            ledger = dg.energy_snapshot(dy.block_of([start]), space, scenario)[0]
         except RUNTIME_ERRORS:
             return space, scenario, None, None, None
     if not np.isfinite(ledger.elastic):
@@ -369,26 +369,23 @@ def cmd_run(cfg):
     if code is not None:
         return code
     out = cfg.values["out_dir"]
-    os.makedirs(out, exist_ok=True)
     # the t=0 State and its record are the ones _prepare evaluated
     energy = dg.EnergyRecorder(scenario, space, ledger)
-    monitor = dg.StrainRecorder(scenario, space)
-    snaps = []
-
-    def keep(state):
-        if not snaps:
-            snaps.append(state)
-
+    monitor = dg.StrainRecorder(scenario)
     try:
+        os.makedirs(out, exist_ok=True)
         final = dy.run(scenario, space, cfg.solver_config(),
-                       observers=(energy, monitor, keep), start=start)
+                       observers=(energy, monitor), start=start)
+        _write_table(os.path.join(out, "energy.csv"), energy.table())
+        _write_table(os.path.join(out, "monitor.csv"), monitor.table())
+        for state in (start, final):
+            _write_state(os.path.join(out, f"state_{state.t:.6f}.csv"), space, scenario, state)
+    except OSError as exc:
+        print(f"cannot write output: {exc}")
+        return 1
     except RUNTIME_ERRORS as exc:
         print(f"run failed: {exc}")
         return 2
-    _write_table(os.path.join(out, "energy.csv"), energy.table())
-    _write_table(os.path.join(out, "monitor.csv"), monitor.table())
-    for state in (snaps[0], final):
-        _write_state(os.path.join(out, f"state_{state.t:.6f}.csv"), space, scenario, state)
     print(f"run complete: {len(energy.records)} records in {out}")
     return 0
 
@@ -414,9 +411,10 @@ def cmd_sweep(cfg):
     if code is not None:
         return code
     out = cfg.values["out_dir"]
-    os.makedirs(out, exist_ok=True)
+    path = os.path.join(out, "report.csv")
     solver = cfg.solver_config()
     try:
+        os.makedirs(out, exist_ok=True)
         if study == "regularization":
             report = dg.regularization_sweep(scenario, space, solver,
                                              list(cfg.values["n_list"]))
@@ -429,15 +427,17 @@ def cmd_sweep(cfg):
             report = dg.stability_study(scenario, space, solver,
                                         list(cfg.values["delta_list"]),
                                         seed=cfg.values["seed"])
+        _write_csv(path, ["axis_value", "error_or_diff", "fitted_order"],
+                   _report_rows(report))
+    except OSError as exc:
+        print(f"cannot write output: {exc}")
+        return 1
     except RUNTIME_ERRORS as exc:
         print(f"sweep failed: {exc}")
         return 2
     except ValueError as exc:
         print(f"invalid configuration: {exc}")
         return 1
-    path = os.path.join(out, "report.csv")
-    _write_csv(path, ["axis_value", "error_or_diff", "fitted_order"],
-               _report_rows(report))
     print(f"{study} study complete: report in {path}")
     for k, v in sorted(report.extra.items()):
         if np.isscalar(v):

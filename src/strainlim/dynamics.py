@@ -179,21 +179,18 @@ def stack_rows(arrays):
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
+def block_of(states):
+    """The block (see State) of states: each field that is not None
+    stacked by stack_rows, so a lone State's by views."""
+    fields = zip(*((s.U, s.V, s.eps, s.E, s.stress, s.forcing) for s in states))
+    return State([s.t for s in states],
+                 *(None if a[0] is None else stack_rows(a) for a in fields))
+
+
 def _index(state, t, ix):
     """The State at time t whose arrays are state's indexed by ix (views)."""
     return State(t, *(None if a is None else a[ix] for a in (
         state.U, state.V, state.eps, state.E, state.stress, state.forcing)))
-
-
-def as_block(state):
-    """state as a block (see State): a lone State becomes the block of
-    itself, by views; a block is returned as it is."""
-    return state if isinstance(state.t, list) else _index(state, [state.t], None)
-
-
-def _states(block):
-    """The States of a block, as views of its rows."""
-    return [_index(block, t, j) for j, t in enumerate(block.t)]
 
 
 def _step_times(t, dt):
@@ -485,56 +482,46 @@ def step_midpoint(scenario, space, state, dt, forcing, carry=None):
     return State(t_next, U_next, V_next, None, None, None, None)
 
 
-def run(scenario, space, config, observers=(), V0=None, start=None):
+def run(scenario, space, config, observers=(), start=None):
     """Integrate from t=0 to t_end; return the final State.
 
-    Initial interior coefficients are zero (the lift carries initial and
-    boundary data) unless V0 overrides the velocity ones, as the
-    stability study does; start, an already evaluated State at t=0,
-    replaces both.  Observers are the only per-step output: a caller
-    that needs a history records it in one.  They must not modify what
-    they are handed: an RK4 step starts from the State they just saw.
+    start is the State at t=0, by default that of zero interior
+    coefficients (the lift carries initial and boundary data).
+    Observers are the only per-step output.  Each is called in order as
+    observer(block) with a block of states (see State) that it must not
+    modify: the initial state, then each RK4 state as soon as it is made
+    (the next step starts from it), or each block of midpoint states.
 
     Steps go in blocks of _block_steps(space), each with its forcing at
-    its steps' _step_times from _forcing_at.  Observers are called in
-    order at the initial state and, once a block's fields exist, at each
-    of its states in time order, or once with the block (see State) if
-    their ``observes_blocks`` attribute is true.  Midpoint steps hand
-    each other a Newton carry (see step_midpoint) that lives only as
-    long as this call: Newton starts from the previous step's midpoint
-    stress.  The fields of a block of midpoint states come from one
-    evaluate_fields call, made only for observers that read fields: if
-    every observer's ``reads_fields`` attribute is false, observers and
-    the return value get States of t, U and V alone, and without
-    observers run evaluates only the final State.  So a midpoint state
+    its steps' _step_times from _forcing_at; midpoint steps hand each
+    other a Newton carry (see step_midpoint).  The fields of a block of
+    midpoint states come from one evaluate_fields call, made only for
+    observers that read fields: if every observer's ``reads_fields`` is
+    false, they and the return value get t, U and V alone, and without
+    observers only the final State is evaluated.  So a midpoint state
     beyond the strain limit may be reported up to a block late.
 
     scenario may be Members, stepped as one batch; a lone scenario is
     the one-member case of the same loop, without the member axis.  For
-    Members, V0 is (members, ndof), observers holds one sequence of
-    observers per member, and the return value is the list of every
-    member's final State.  Each observer sees only its member's view (1D
-    U and V, per-qp fields without the member axis); at every state the
-    members' observers are called in member order (see _notify).
+    Members, observers holds one sequence per member, called with that
+    member's view of each block (U and V of shape (rows, ndof)) in
+    member order, and the return value lists every member's final State.
     """
     batch = isinstance(scenario, Members)
     if batch and observers and len(observers) != len(scenario):
         raise ValueError("observers need one sequence per member")
     if start is None:
         shape = (len(scenario), space.ndof) if batch else (space.ndof,)
-        V = np.zeros(shape) if V0 is None else np.array(V0, dtype=float)
-        if V.shape != shape:
-            raise ValueError("initial coefficient shape does not match the space")
-        start = evaluate_fields(scenario, space, 0.0, np.zeros(shape), V)
-    observed = any(observers) if batch else bool(observers)
-    fielded = any(getattr(o, "reads_fields", True)
-                  for obs in (observers if batch else [observers]) for o in obs)
+        start = evaluate_fields(scenario, space, 0.0, np.zeros(shape), np.zeros(shape))
+    groups = observers if batch else [observers]
+    observed = any(groups)
+    fielded = any(getattr(o, "reads_fields", True) for obs in groups for o in obs)
     midpoint = config.scheme == SCHEME_MIDPOINT
     # forcing times per step: the end time serves RK4 and observed fields
     per = 1 if midpoint and not fielded else 2
     carry = _NewtonCarry(len(scenario) if batch else 1)
     state = start
-    final = _notify(observers, state, batch)
+    final = _notify(groups, block_of([state]), batch)
 
     grid = _steps(state.t, config.dt, config.t_end)
     while block := list(itertools.islice(grid, _block_steps(space))):
@@ -549,40 +536,28 @@ def run(scenario, space, config, observers=(), V0=None, start=None):
                 warms.append(carry.stress)
             else:
                 state = step_rk4(scenario, space, state, dt, pair)
-                final = _notify(observers, state, batch)
+                final = _notify(groups, block_of([state]), batch)
         if ends and observed:
-            ts = [s.t for s in ends]
-            Us, Vs = stack_rows([s.U for s in ends]), stack_rows([s.V for s in ends])
-            states = evaluate_fields(scenario, space, ts, Us, Vs, stack_rows(warms),
-                                     None if forcing is None else forcing[1::2]) \
-                if fielded else State(ts, Us, Vs, None, None, None, None)
-            final = _notify(observers, states, batch)
+            states = block_of(ends)
+            if fielded:
+                states = evaluate_fields(scenario, space, states.t, states.U, states.V,
+                                         stack_rows(warms),
+                                         None if forcing is None else forcing[1::2])
+            final = _notify(groups, states, batch)
     if midpoint and not observed and state is not start:
-        final = _notify(observers, evaluate_fields(scenario, space, state.t, state.U,
-                                                   state.V, carry.stress), batch)
+        final = _notify(groups, block_of([evaluate_fields(
+            scenario, space, state.t, state.U, state.V, carry.stress)]), batch)
     return final
 
 
-def _notify(observers, state, batch):
-    """Hand state, one State or a block, to the observers; return the
-    last State (for a batch, every member's view of it).  Row by row,
-    the members in member order, each one's per-state observers see its
-    view of the row; then its block observers see its view of the block."""
-    block = as_block(state)
-    if batch:
-        views = [_index(block, block.t, (slice(None), i)) for i in range(block.U.shape[1])]
-        groups = observers or [()] * len(views)
-    else:
-        views, groups = [block], [observers]
-    rows = [_states(view) for view in views]
-    for j in range(len(block.t)):
-        for obs, states in zip(groups, rows):
-            for o in obs:
-                if not getattr(o, "observes_blocks", False):
-                    o(states[j])
+def _notify(groups, block, batch):
+    """Hand a block (see State) to each member's group of observers, as
+    that member's view, in member order; return the block's last State
+    (for a batch, every member's view of it)."""
+    views = [_index(block, block.t, (slice(None), i)) for i in range(block.U.shape[1])] \
+        if batch else [block]
     for obs, view in zip(groups, views):
         for o in obs:
-            if getattr(o, "observes_blocks", False):
-                o(view)
-    last = [states[-1] for states in rows]
+            o(view)
+    last = [_index(view, view.t[-1], -1) for view in views]
     return last if batch else last[0]

@@ -7,7 +7,8 @@ values, an integrating-factor reconstruction, numpy's own reduction,
 the csv module, the loop-and-COO construction of the mesh, the operators
 and the coupling pattern) or reads a recorded run.
 Nothing in the package calls them.  The helpers that make the prototype
-model and the unit-interval space for several test modules live here too.
+model and the unit-interval space, and per_state, which feeds run()'s
+blocks to a callable of one State, live here too for several test modules.
 """
 
 import csv
@@ -247,6 +248,15 @@ def _exp_weight_factor(x):
     return out
 
 
+def per_state(observe):
+    """A run() observer that hands each row of every block (see
+    dynamics.State) to observe, as a State of views."""
+    def observer(block):
+        for j, t in enumerate(block.t):
+            observe(dy._index(block, t, j))
+    return observer
+
+
 def strain_history_residual(scenario, space, config):
     """Gap between the final strain of a run and its integrating-factor
     reconstruction from the run's stress history.
@@ -262,7 +272,7 @@ def strain_history_residual(scenario, space, config):
     Returns the max over quadrature points of the tensor-norm gap.
     """
     records, model = [], scenario.model
-    dy.run(scenario, space, config, observers=(records.append,))
+    dy.run(scenario, space, config, observers=(per_state(records.append),))
     ts = np.array([state.t for state in records])
     if len(ts) < 2:
         return 0.0

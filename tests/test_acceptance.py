@@ -116,7 +116,7 @@ def test_criterion_06_strain_limit_bound():
     m = proto_model(q=2.0, beta=0.1, reg_n=256)
     scen = sc.build_scenario("near-limit", 1, (0.0, 1.0), m, 0.25)
     space = interval_space(64)
-    rec = dg.StrainRecorder(scen, space)
+    rec = dg.StrainRecorder(scen)
     cfg = dy.SolverConfig(dt=1e-3, t_end=0.25, scheme=dy.SCHEME_MIDPOINT)
     dy.run(scen, space, cfg, observers=(rec,))
     tab = rec.table()
@@ -198,7 +198,7 @@ def test_criterion_10_smoke_2d():
     scen = sc.build_scenario("gaussian-pluck", 2, (0.0, 1.0, 0.0, 1.0), m, 0.2)
     space = fe.FESpace(fe.rectangle_mesh(0.0, 1.0, 0.0, 1.0, 16, 16))
     erec = dg.EnergyRecorder(scen, space)
-    srec = dg.StrainRecorder(scen, space)
+    srec = dg.StrainRecorder(scen)
     cfg = dy.SolverConfig(dt=1e-3, t_end=0.2, scheme=dy.SCHEME_MIDPOINT)
     dy.run(scen, space, cfg, observers=(erec, srec))
     steps = len(erec.records) - 1

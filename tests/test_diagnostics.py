@@ -36,7 +36,7 @@ def rest_state(scen, space):
 
 def one_snapshot(state, space, scen):
     """The ledger record of one State, from its block of one."""
-    [record] = dg.energy_snapshot(dy.as_block(state), space, scen)
+    [record] = dg.energy_snapshot(dy.block_of([state]), space, scen)
     return record
 
 
@@ -126,7 +126,7 @@ def test_block_snapshot_equals_one_state_snapshots():
     U, V = 1e-3 * rng.standard_normal((2, 4, space.ndof))
     block = dy.evaluate_fields(scen, space, [0.0, 0.05, 0.3, 0.25], U, V)
     records = dg.energy_snapshot(block, space, scen)
-    singles = [one_snapshot(state, space, scen) for state in dy._states(block)]
+    singles = [one_snapshot(dy._index(block, t, j), space, scen) for j, t in enumerate(block.t)]
     assert [np.isinf(r.elastic) for r in records] == [False, False, True, True]
     assert len(records) == len(singles) == 4
     for got, want in zip(records, singles):
@@ -173,7 +173,7 @@ def test_pluck_energy_decay_and_dissipation():
     scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.25)
     space = interval_space(64)
     er = dg.EnergyRecorder(scen, space)
-    mon = dg.StrainRecorder(scen, space)
+    mon = dg.StrainRecorder(scen)
     cfg = dy.SolverConfig(dt=2e-3, t_end=0.25, scheme="midpoint")
     dy.run(scen, space, cfg, observers=(er, mon))
     tab = er.table()
@@ -232,9 +232,9 @@ def test_regularization_sweep_cauchy():
 
 
 def test_regularization_sweep_compares_levels_at_the_same_time(monkeypatch):
-    # the last level's observer closes each record from every level's
-    # latest state: with blocks of many steps (the default, 42 steps of
-    # 96 points here) as with blocks of one step, those are all at its time
+    # the last level's observer closes the records from every level's
+    # latest block: with blocks of many steps (the default, 42 steps of
+    # 96 points here) as with blocks of one step, those hold the same times
     m = con.ConstitutiveModel(con.PrototypePotential(2.0), alpha=1.0, beta=0.1)
     scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), m, 0.15)
     space = interval_space(48)
@@ -262,7 +262,7 @@ def test_midpoint_sweep_skips_the_fields_nobody_reads(monkeypatch):
         return real_invert(model, E, **kw)
 
     def run_reading_fields(scenario, space, config, observers=(), **kw):
-        reading = [tuple(obs) + (lambda state: state.stress,) for obs in observers]
+        reading = [tuple(obs) + (lambda block: block.stress,) for obs in observers]
         return real_run(scenario, space, config, observers=reading, **kw)
 
     monkeypatch.setattr(con, "invert", counting_invert)
@@ -361,6 +361,15 @@ def test_study_failure_keeps_type_and_names_case(monkeypatch):
     assert len(err.value.trace) == 3
 
 
+def test_stability_failure_at_t0_names_case():
+    # the largest perturbation's initial velocity alone is beyond the limit
+    m = con.ConstitutiveModel(con.PrototypePotential(2.0), alpha=1.0, beta=0.1)
+    scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), m, 0.02)
+    cfg = dy.SolverConfig(dt=1e-2, t_end=0.02)
+    with pytest.raises(con.SupercriticalStrainError, match=r"\[study case delta=100\]"):
+        dg.stability_study(scen, interval_space(16), cfg, [100.0, 1e-3, 1e-5])
+
+
 # ---------------------------------------------------------------------------
 # studies step their members as one batch
 
@@ -381,19 +390,26 @@ def _run_study(study, scen, space, cfg):
 
 def _spy_batch(monkeypatch):
     """Spy on the studies' run: every member's (U, V) at every record,
-    next to the member scenarios and initial velocities it was given."""
+    next to the member scenarios and the initial State it was given."""
     real = dy.run
     seen = {}
 
-    def spy(members, space, config, observers=(), V0=None):
+    def spy(members, space, config, observers=(), start=None):
         hist = [[] for _ in range(len(members))]
-        obs = [tuple(own) + ((lambda s, h=h: h.append((s.U, s.V))),)
+        obs = [tuple(own) + (ref.per_state(lambda s, h=h: h.append((s.U, s.V))),)
                for own, h in zip(observers or [()] * len(members), hist)]
-        seen.update(members=members, V0=V0, hist=hist)
-        return real(members, space, config, observers=obs, V0=V0)
+        seen.update(members=members, start=start, hist=hist)
+        return real(members, space, config, observers=obs, start=start)
 
     monkeypatch.setattr(dg.dyn, "run", spy)
     return seen, real
+
+
+def _own_start(start, i, member, space):
+    """Member i's own initial State, from its batch start (None: run's
+    default), evaluated alone from the same coefficients."""
+    if start is not None:
+        return dy.evaluate_fields(member, space, 0.0, start.U[i], start.V[i])
 
 
 @pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
@@ -407,8 +423,8 @@ def test_study_members_match_their_own_runs(monkeypatch, study, scheme, dim):
     assert isinstance(members, dy.Members) and len(members) == 4
     for i, member in enumerate(members.scenarios):
         alone = []
-        real(member, space, cfg, V0=None if seen["V0"] is None else seen["V0"][i],
-             observers=(lambda s: alone.append((s.U, s.V)),))
+        real(member, space, cfg, start=_own_start(seen["start"], i, member, space),
+             observers=(ref.per_state(lambda s: alone.append((s.U, s.V))),))
         batch = seen["hist"][i]
         assert len(batch) == len(alone) == 31
         assert all(np.array_equal(U, Ua) and np.array_equal(V, Va)
@@ -451,7 +467,7 @@ def test_study_members_keep_their_newton_counts(monkeypatch, study):
     for i, member in enumerate(members.scenarios):
         iters.clear()
         facts.clear()
-        real(member, space, cfg, V0=None if seen["V0"] is None else seen["V0"][i])
+        real(member, space, cfg, start=_own_start(seen["start"], i, member, space))
         assert [iters[(0, t)] for t in steps] == [batch_iters.get((i, t), 0) for t in steps]
         alone_facts.update(facts)
     # the sweep's members differ in reg_n, so each factorization is known by

@@ -559,6 +559,42 @@ def test_report_csv_keeps_blank_cells(tmp_path, order, n):
     assert text.endswith(b",\r\n") == (order is None)
 
 
+def test_block_size_leaves_the_outputs_unchanged(tmp_path, monkeypatch):
+    # a midpoint standing-wave run and a midpoint regularization sweep of
+    # 10 steps on 32 quadrature points: blocks of 1 step, of 7 steps and
+    # one block per run write the same bytes
+    run_text = base_cfg("cells = 16\nscenario = manufactured:standing-wave\n",
+                        drop=("cells", "scenario"))
+    sweep_text = base_cfg("cells = 16\nstudy = regularization\nn_list = 4 16 64\n",
+                          drop=("cells", "reg_n"))
+    outputs = []
+    for steps in (1, 7, 10):
+        monkeypatch.setattr(dr.dy, "BLOCK_POINTS", steps * 32)
+        files = {}
+        for command, text in (("run", run_text), ("sweep", sweep_text)):
+            out = tmp_path / f"{command}-{steps}"
+            assert run_main(tmp_path, text + f"out_dir = {out}\n", command) == 0
+            files.update({(command, p.name): p.read_bytes() for p in out.iterdir()})
+        outputs.append(files)
+    assert len(outputs[0]) == 5
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("run", ""), ("sweep", "study = regularization\nn_list = 4 16 64\n")], ids=["run", "sweep"])
+def test_unwritable_out_dir_exits_1_before_stepping(tmp_path, capsys, monkeypatch,
+                                                    command, extra):
+    runs = []
+    monkeypatch.setattr(dr.dy, "run", lambda *args, **kw: runs.append(args))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    text = base_cfg(extra + f"out_dir = {blocker / 'x'}\n", drop=("reg_n",) if extra else ())
+    assert run_main(tmp_path, text, command) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("cannot write output: ") and captured.err == ""
+    assert runs == []
+
+
 # ---------------------------------------------------------------------------
 # sweep command
 

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -145,8 +145,6 @@ def test_members_differ_only_in_reg_n():
     cfg = dy.SolverConfig(dt=1e-3, t_end=2e-3)
     with pytest.raises(ValueError, match="one sequence per member"):
         dy.run(members, space, cfg, observers=[()])
-    with pytest.raises(ValueError, match="shape"):
-        dy.run(members, space, cfg, V0=np.zeros(space.ndof))
     finals = dy.run(members, space, cfg)
     assert len(finals) == 2 and finals[0].U.shape == (space.ndof,)
 
@@ -237,8 +235,9 @@ def test_midpoint_near_conservation_linear():
         return ke + ee
 
     energies = []
-    dy.run(scen, space, cfg, V0=V0,
-           observers=(lambda s: energies.append(energy(s.U, s.V)),))
+    start = dy.evaluate_fields(scen, space, 0.0, np.zeros(space.ndof), V0)
+    dy.run(scen, space, cfg, start=start,
+           observers=(ref.per_state(lambda s: energies.append(energy(s.U, s.V))),))
     assert len(energies) == 1001
     e0 = energies[0]
     drift = max(abs(e - e0) for e in energies)
@@ -401,8 +400,15 @@ def test_run_refactors_for_a_shorter_last_step(monkeypatch):
 def _recorded_run(scen, space, cfg, **kw):
     """Observer records the states of one run, and run's return value."""
     seen = []
-    final = dy.run(scen, space, cfg, observers=(seen.append,), **kw)
+    final = dy.run(scen, space, cfg, observers=(ref.per_state(seen.append),), **kw)
     return seen, final
+
+
+def _assert_same_state(a, b):
+    """a and b hold the same time and arrays."""
+    assert a.t == b.t
+    for x, y in zip(astuple(a)[1:], astuple(b)[1:]):
+        assert (x is None and y is None) or np.array_equal(x, y)
 
 
 def test_run_t_end_zero_single_record():
@@ -417,7 +423,7 @@ def test_run_returns_last_observed_state(t_end):
     scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.05)
     space = interval_space(8)
     seen, state = _recorded_run(scen, space, dy.SolverConfig(dt=1e-3, t_end=t_end))
-    assert state is seen[-1]
+    _assert_same_state(state, seen[-1])
     assert state.t == pytest.approx(t_end, abs=1e-12)
 
 
@@ -434,7 +440,8 @@ def test_observed_states_are_their_own_records(scheme):
     space = interval_space(16)
     seen, final = _recorded_run(scen, space, dy.SolverConfig(dt=1e-3, t_end=0.01,
                                                              scheme=scheme))
-    assert len(seen) == 11 and final is seen[-1]
+    assert len(seen) == 11
+    _assert_same_state(final, seen[-1])
     for state in seen:
         _assert_own_record(scen, space, state)
 
@@ -446,9 +453,11 @@ def test_member_views_are_their_own_records():
     space = interval_space(16)
     seen = [[], []]
     finals = dy.run(members, space, dy.SolverConfig(dt=1e-3, t_end=0.01),
-                    observers=[(seen[0].append,), (seen[1].append,)])
+                    observers=[(ref.per_state(seen[0].append),),
+                               (ref.per_state(seen[1].append),)])
     for member, states, final in zip(members.scenarios, seen, finals):
-        assert len(states) == 11 and final is states[-1]
+        assert len(states) == 11
+        _assert_same_state(final, states[-1])
         for state in states:
             assert state.U.shape == (space.ndof,)
             _assert_own_record(member, space, state)
@@ -480,7 +489,7 @@ def test_run_observer_sees_every_state():
     space = interval_space(8)
     seen = []
     dy.run(scen, space, dy.SolverConfig(dt=1e-3, t_end=5e-3),
-           observers=(lambda s: seen.append((s.t, s.stress.shape)),))
+           observers=(ref.per_state(lambda s: seen.append((s.t, s.stress.shape))),))
     assert len(seen) == 6
     assert seen[0][0] == 0.0
     assert all(shape == (space.n_qp, space.m) for _, shape in seen)
@@ -499,8 +508,8 @@ def test_run_strain_bound_with_slack():
         tmax = float(np.max(st.norm(state.stress)))
         bound_ok.append(emax <= 1.0 + tmax / 64 + 1e-10)
 
-    dy.run(scen, space, cfg, observers=(check,))
-    assert all(bound_ok)
+    dy.run(scen, space, cfg, observers=(ref.per_state(check),))
+    assert len(bound_ok) == 101 and all(bound_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +687,7 @@ def test_midpoint_steps_do_not_depend_on_the_observers(monkeypatch):
         monkeypatch.setattr(dy, "BLOCK_POINTS", steps_per_block * space.n_qp)
         seen = []
         runs.append(_midpoint_steps(monkeypatch, scen, space, cfg,
-                                    (dg.EnergyRecorder(scen, space), seen.append)))
+                                    (dg.EnergyRecorder(scen, space), ref.per_state(seen.append))))
         for state in seen:
             _assert_own_record(scen, space, state)
     for steps in runs:
@@ -689,38 +698,26 @@ def test_midpoint_steps_do_not_depend_on_the_observers(monkeypatch):
 
 @pytest.mark.parametrize("scheme", ["midpoint", "rk4"])
 def test_members_observers_see_every_member_at_each_time(monkeypatch, scheme):
-    # per-state observers go time by time, each time member by member;
-    # block observers follow with their member's block
+    # each block goes to the members in member order, and to each
+    # member's observers in their order; every member's block (its view)
+    # holds the same times
     scen = sc.build_scenario("manufactured:standing-wave", 1, (0.0, 1.0), proto_model(), 0.01)
     space = interval_space(16)
     monkeypatch.setattr(dy, "BLOCK_POINTS", 4 * space.n_qp)    # blocks of 4, 4 and 2 steps
     members = dy.Members([scen, scen.with_model(scen.model.with_reg(64))])
     calls = []
-
-    class Blocks:
-        observes_blocks = True
-
-        def __init__(self, i):
-            self.i = i
-
-        def __call__(self, block):
-            calls.append(("block", self.i, tuple(block.t)))
-
-    observers = [(lambda s, i=i: calls.append(("a", i, s.t)), Blocks(i),
-                  lambda s, i=i: calls.append(("b", i, s.t))) for i in range(2)]
+    observers = [tuple(lambda b, k=k, i=i: calls.append((k, i, tuple(b.t), b.U.shape))
+                       for k in "ab") for i in range(2)]
     dy.run(members, space, dy.SolverConfig(dt=1e-3, t_end=0.01, scheme=scheme),
            observers=observers)
-    times = [t for k, i, t in calls if k == "a" and i == 0]
+    times = [t for k, i, ts, _ in calls if k == "a" and i == 0 for t in ts]
     assert len(times) == 11
     # t=0, then midpoint blocks of 4, 4 and 2 states; an RK4 state is a
     # block of its own
     groups = [times[:1], times[1:5], times[5:9], times[9:]] if scheme == "midpoint" \
         else [[t] for t in times]
-    want = []
-    for ts in groups:
-        want += [(k, i, t) for t in ts for i in range(2) for k in "ab"]
-        want += [("block", i, tuple(ts)) for i in range(2)]
-    assert calls == want
+    assert calls == [(k, i, tuple(ts), (len(ts), space.ndof))
+                     for ts in groups for i in range(2) for k in "ab"]
 
 
 def test_energy_records_are_complete_when_run_returns(monkeypatch):
@@ -729,7 +726,8 @@ def test_energy_records_are_complete_when_run_returns(monkeypatch):
     monkeypatch.setattr(dy, "BLOCK_POINTS", 4 * space.n_qp)    # blocks of 4, 4 and 2 steps
     energy = dg.EnergyRecorder(scen, space)
     seen = []
-    dy.run(scen, space, dy.SolverConfig(dt=1e-3, t_end=0.01), observers=(energy, seen.append))
+    dy.run(scen, space, dy.SolverConfig(dt=1e-3, t_end=0.01),
+           observers=(energy, ref.per_state(seen.append)))
     assert len(energy.records) == 11
     assert [r.t for r in energy.records] == [s.t for s in seen]
 
