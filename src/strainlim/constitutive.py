@@ -15,9 +15,9 @@ the regularized inverse exists for every E.
 Inversion reduces to a scalar root find in the radius because G keeps
 T and E collinear.
 
-Everything here is vectorized: tensors are packed arrays with the
-components on the last axis (see symtensor), and any number of leading
-batch axes is allowed.
+Everything here takes arrays with a point axis: tensors are packed with
+their components on the last axis (see symtensor), radii and magnitudes
+have the point shape, and one point is an array of one row.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ class NewtonConvergenceError(RuntimeError):
 class ScalarPotential:
     """Convex radial potential phi on [0, inf).
 
-    Subclasses provide phi, dphi, d2phi, the closed-form inverse of dphi
-    where available, and the response limit L = sup dphi.
+    Subclasses provide phi, dphi_pair = (dphi, d2phi), the closed-form
+    inverse of dphi, and the response limit L = sup dphi.
     """
 
     limit = INF
@@ -61,19 +61,12 @@ class ScalarPotential:
     def phi(self, s):
         raise NotImplementedError
 
-    def dphi(self, s):
-        raise NotImplementedError
-
-    def d2phi(self, s):
+    def dphi_pair(self, s):
         raise NotImplementedError
 
     def dphi_inv(self, e):
         """Inverse of dphi on [0, limit); caller guarantees e < limit."""
         raise NotImplementedError
-
-    def dphi_pair(self, s):
-        """(dphi(s), d2phi(s)); subclasses may share work between the two."""
-        return self.dphi(s), self.d2phi(s)
 
 
 class PrototypePotential(ScalarPotential):
@@ -101,12 +94,6 @@ class PrototypePotential(ScalarPotential):
             return np.sqrt(1.0 + s * s) - 1.0
         return 0.5 * s * s * hyp2f1(1.0 / q, 2.0 / q, (2.0 + q) / q, -(s**q))
 
-    def dphi(self, s):
-        return self.dphi_pair(s)[0]
-
-    def d2phi(self, s):
-        return self.dphi_pair(s)[1]
-
     def dphi_pair(self, s):
         """dphi and d2phi from one shared w = 1 + s**q, d2phi = (dphi/s) / w.
 
@@ -116,9 +103,6 @@ class PrototypePotential(ScalarPotential):
         cost on large batches.
         """
         s = np.asarray(s, dtype=float)
-        if s.ndim == 0:
-            dphi, d2 = self.dphi_pair(s[None])
-            return dphi[0], d2[0]
         q = self.q
         big = s > 1.0
         pw = s ** np.where(big, -q, q)
@@ -154,14 +138,10 @@ class PowerLawPotential(ScalarPotential):
         s = np.asarray(s, dtype=float)
         return s**self.p / self.p
 
-    def dphi(self, s):
-        s = np.asarray(s, dtype=float)
-        return s ** (self.p - 1.0)
-
-    def d2phi(self, s):
+    def dphi_pair(self, s):
         s = np.asarray(s, dtype=float)
         with np.errstate(divide="ignore"):
-            return (self.p - 1.0) * s ** (self.p - 2.0)
+            return s ** (self.p - 1.0), (self.p - 1.0) * s ** (self.p - 2.0)
 
     def dphi_inv(self, e):
         e = np.asarray(e, dtype=float)
@@ -205,11 +185,9 @@ class ConstitutiveModel:
         return replace(self, reg_n=reg_n)
 
 
-def limit_L(potential):
+def limit_L(model):
     """Response limit L = sup dphi (+inf for unbounded potentials)."""
-    if isinstance(potential, ConstitutiveModel):
-        potential = potential.potential
-    return potential.limit
+    return model.potential.limit
 
 
 def _inv_n(model, inv_n=None):
@@ -229,20 +207,11 @@ def _regularizer(model, r, inv_n=None):
     return inv * r, inv
 
 
-def response_scalar(model, r):
-    """Effective scalar response h(r) = dphi(r) + regularizer, r >= 0."""
-    r = np.asarray(r, dtype=float)
-    return model.potential.dphi(r) + _regularizer(model, r)[0]
+def response_pair(model, r, inv_n=None):
+    """(h(r), h'(r)) of the effective response h = dphi + r/n at radii r >= 0.
 
-
-def response_scalar_deriv(model, r):
-    """h'(r); strictly positive for r > 0 on every admissible model."""
-    r = np.asarray(r, dtype=float)
-    return model.potential.d2phi(r) + _regularizer(model, r)[1]
-
-
-def _response_pair(model, r, inv_n=None):
-    """(h(r), h'(r)) in one pass."""
+    G_n, its tangent's eigenvalues h(r)/r and h'(r), the inverse and the
+    conjugate all follow from this pair; h' > 0 for r > 0."""
     h, d = model.potential.dphi_pair(r)
     reg, dreg = _regularizer(model, r, inv_n)
     return h + reg, d + dreg
@@ -257,7 +226,7 @@ def g_apply(model, T):
     out = np.zeros_like(T)
     nz = r > 0.0
     if np.any(nz):
-        factor = response_scalar(model, r[nz]) / r[nz]
+        factor = response_pair(model, r[nz])[0] / r[nz]
         out[nz] = factor[..., None] * T[nz]
     return out
 
@@ -269,38 +238,19 @@ def jacobian_eigenvalues(model, T):
     (multiplicity m-1) and h'(r) along T; at T=0 both collapse to h'(0).
     """
     r = st.norm(np.asarray(T, dtype=float))
-    scalar_in = r.ndim == 0
-    r = np.atleast_1d(r)
-    h0 = float(response_scalar_deriv(model, 0.0))
-    tang = np.full(r.shape, h0)
-    radial = np.full(r.shape, h0)
-    nz = r > 0.0
-    if np.any(nz):
-        h, radial[nz] = _response_pair(model, r[nz])
-        tang[nz] = h / r[nz]
-    if scalar_in:
-        return float(tang[0]), float(radial[0])
+    h, radial = response_pair(model, r)
+    tang = np.divide(h, r, out=radial.copy(), where=r > 0.0)
     return tang, radial
 
 
 def g_jacobian(model, T):
     """Derivative of g_apply as a symmetric matrix on packed components."""
     T = np.asarray(T, dtype=float)
-    m = T.shape[-1]
     r = st.norm(T)
     tang, radial = jacobian_eigenvalues(model, T)
-    tang = np.asarray(tang)
-    radial = np.asarray(radial)
-    J = tang[..., None, None] * np.eye(m)
-    unit = np.zeros_like(T)
-    nz = np.asarray(r) > 0.0
-    if T.ndim == 1:
-        if nz:
-            unit = T / r
-    else:
-        unit[nz] = T[nz] / np.asarray(r)[nz][..., None]
-    J = J + (radial - tang)[..., None, None] * st.outer(unit, unit)
-    return J
+    J = tang[..., None, None] * np.eye(T.shape[-1])
+    unit = np.divide(T, r[..., None], out=np.zeros_like(T), where=r[..., None] > 0.0)
+    return J + (radial - tang)[..., None, None] * st.outer(unit, unit)
 
 
 def tangent_inverse_blocks(model, T):
@@ -313,11 +263,10 @@ def tangent_inverse_blocks(model, T):
     Eigenvalues are floored at a tiny value: in the Jacobian this only
     regularizes the Newton direction, never the solution.
     """
-    T = np.atleast_2d(T)
     nq, mcomp = T.shape
     tang, radial = jacobian_eigenvalues(model, T)
-    tang = np.maximum(np.atleast_1d(tang), 1e-12)
-    radial = np.maximum(np.atleast_1d(radial), 1e-12)
+    tang = np.maximum(tang, 1e-12)
+    radial = np.maximum(radial, 1e-12)
     blocks = np.zeros((nq, mcomp, mcomp))
     ii = np.arange(mcomp)
     blocks[:, ii, ii] = (1.0 / tang)[:, None]
@@ -338,7 +287,6 @@ def jacobian_norm_bound_check(model, T):
     """
     if model.reg_n is None:
         raise ValueError("bound check expects a regularized model")
-    T = np.asarray(T, dtype=float)
     tang, radial = jacobian_eigenvalues(model, T)
     opnorm = np.maximum(tang, radial)
     bound = 3.0 * (_inv_n(model) + 1.0 / (1.0 + st.norm(T)))
@@ -366,8 +314,6 @@ def invert_radius(model, s, warm=None, inv_n=None):
     differ only in reg_n.
     """
     s = np.asarray(s, dtype=float)
-    scalar_in = s.ndim == 0
-    s = np.atleast_1d(s)
     if (s < 0.0).any() or not np.isfinite(s).all():
         raise ValueError("strain magnitude must be finite and >= 0")
 
@@ -379,8 +325,7 @@ def invert_radius(model, s, warm=None, inv_n=None):
             raise SupercriticalStrainError(
                 f"no regularizer and strain magnitude {worst:.6g} at or beyond limit {L:.6g}"
             )
-        r = pot.dphi_inv(s)
-        return float(r[0]) if scalar_in else r
+        return pot.dphi_inv(s)
 
     inv = _inv_n(model, inv_n)
     hi = s / inv
@@ -394,7 +339,7 @@ def invert_radius(model, s, warm=None, inv_n=None):
         x = np.minimum(np.maximum(warm, 0.0), hi)          # clipped to [0, hi]
     else:
         # cold start s / h'(0), per point since h'(0) holds 1/n
-        d0 = model.potential.d2phi(0.0) + _regularizer(model, 0.0, inv)[1]
+        d0 = response_pair(model, np.zeros(1), inv)[1]
         with np.errstate(divide="ignore", invalid="ignore"):
             x = np.where(np.isfinite(d0) & (d0 > 0.0), np.minimum(hi, s / d0), 0.5 * hi)
     done = s == 0.0
@@ -402,10 +347,10 @@ def invert_radius(model, s, warm=None, inv_n=None):
 
     target = INVERT_TOL * (1.0 + s)
     mid = np.empty_like(s)
-    # h, h' come fresh from _response_pair, so the loop overwrites them in place
+    # h, h' come fresh from response_pair, so the loop overwrites them in place
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(INVERT_MAX_ITER):
-            f, d = _response_pair(model, x, inv)
+            f, d = response_pair(model, x, inv)
             f -= s
             done |= np.abs(f) <= target
             if done.all():
@@ -420,7 +365,7 @@ def invert_radius(model, s, warm=None, inv_n=None):
             np.copyto(mid, xn, where=(xn > lo) & (xn < hi))
             np.copyto(x, mid, where=~done)
         else:
-            worst = float(np.max(np.abs(_response_pair(model, x, inv)[0] - s)))
+            worst = float(np.max(np.abs(response_pair(model, x, inv)[0] - s)))
             raise NewtonConvergenceError(f"radial inversion stalled after {INVERT_MAX_ITER} "
                                          f"iterations, residual {worst:.3e}")
         # two polish steps drive the scalar residual to its roundoff floor,
@@ -428,13 +373,13 @@ def invert_radius(model, s, warm=None, inv_n=None):
         # first reuses h - s and h' of the converged iterate
         for k in range(2):
             if k:
-                f, d = _response_pair(model, x, inv)
+                f, d = response_pair(model, x, inv)
                 f -= s
             np.copyto(d, 1.0, where=~((x > 0.0) & (d > 0.0) & np.isfinite(d)))
             step = np.divide(f, d, out=f)
             np.copyto(step, 0.0, where=~np.isfinite(step))
             np.maximum(np.subtract(x, step, out=x), 0.0, out=x)
-    return float(x[0]) if scalar_in else x
+    return x
 
 
 def invert(model, E, warm_stress=None, inv_n=None):
@@ -452,8 +397,6 @@ def invert(model, E, warm_stress=None, inv_n=None):
         raise ValueError("non-finite strain input")
     warm = st.norm(warm_stress) if warm_stress is not None else None
     r = invert_radius(model, s, warm=warm, inv_n=inv_n)
-    if E.ndim == 1:
-        return (r / s) * E if s > 0.0 else np.zeros_like(E)
     scale = np.divide(r, s, out=np.zeros_like(s), where=s > 0.0)
     return scale[..., None] * E
 
@@ -468,19 +411,14 @@ def phi_star(potential, e):
     Finite exactly below the limit: for e >= L the conjugate is +inf,
     which is returned as an explicit inf sentinel.
     """
-    if isinstance(potential, ConstitutiveModel):
-        potential = potential.potential
     e = np.asarray(e, dtype=float)
-    scalar_in = e.ndim == 0
-    e = np.atleast_1d(e)
     if np.any(e < 0.0):
         raise ValueError("conjugate argument must be >= 0")
     out = np.full(e.shape, INF)
     sub = e < potential.limit
-    if np.any(sub):
-        r = potential.dphi_inv(e[sub])
-        out[sub] = e[sub] * r - potential.phi(r)
-    return float(out[0]) if scalar_in else out
+    r = potential.dphi_inv(e[sub])
+    out[sub] = e[sub] * r - potential.phi(r)
+    return out
 
 
 def effective_conjugate(model, e, radius=None):
@@ -494,12 +432,8 @@ def effective_conjugate(model, e, radius=None):
     e = np.asarray(e, dtype=float)
     if model.reg_n is None:
         return phi_star(model.potential, e)
-    scalar_in = e.ndim == 0
-    e = np.atleast_1d(e)
     r = invert_radius(model, e) if radius is None else radius
-    r = np.atleast_1d(r)
-    out = e * r - (model.potential.phi(r) + _inv_n(model) * r * r / 2.0)
-    return float(out[0]) if scalar_in else out
+    return e * r - (model.potential.phi(r) + _inv_n(model) * r * r / 2.0)
 
 
 def fenchel_residual(model, T):

@@ -59,7 +59,6 @@ class ConvergenceReport:
     log(axis); extra carries study-specific results.
     """
 
-    axis_name: str
     axis: np.ndarray
     values: np.ndarray
     fitted_order: float = None
@@ -184,8 +183,10 @@ class StrainRecorder:
         self.records = []
 
     def __call__(self, block):
-        mx, eps, stress = (np.max(st.norm(a), axis=-1).tolist()
-                           for a in (block.E, block.eps, block.stress))
+        # a state that is blowing up overflows its squared norms: inf is recorded
+        with np.errstate(over="ignore"):
+            mx, eps, stress = [np.max(st.norm(a), axis=-1).tolist()
+                               for a in (block.E, block.eps, block.stress)]
         self.records.extend(StrainMonitor(float(t), m, self.limit - m, e, s)
                             for t, m, e, s in zip(block.t, mx, eps, stress))
 
@@ -245,7 +246,7 @@ def regularization_sweep(scenario, space, config, n_list):
     max_t_diffs = [max(col) for col in zip(*per_step)]
     cauchy = bool(np.all(np.diff(diffs) < 0.0))
     return ConvergenceReport(
-        axis_name="n", axis=np.array(n_list[1:], dtype=float), values=diffs,
+        axis=np.array(n_list[1:], dtype=float), values=diffs,
         fitted_order=fit_order(n_list[1:], diffs) if len(diffs) >= 3 else None,
         extra={"cauchy": cauchy, "max_t_diffs": np.array(max_t_diffs),
                "n_list": np.array(n_list)},
@@ -278,7 +279,7 @@ def refinement_study(scenario, axis, levels, config, space=None):
             dom = np.asarray(scenario.domain, dtype=float)
             hs.append(float(np.max(dom[:, 1] - dom[:, 0])) / c)
         return ConvergenceReport(
-            axis_name="h", axis=np.array(hs), values=np.array(errs),
+            axis=np.array(hs), values=np.array(errs),
             fitted_order=fit_order(hs, errs),
             extra={"cells": np.array(cellcounts)},
         )
@@ -292,7 +293,7 @@ def refinement_study(scenario, axis, levels, config, space=None):
             final = _annotated(f"dt={d:g}", dyn.run, scenario, space, replace(config, dt=d))
             errs.append(space.l2_norm_qp(space.value_at_qp(final.U - ref.U)))
         return ConvergenceReport(
-            axis_name="dt", axis=np.array(dts), values=np.array(errs),
+            axis=np.array(dts), values=np.array(errs),
             fitted_order=fit_order(dts, errs),
             extra={"elements": space.mesh.n_elems, "dt_ref": dt_ref},
         )
@@ -343,7 +344,7 @@ def stability_study(scenario, space, config, delta_list, seed=0):
     else:
         C = np.nan
     return ConvergenceReport(
-        axis_name="delta", axis=np.array(deltas), values=factors,
+        axis=np.array(deltas), values=factors,
         fitted_order=fit_order(deltas, factors),
         extra={"growth_constant": C, "seed": seed},
     )

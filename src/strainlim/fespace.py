@@ -263,6 +263,8 @@ class FESpace:
         if self._mass is None:
             W = sp.diags(self._w_d)
             self._mass = (self.N.T @ W @ self.N).tocsc()
+            # sorted here: splu would sort in place, under coupling's mass_slot
+            self._mass.sort_indices()
         return self._mass
 
     def mass_apply(self, U):

@@ -135,7 +135,6 @@ def zero_field(dim):
 
 @dataclass
 class Scenario:
-    name: str
     dim: int
     domain: tuple
     model: con.ConstitutiveModel
@@ -294,7 +293,7 @@ def stress_divergence(model, u_exact, t, X):
     return np.einsum("nkik->ni", dT)
 
 
-def manufactured(u_exact, model, domain, name="manufactured", t_end=1.0):
+def manufactured(u_exact, model, domain, t_end=1.0):
     """Scenario whose exact solution is u_exact, forcing derived from it.
 
     f = dtt_u - div T with T from the model's own (possibly regularized)
@@ -333,9 +332,9 @@ def manufactured(u_exact, model, domain, name="manufactured", t_end=1.0):
                            grad=lambda t, X: u_exact.dt_grad(0.0, X))
     lift = lift_static_bc(u_init, v_init, model.alpha, model.beta)
     return Scenario(
-        name=name, dim=dim, domain=dom,
+        dim=dim, domain=dom,
         model=model, lift=lift, forcing=forcing, exact=u_exact, t_end=t_end,
-        rebuild=lambda mdl: manufactured(u_exact, mdl, dom, name=name, t_end=t_end),
+        rebuild=lambda mdl: manufactured(u_exact, mdl, dom, t_end=t_end),
     )
 
 
@@ -448,7 +447,7 @@ def _pluck_field(dim, domain, amplitude):
                           amplitude)
 
 
-def _pluck_scenario(name, margin, dim, domain, model, t_end):
+def _pluck_scenario(margin, dim, domain, model, t_end):
     """Initial bump scaled so the initial strain expression sits at
     margin below the response limit (or below 1 for unbounded models);
     v0 = 0, f = 0, static lift."""
@@ -472,9 +471,9 @@ def _pluck_scenario(name, margin, dim, domain, model, t_end):
     u_init = _pluck_field(dim, dom, amp)
     lift = lift_static_bc(u_init, zero_field(dim), model.alpha, model.beta)
     return Scenario(
-        name=name, dim=dim, domain=dom,
+        dim=dim, domain=dom,
         model=model, lift=lift, forcing=None, exact=None, t_end=t_end,
-        rebuild=lambda mdl: _pluck_scenario(name, margin, dim, dom, mdl, t_end),
+        rebuild=lambda mdl: _pluck_scenario(margin, dim, dom, mdl, t_end),
     )
 
 
@@ -509,7 +508,7 @@ def _constant_strain_scenario(dim, domain, model, t_end):
     u_init = _constant_strain_field(dim, dom)
     lift = lift_static_bc(u_init, zero_field(dim), model.alpha, model.beta)
     return Scenario(
-        name="constant-strain", dim=dim, domain=dom,
+        dim=dim, domain=dom,
         model=model, lift=lift, forcing=None, exact=lift, t_end=t_end,
         rebuild=lambda mdl: _constant_strain_scenario(dim, dom, mdl, t_end),
     )
@@ -518,19 +517,19 @@ def _constant_strain_scenario(dim, domain, model, t_end):
 def build_scenario(name, dim, domain, model, t_end):
     """Resolve a scenario name (including manufactured:<name>) to a Scenario."""
     if name == "gaussian-pluck":
-        return _pluck_scenario(name, 0.3, dim, domain, model, t_end)
+        return _pluck_scenario(0.3, dim, domain, model, t_end)
     if name == "near-limit":
-        return _pluck_scenario(name, 0.02, dim, domain, model, t_end)
+        return _pluck_scenario(0.02, dim, domain, model, t_end)
     if name in ("standing-wave", "manufactured:standing-wave"):
         if dim != 1:
             raise InvalidDataError("standing-wave is a 1D scenario")
         u = _standing_wave_field(1, domain)
-        return manufactured(u, model, domain, name="standing-wave", t_end=t_end)
+        return manufactured(u, model, domain, t_end=t_end)
     if name == "manufactured:standing-wave-2d":
         if dim != 2:
             raise InvalidDataError("standing-wave-2d is a 2D scenario")
         u = _standing_wave_field(2, domain)
-        return manufactured(u, model, domain, name="standing-wave-2d", t_end=t_end)
+        return manufactured(u, model, domain, t_end=t_end)
     if name == "manufactured:constant-strain":
         return _constant_strain_scenario(dim, domain, model, t_end)
     raise InvalidDataError(f"unknown scenario {name!r}")

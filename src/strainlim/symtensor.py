@@ -33,14 +33,6 @@ def packed_len(dim):
     return dim * (dim + 1) // 2
 
 
-def dim_of(ncomp):
-    """Spatial dimension corresponding to a packed length."""
-    for d in (1, 2, 3):
-        if packed_len(d) == ncomp:
-            return d
-    raise ValueError(f"{ncomp} is not a valid packed length")
-
-
 def pack(mat):
     """Pack symmetric matrices (..., d, d) into vectors (..., m).
 
@@ -59,10 +51,9 @@ def pack(mat):
     return out
 
 
-def unpack(vec, dim=None):
-    """Expand packed vectors (..., m) back to full matrices (..., d, d)."""
+def unpack(vec, d):
+    """Expand packed vectors (..., m) back to full matrices (..., d, d) in dimension d."""
     vec = np.asarray(vec, dtype=float)
-    d = dim_of(vec.shape[-1]) if dim is None else dim
     if vec.shape[-1] != packed_len(d):
         raise ValueError("packed length does not match dimension")
     out = np.zeros(vec.shape[:-1] + (d, d))

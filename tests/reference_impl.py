@@ -68,12 +68,16 @@ def phi_star_root(potential, e, tol=1e-12):
         return np.inf
     if e == 0.0:
         return 0.0
+
+    def response(t):
+        return float(potential.dphi_pair(np.array([t]))[0][0])
+
     hi = 1.0
-    while potential.dphi(hi) < e:
+    while response(hi) < e:
         hi *= 2.0
         if hi > 1e300:
             return np.inf
-    r = brentq(lambda t: potential.dphi(t) - e, 0.0, hi, xtol=tol, rtol=4 * np.finfo(float).eps)
+    r = brentq(lambda t: response(t) - e, 0.0, hi, xtol=tol, rtol=4 * np.finfo(float).eps)
     return e * r - float(potential.phi(r))
 
 

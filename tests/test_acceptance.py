@@ -45,9 +45,9 @@ def test_criterion_01_constitutive_suite():
 def test_criterion_02_spot_values():
     t0 = time.perf_counter()
     m = con.ConstitutiveModel(con.PrototypePotential(2.0))
-    g1 = float(con.response_scalar(m, 1.0))
+    g1 = float(con.response_pair(m, np.array([1.0]))[0][0])
     ginv = float(con.invert_radius(m, np.array([0.6]))[0])
-    pstar = float(con.phi_star(m.potential, 0.6))
+    pstar = float(con.phi_star(m.potential, np.array([0.6]))[0])
     errs = (abs(g1 - 1.0 / np.sqrt(2.0)), abs(ginv - 0.75), abs(pstar - 0.2))
     dt_wall = time.perf_counter() - t0
     ok = max(errs) <= 1e-10 and dt_wall < 1.0

@@ -45,9 +45,9 @@ def test_potential_basics():
         con.LinearPotential(),
     ]:
         assert pot.phi(0.0) == 0.0
-        assert pot.dphi(0.0) == 0.0
+        assert pot.dphi_pair(np.zeros(1))[0][0] == 0.0
         s = np.linspace(1e-6, 50.0, 500)
-        assert np.all(pot.d2phi(s) > 0.0)
+        assert np.all(pot.dphi_pair(s)[1] > 0.0)
 
 
 def test_prototype_bounds():
@@ -55,10 +55,10 @@ def test_prototype_bounds():
     for q in (1.0, 2.0, 10.0):
         pot = con.PrototypePotential(q)
         s = np.linspace(0.0, 100.0, 2000)
-        dp = pot.dphi(s)
+        dp, d2 = pot.dphi_pair(s)
         assert np.all(dp < 1.0)
         assert np.all(np.diff(dp) >= -1e-15)
-        assert np.all(np.abs(pot.d2phi(s)) * (1.0 + s) <= 2.0 + 1e-12)
+        assert np.all(np.abs(d2) * (1.0 + s) <= 2.0 + 1e-12)
         # linear growth sandwich with unit constants
         ph = pot.phi(s)
         assert np.all(ph <= s + 1e-12)
@@ -69,12 +69,14 @@ def test_prototype_response_does_not_overflow():
     # s**q overflows past s ~ 1e154 (q=2) or 1e30 (q=10); warnings are errors
     for q, s in ((2.0, 1e155), (10.0, 1e31), (50.0, 1e300)):
         pot = con.PrototypePotential(q)
-        assert abs(float(pot.dphi(s)) - 1.0) <= 1e-15
-        d2 = float(pot.d2phi(s))
-        assert 0.0 <= d2 <= s ** -(q + 1.0) * (1.0 + 1e-12)
+        one, d2 = pot.dphi_pair(np.array([s]))
+        assert abs(one[0] - 1.0) <= 1e-15
+        assert 0.0 <= d2[0] <= s ** -(q + 1.0) * (1.0 + 1e-12)
+        # each entry of a batch equals its one-row call
         dphi, d2phi = pot.dphi_pair(np.array([s, 0.5]))
-        assert abs(dphi[0] - 1.0) <= 1e-15 and dphi[1] == float(pot.dphi(0.5))
-        assert d2phi[0] == d2 and d2phi[1] == float(pot.d2phi(0.5))
+        half, half_d2 = pot.dphi_pair(np.array([0.5]))
+        assert dphi[0] == one[0] and dphi[1] == half[0]
+        assert d2phi[0] == d2[0] and d2phi[1] == half_d2[0]
 
 
 def test_prototype_pair_matches_closed_forms():
@@ -118,13 +120,13 @@ def test_prototype_phi_is_antiderivative():
     s = np.linspace(0.1, 5.0, 40)
     h = 1e-6
     fd = (pot.phi(s + h) - pot.phi(s - h)) / (2 * h)
-    assert np.allclose(fd, pot.dphi(s), rtol=1e-8, atol=1e-10)
+    assert np.allclose(fd, pot.dphi_pair(s)[0], rtol=1e-8, atol=1e-10)
 
 
 def test_limit_values():
-    assert con.limit_L(con.PrototypePotential(1.0)) == 1.0
-    assert con.limit_L(con.PrototypePotential(10.0)) == 1.0
-    assert con.limit_L(con.PowerLawPotential(2.0)) == np.inf
+    assert con.limit_L(con.ConstitutiveModel(con.PrototypePotential(1.0))) == 1.0
+    assert con.limit_L(con.ConstitutiveModel(con.PrototypePotential(10.0))) == 1.0
+    assert con.limit_L(con.ConstitutiveModel(con.PowerLawPotential(2.0))) == np.inf
     assert con.limit_L(con.ConstitutiveModel(con.LinearPotential())) == np.inf
 
 
@@ -205,8 +207,25 @@ def test_g_apply_rejects_nonfinite():
 
 def test_jacobian_at_zero():
     model = con.ConstitutiveModel(con.PrototypePotential(2.0), reg_n=10)
-    J = con.g_jacobian(model, np.zeros(3))
+    J = con.g_jacobian(model, np.zeros((1, 3)))
     assert np.allclose(J, 1.1 * np.eye(3), rtol=0, atol=1e-14)
+    # a batch mixing zero and nonzero rows gives every row what its
+    # one-row call gives, and h'(0) times the identity at the zero rows
+    rng = np.random.default_rng(28)
+    for model in model_roster() + model_roster(16):
+        h0 = con.response_pair(model, np.zeros(1))[1][0]
+        for d in (1, 2, 3):
+            m = st.packed_len(d)
+            T = sample_tensors(rng, d, 8)
+            T[::3] = 0.0
+            # p < 2 has h'(0) = inf: its zero rows are not finite
+            with np.errstate(invalid="ignore"):
+                J = con.g_jacobian(model, T)
+                for i in range(len(T)):
+                    alone = con.g_jacobian(model, T[i:i + 1])[0]
+                    assert np.array_equal(J[i], alone, equal_nan=True)
+            if np.isfinite(h0):
+                assert np.array_equal(J[::3], np.broadcast_to(h0 * np.eye(m), J[::3].shape))
 
 
 def test_jacobian_symmetry_and_fd():
@@ -266,12 +285,13 @@ def test_jacobian_norm_bound_sweep():
     for n in (1, 10, 100):
         model = con.ConstitutiveModel(con.PrototypePotential(2.0), reg_n=n)
         for mag in (0.0, 0.1, 1.0, 10.0, 100.0):
-            T = mag * np.array([1.0, -0.3, 0.2]) / np.linalg.norm([1.0, -0.3, 0.2])
+            T = mag * np.array([[1.0, -0.3, 0.2]]) / np.linalg.norm([1.0, -0.3, 0.2])
             assert con.jacobian_norm_bound_check(model, T)
     big = con.ConstitutiveModel(con.PrototypePotential(2.0), reg_n=100)
-    assert con.jacobian_norm_bound_check(big, np.array([1000.0]))
+    assert con.jacobian_norm_bound_check(big, np.array([[1000.0]]))
     with pytest.raises(ValueError):
-        con.jacobian_norm_bound_check(con.ConstitutiveModel(con.PrototypePotential(2.0)), np.zeros(1))
+        con.jacobian_norm_bound_check(con.ConstitutiveModel(con.PrototypePotential(2.0)),
+                                      np.zeros((1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +307,7 @@ def test_invert_spot_value():
 
 def test_invert_zero():
     for model in model_roster() + model_roster(16):
-        assert np.all(con.invert(model, np.zeros(3)) == 0.0)
+        assert np.all(con.invert(model, np.zeros((1, 3))) == 0.0)
 
 
 def test_invert_supercritical_raises():
@@ -358,16 +378,16 @@ def test_invert_radius_nonconvergence_raises(monkeypatch):
 
 def _reference_invert_radius(model, s, warm=None, tol=1e-12, max_iter=100):
     """The regularized branch of invert_radius written plainly: separate
-    h and h' calls and np.where updates.  The reference that the in-place
-    kernel must reproduce."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
+    h and h' evaluations and np.where updates.  The reference that the
+    in-place kernel must reproduce."""
+    s = np.asarray(s, dtype=float)
     inv = 1.0 / model.reg_n
     hi = s / inv
     if not np.isfinite(model.potential.limit):
         with np.errstate(over="ignore"):
             hi = np.minimum(hi, model.potential.dphi_inv(s))
     lo = np.zeros_like(s)
-    d0 = float(con.response_scalar_deriv(model, 0.0))
+    d0 = float(con.response_pair(model, np.zeros(1))[1][0])
     if warm is not None:
         x = np.clip(np.asarray(warm, dtype=float), lo, hi)
     elif np.isfinite(d0) and d0 > 0.0:
@@ -378,14 +398,14 @@ def _reference_invert_radius(model, s, warm=None, tol=1e-12, max_iter=100):
     target = tol * (1.0 + s)
     done = s == 0.0
     for _ in range(max_iter):
-        f = con.response_scalar(model, x) - s
+        f = con.response_pair(model, x)[0] - s
         done = done | (np.abs(f) <= target)
         if np.all(done):
             break
         act = ~done
         hi = np.where(act & (f > 0.0), x, hi)
         lo = np.where(act & (f < 0.0), x, lo)
-        d = con.response_scalar_deriv(model, np.where(act, x, 1.0))
+        d = con.response_pair(model, np.where(act, x, 1.0))[1]
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(act & (d > 0.0) & np.isfinite(d), f / d, 0.0)
         xn = x - step
@@ -395,8 +415,8 @@ def _reference_invert_radius(model, s, warm=None, tol=1e-12, max_iter=100):
     else:
         raise con.NewtonConvergenceError("reference stalled")
     for _ in range(2):
-        f = con.response_scalar(model, x) - s
-        d = con.response_scalar_deriv(model, np.where(x > 0.0, x, 1.0))
+        f = con.response_pair(model, x)[0] - s
+        d = con.response_pair(model, np.where(x > 0.0, x, 1.0))[1]
         d = np.where((x > 0.0) & np.isfinite(d) & (d > 0.0), d, 1.0)
         step = f / d
         x = np.maximum(0.0, x - np.where(np.isfinite(step), step, 0.0))
@@ -459,14 +479,14 @@ def test_invert_mixed_reg_n_batch_matches_separate_calls():
        reg_n=hs.sampled_from([1, 4, 64, 256, 10**6]))
 def test_invert_radius_any_magnitude(s, q, reg_n):
     model = con.ConstitutiveModel(con.PrototypePotential(q), reg_n=reg_n)
-    r = con.invert_radius(model, s)
-    assert np.isfinite(r) and r >= 0.0
-    assert abs(float(con.response_scalar(model, r)) - s) <= 1e-12 * (1.0 + s)
+    r = con.invert_radius(model, np.array([s]))
+    assert np.isfinite(r[0]) and r[0] >= 0.0
+    assert abs(con.response_pair(model, r)[0][0] - s) <= 1e-12 * (1.0 + s)
     # a function-scoped monkeypatch fixture would be shared across examples
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(con, "INVERT_MAX_ITER", 0)
         with pytest.raises(con.NewtonConvergenceError):
-            con.invert_radius(model, s)
+            con.invert_radius(model, np.array([s]))
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -481,7 +501,7 @@ def test_invert_radius_power_law_any_magnitude(s, p, reg_n, warm):
         for start in (None, np.array([warm])):
             r = float(con.invert_radius(model, np.array([s]), warm=start)[0])
             assert np.isfinite(r) and r >= 0.0
-            assert abs(float(con.response_scalar(model, r)) - s) <= 1e-12 * (1.0 + s)
+            assert abs(con.response_pair(model, np.array([r]))[0][0] - s) <= 1e-12 * (1.0 + s)
 
 
 # ---------------------------------------------------------------------------
@@ -526,11 +546,12 @@ def test_effective_conjugate_matches_sup():
         res = minimize_scalar(lambda r: -(e * r - psi(r)), bounds=(0.0, 50.0), method="bounded",
                               options={"xatol": 1e-12})
         ref = -res.fun
-        assert abs(con.effective_conjugate(model, e) - ref) < 1e-9
+        assert abs(con.effective_conjugate(model, np.array([e]))[0] - ref) < 1e-9
     # without regularizer it is the plain conjugate
     plain = con.ConstitutiveModel(con.PrototypePotential(2.0))
-    assert con.effective_conjugate(plain, 0.6) == con.phi_star(plain.potential, 0.6)
-    assert con.effective_conjugate(plain, 1.2) == np.inf
+    e = np.array([0.6, 1.2])
+    assert np.array_equal(con.effective_conjugate(plain, e), con.phi_star(plain.potential, e))
+    assert con.effective_conjugate(plain, e)[1] == np.inf
 
 
 def test_fenchel_residual():

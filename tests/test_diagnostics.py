@@ -42,7 +42,7 @@ def one_snapshot(state, space, scen):
 
 def test_rest_ledger_all_zero():
     m = proto_model(reg_n=None, beta=1.0)
-    scen = sc.Scenario(name="r", dim=1, domain=((0.0, 1.0),), model=m,
+    scen = sc.Scenario(dim=1, domain=((0.0, 1.0),), model=m,
                        lift=sc.zero_field(1), t_end=1.0)
     space = interval_space(4)
     led = one_snapshot(rest_state(scen, space), space, scen)
@@ -54,7 +54,7 @@ def test_hand_ledger_no_rate():
     # eps=0.6, dt_eps=0: T = T0 = 0.75, dissipation vanishes,
     # elastic = phi*(0.6) = 0.2 on the unit interval
     m = con.ConstitutiveModel(con.PrototypePotential(2.0), alpha=1.0, beta=1.0)
-    scen = sc.Scenario(name="h", dim=1, domain=((0.0, 1.0),), model=m,
+    scen = sc.Scenario(dim=1, domain=((0.0, 1.0),), model=m,
                        lift=ramp_lift(0.6, 0.0), t_end=1.0)
     space = interval_space(2)
     led = one_snapshot(rest_state(scen, space), space, scen)
@@ -67,7 +67,7 @@ def test_hand_ledger_with_rate():
     # eps=0.6, dt_eps=0.2: E=0.8, T=4/3, T0=0.75,
     # pairing (4/3 - 3/4)(0.8 - 0.6) = 7/60
     m = con.ConstitutiveModel(con.PrototypePotential(2.0), alpha=1.0, beta=1.0)
-    scen = sc.Scenario(name="h", dim=1, domain=((0.0, 1.0),), model=m,
+    scen = sc.Scenario(dim=1, domain=((0.0, 1.0),), model=m,
                        lift=ramp_lift(0.6, 0.2), t_end=1.0)
     space = interval_space(2)
     led = one_snapshot(rest_state(scen, space), space, scen)
@@ -106,7 +106,7 @@ def test_ledger_solves_the_radius_once(monkeypatch):
 def test_ledger_external_power():
     m = con.ConstitutiveModel(con.LinearPotential(), alpha=1.0, beta=1.0)
     forcing = sc.AnalyticField(1, value=lambda t, X: np.full((X.shape[0], 1), 2.0))
-    scen = sc.Scenario(name="f", dim=1, domain=((0.0, 1.0),), model=m,
+    scen = sc.Scenario(dim=1, domain=((0.0, 1.0),), model=m,
                        lift=ramp_lift(0.0, 0.5), forcing=forcing, t_end=1.0)
     space = interval_space(8)
     led = one_snapshot(rest_state(scen, space), space, scen)
@@ -119,7 +119,7 @@ def test_block_snapshot_equals_one_state_snapshots():
     # rows beyond the strain limit, whose records are suspended
     m = proto_model(reg_n=8, beta=0.5)
     forcing = sc.AnalyticField(1, value=lambda t, X: 2.0 + np.reshape(t, (-1, 1)) * X)
-    scen = sc.Scenario(name="f", dim=1, domain=((0.0, 1.0),), model=m,
+    scen = sc.Scenario(dim=1, domain=((0.0, 1.0),), model=m,
                        lift=ramp_lift(0.8, 1.0), forcing=forcing, t_end=1.0)
     space = interval_space(8)
     rng = np.random.default_rng(3)
@@ -135,7 +135,7 @@ def test_block_snapshot_equals_one_state_snapshots():
 
 def test_elastic_sentinel_beyond_limit():
     m = proto_model(reg_n=8, beta=1.0)
-    scen = sc.Scenario(name="b", dim=1, domain=((0.0, 1.0),), model=m,
+    scen = sc.Scenario(dim=1, domain=((0.0, 1.0),), model=m,
                        lift=ramp_lift(1.2, 0.0), t_end=1.0)
     space = interval_space(4)
     led = one_snapshot(rest_state(scen, space), space, scen)
@@ -215,7 +215,7 @@ def test_fit_order_exact_powers():
 
 def test_report_axis_must_be_monotone():
     with pytest.raises(ValueError):
-        dg.ConvergenceReport(axis_name="h", axis=[1.0, 3.0, 2.0],
+        dg.ConvergenceReport(axis=[1.0, 3.0, 2.0],
                              values=[1.0, 1.0, 1.0])
 
 

@@ -512,6 +512,24 @@ def test_module_entry_point_keeps_stderr_clean(tmp_path):
     assert "cannot read config" in proc.stdout
 
 
+def test_blowup_past_the_strain_recorder_keeps_stderr_clean(tmp_path):
+    # the state before the non-finite one overflows the monitor's squared
+    # norms; with warnings as errors the run still exits 2 with its message
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dr.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cfg = tmp_path / "blowup.cfg"
+    cfg.write_text("dim = 1\ndomain = 0.0 1.0\ncells = 64\nmodel = prototype\nq = 2\n"
+                   "reg_n = 16\nscheme = rk4\ndt = 2e-4\nt_end = 0.01\n"
+                   f"scenario = gaussian-pluck\nout_dir = {tmp_path / 'o'}\n")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "strainlim.driver", "run", str(cfg)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout.startswith("run failed: non-finite strain expression [t=0.0045, ")
+    assert proc.stderr == ""
+
+
 def test_package_resolves_submodules_by_attribute():
     for name in strainlim.__all__:
         assert getattr(strainlim, name).__name__ == f"strainlim.{name}"
@@ -549,7 +567,7 @@ def test_write_csv_matches_csv_module_bytes(tmp_path):
 @pytest.mark.parametrize("order", [None, -0.9011552836414464, float("nan"), -0.0])
 @pytest.mark.parametrize("n", [1, 3])
 def test_report_csv_keeps_blank_cells(tmp_path, order, n):
-    report = dg.ConvergenceReport("n", axis=[16, 64, 256][:n],
+    report = dg.ConvergenceReport(axis=[16, 64, 256][:n],
                                   values=[1e-3, 3.3e-4, 8.98e-5][:n], fitted_order=order)
     header = ["axis_value", "error_or_diff", "fitted_order"]
     dr._write_csv(tmp_path / "report.csv", header, dr._report_rows(report))

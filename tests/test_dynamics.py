@@ -19,7 +19,7 @@ NO_FORCING = (None, None)
 
 
 def zero_scenario(model, domain=(0.0, 1.0)):
-    return sc.Scenario(name="rest", dim=1, domain=((domain[0], domain[1]),),
+    return sc.Scenario(dim=1, domain=((domain[0], domain[1]),),
                        model=model, lift=sc.zero_field(1), t_end=1.0)
 
 
@@ -88,7 +88,7 @@ def test_rhs_annotates_supercritical():
     m = con.ConstitutiveModel(con.PrototypePotential(2.0), alpha=1.0, beta=0.1)
     lift = sc.AnalyticField(1, value=lambda t, X: 1.5 * X,
                             grad=lambda t, X: np.full((X.shape[0], 1, 1), 1.5))
-    scen = sc.Scenario(name="bad", dim=1, domain=((0.0, 1.0),), model=m,
+    scen = sc.Scenario(dim=1, domain=((0.0, 1.0),), model=m,
                        lift=lift, t_end=1.0)
     space = interval_space(4)
     with pytest.raises(con.SupercriticalStrainError) as err:
@@ -120,7 +120,7 @@ def test_moving_lift_keeps_its_inertia_load():
     v_init = sc.AnalyticField(1, lambda t, X: v_calls.append(t) or v0.value(t, X),
                               grad=v0.grad)
     lift = sc.lift_static_bc(u0, v_init, 1.0, 0.1)
-    scen = sc.Scenario(name="moving", dim=1, domain=((0.0, 1.0),), model=proto_model(),
+    scen = sc.Scenario(dim=1, domain=((0.0, 1.0),), model=proto_model(),
                        lift=lift)
     space = interval_space(8)
     assert lift.accelerates(space.qp) and lift.accelerates(space.qp)
@@ -321,6 +321,18 @@ def test_midpoint_jacobian_pattern_built_once(monkeypatch):
     assert built == [] and space.coupling_pattern is pat
     assert np.shares_memory(J.indices, pat.indices)
     assert np.shares_memory(J.indptr, pat.indptr)
+
+
+def test_midpoint_run_after_mass_solves_matches_a_fresh_space():
+    # the RK4 run's mass solves factor the mass matrix; the midpoint
+    # Jacobian built afterwards must still add the mass at its own slots
+    scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(beta=0.1, reg_n=16),
+                             0.05)
+    mid = dy.SolverConfig(dt=1e-3, t_end=0.05)
+    space = interval_space(64)
+    dy.run(scen, space, mid)
+    dy.run(scen, space, dy.SolverConfig(dt=1e-3, t_end=1e-2, scheme=dy.SCHEME_RK4))
+    _assert_same_state(dy.run(scen, space, mid), dy.run(scen, interval_space(64), mid))
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,7 @@ def test_construction_matches_loop_and_coo_route(cells):
     assert _same_sparse(space.N, N)
     assert _same_sparse(space.B, B)
     mass = (N.T @ sp.diags(space._w_d) @ N).tocsc()
+    mass.sort_indices()
     assert _same_sparse(space.mass, mass)
     pat = space.coupling_pattern
     assert _same_array(pat.strain, strain)

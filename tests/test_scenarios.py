@@ -405,7 +405,7 @@ def test_timedep_lift_rejects_incompatible_velocity():
 def test_safety_margin_zero_lift_is_full_limit():
     m = proto_model()
     space = fe.FESpace(fe.interval_mesh(0.0, 1.0, 16))
-    s = sc.Scenario(name="rest", dim=1, domain=((0.0, 1.0),), model=m,
+    s = sc.Scenario(dim=1, domain=((0.0, 1.0),), model=m,
                     lift=sc.zero_field(1), t_end=1.0)
     assert abs(sc.safety_margin(s, space) - 1.0) < 1e-14
 
@@ -425,10 +425,10 @@ def test_safety_margin_samples_a_steady_lift_once(monkeypatch):
     pluck = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), m, 1.0)
     wave = sc.build_scenario("standing-wave", 1, (0.0, 1.0), ref.proto_model(), 1.0)
     Xb = np.array([[0.0], [1.0]])
-    moving = sc.Scenario(name="moving", dim=1, domain=((0.0, 1.0),), model=m, t_end=1.0,
+    moving = sc.Scenario(dim=1, domain=((0.0, 1.0),), model=m, t_end=1.0,
                          lift=sc.lift_timedep_bc(wave.exact, sc.zero_field(1), m.alpha, m.beta,
                                                  boundary_points=Xb))
-    other = sc.Scenario(name="other", dim=1, domain=((0.0, 1.0),), model=proto_model(beta=0.2),
+    other = sc.Scenario(dim=1, domain=((0.0, 1.0),), model=proto_model(beta=0.2),
                         lift=pluck.lift, t_end=1.0)
     times, real = [], sc.strain_expression
 
@@ -456,7 +456,7 @@ def test_safety_margin_samples_a_steady_lift_once(monkeypatch):
 def test_safety_margin_unbounded_model():
     m = con.ConstitutiveModel(con.PowerLawPotential(3.0), alpha=1.0, beta=0.1)
     space = fe.FESpace(fe.interval_mesh(0.0, 1.0, 8))
-    s = sc.Scenario(name="x", dim=1, domain=((0.0, 1.0),), model=m,
+    s = sc.Scenario(dim=1, domain=((0.0, 1.0),), model=m,
                     lift=sc._pluck_field(1, ((0.0, 1.0),), 3.0), t_end=1.0)
     assert sc.safety_margin(s, space) == np.inf
 

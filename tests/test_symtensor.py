@@ -16,12 +16,8 @@ def random_sym(rng, d, n=1):
 
 def test_packed_len_and_dim_roundtrip():
     assert [st.packed_len(d) for d in (1, 2, 3)] == [1, 3, 6]
-    for d in (1, 2, 3):
-        assert st.dim_of(st.packed_len(d)) == d
     with pytest.raises(ValueError):
         st.packed_len(4)
-    with pytest.raises(ValueError):
-        st.dim_of(5)
 
 
 def test_pack_unpack_roundtrip_exact():
@@ -29,8 +25,8 @@ def test_pack_unpack_roundtrip_exact():
     for d in (1, 2, 3):
         A = random_sym(rng, d, 50)
         v = st.pack(A)
-        assert np.array_equal(st.pack(st.unpack(v)), v)
-        assert np.allclose(st.unpack(v), A, rtol=0, atol=1e-15)
+        assert np.array_equal(st.pack(st.unpack(v, d)), v)
+        assert np.allclose(st.unpack(v, d), A, rtol=0, atol=1e-15)
 
 
 def test_packed_dot_equals_frobenius():
@@ -59,7 +55,7 @@ def test_sym_part_idempotent():
     for d in (1, 2, 3):
         M = rng.standard_normal((20, d, d))
         once = st.sym_part(M)
-        twice = st.sym_part(st.unpack(once))
+        twice = st.sym_part(st.unpack(once, d))
         assert np.array_equal(once, twice)
 
 
