@@ -217,12 +217,26 @@ def response_pair(model, r, inv_n=None):
     return h + reg, d + dreg
 
 
+def _radius(T):
+    """|T| per point.  A finite row whose squared norm overflows is
+    scaled by its largest entry first, as LAPACK's dnrm2 does; every
+    other row keeps st.norm's bits."""
+    with np.errstate(over="ignore"):
+        r = st.norm(T)
+    big = np.isinf(r)
+    if big.any():
+        w = np.max(np.abs(T), axis=-1)
+        big &= np.isfinite(w)
+        r[big] = w[big] * st.norm(T[big] / w[big][:, None])
+    return r
+
+
 def g_apply(model, T):
     """Regularized constitutive map G_n(T), packed in and out."""
     T = np.asarray(T, dtype=float)
     if not np.all(np.isfinite(T)):
         raise ValueError("non-finite stress input")
-    r = st.norm(T)
+    r = _radius(T)
     out = np.zeros_like(T)
     nz = r > 0.0
     if np.any(nz):
@@ -237,20 +251,22 @@ def jacobian_eigenvalues(model, T):
     The radial structure gives h(r)/r on the plane orthogonal to T
     (multiplicity m-1) and h'(r) along T; at T=0 both collapse to h'(0).
     """
-    r = st.norm(np.asarray(T, dtype=float))
+    r = _radius(np.asarray(T, dtype=float))
     h, radial = response_pair(model, r)
     tang = np.divide(h, r, out=radial.copy(), where=r > 0.0)
     return tang, radial
 
 
 def g_jacobian(model, T):
-    """Derivative of g_apply as a symmetric matrix on packed components."""
+    """Derivative of g_apply as a symmetric matrix on packed components;
+    h'(0) times the identity at T = 0, also where h'(0) is inf."""
     T = np.asarray(T, dtype=float)
-    r = st.norm(T)
+    r = _radius(T)
     tang, radial = jacobian_eigenvalues(model, T)
-    J = tang[..., None, None] * np.eye(T.shape[-1])
+    J = np.where(np.eye(T.shape[-1], dtype=bool), tang[..., None, None], 0.0)
     unit = np.divide(T, r[..., None], out=np.zeros_like(T), where=r[..., None] > 0.0)
-    return J + (radial - tang)[..., None, None] * st.outer(unit, unit)
+    gap = np.subtract(radial, tang, out=np.zeros_like(r), where=r > 0.0)
+    return J + gap[..., None, None] * st.outer(unit, unit)
 
 
 def tangent_inverse_blocks(model, T):
@@ -263,19 +279,14 @@ def tangent_inverse_blocks(model, T):
     Eigenvalues are floored at a tiny value: in the Jacobian this only
     regularizes the Newton direction, never the solution.
     """
-    nq, mcomp = T.shape
     tang, radial = jacobian_eigenvalues(model, T)
     tang = np.maximum(tang, 1e-12)
     radial = np.maximum(radial, 1e-12)
-    blocks = np.zeros((nq, mcomp, mcomp))
-    ii = np.arange(mcomp)
-    blocks[:, ii, ii] = (1.0 / tang)[:, None]
-    nrm = st.norm(T)
-    mask = nrm > 0.0
-    if np.any(mask):
-        that = T[mask] / nrm[mask, None]
-        coef = 1.0 / radial[mask] - 1.0 / tang[mask]
-        blocks[mask] += coef[:, None, None] * that[:, :, None] * that[:, None, :]
+    blocks = np.where(np.eye(T.shape[-1], dtype=bool), (1.0 / tang)[..., None, None], 0.0)
+    nrm = _radius(T)
+    that = np.divide(T, nrm[..., None], out=np.zeros_like(T), where=nrm[..., None] > 0.0)
+    coef = 1.0 / radial - 1.0 / tang
+    blocks += coef[..., None, None] * that[..., :, None] * that[..., None, :]
     return blocks
 
 

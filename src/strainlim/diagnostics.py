@@ -93,8 +93,7 @@ def energy_snapshot(block, space, scenario):
     all of them; a lone State goes in as dynamics.block_of([state])."""
     m = scenario.model
     qp, qw = space.qp, space.qw
-    v_full = space.value_at_qp(block.V) \
-        + dyn.stack_rows([scenario.lift.dt_value(t, qp) for t in block.t])
+    v_full = space.value_at_qp(block.V) + scenario.lift.dt_value(np.array(block.t), qp)
     kinetic = 0.5 * space.l2_norm_qp(v_full, rows=True) ** 2
 
     eps = block.eps

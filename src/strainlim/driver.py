@@ -313,16 +313,18 @@ def _write_table(path, table):
                                                    for c in table.values()]))
 
 
-def _write_state(path, space, scenario, state):
+def _write_states(out, space, scenario, states):
+    """One state_<t>.csv per State, the lift at all their times from one call."""
     d, m = space.dim, space.m
     qp = space.qp
-    u = space.value_at_qp(state.U) + scenario.lift.value(state.t, qp)
-    v = space.value_at_qp(state.V) + scenario.lift.dt_value(state.t, qp)
+    ts = np.array([state.t for state in states])
     header = (["x", "y"][:d]
               + [f"u{i}" for i in range(d)] + [f"v{i}" for i in range(d)]
               + [f"eps{i}" for i in range(m)] + [f"stress{i}" for i in range(m)])
-    rows = np.column_stack([qp, u, v, state.eps, state.stress])
-    _write_csv(path, header, rows)
+    for state, u0, v0 in zip(states, scenario.lift.value(ts, qp), scenario.lift.dt_value(ts, qp)):
+        rows = np.column_stack([qp, space.value_at_qp(state.U) + u0,
+                                space.value_at_qp(state.V) + v0, state.eps, state.stress])
+        _write_csv(os.path.join(out, f"state_{state.t:.6f}.csv"), header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +380,7 @@ def cmd_run(cfg):
                        observers=(energy, monitor), start=start)
         _write_table(os.path.join(out, "energy.csv"), energy.table())
         _write_table(os.path.join(out, "monitor.csv"), monitor.table())
-        for state in (start, final):
-            _write_state(os.path.join(out, f"state_{state.t:.6f}.csv"), space, scenario, state)
+        _write_states(out, space, scenario, (start, final))
     except OSError as exc:
         print(f"cannot write output: {exc}")
         return 1

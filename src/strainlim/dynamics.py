@@ -94,8 +94,9 @@ class SolverConfig:
 
 class _Stacked:
     """The members' own analytic fields, called together: every value
-    comes back with a leading member axis.  A field object that several
-    members share is called once, and its value serves them all."""
+    comes back with a leading member axis, before the time axis of a
+    block of times.  A field object that several members share is called
+    once, and its value serves them all."""
 
     def __init__(self, fields):
         self.fields = tuple(fields)
@@ -159,11 +160,9 @@ def evaluate_fields(scenario, space, t, U, V, warm=None, forcing=None):
     m = scenario.model
     qp = space.qp
     block = isinstance(t, list)
-    if block:
-        eps_l = stack_rows([scenario.lift.strain(s, qp) for s in t])
-        deps_l = stack_rows([scenario.lift.dt_strain(s, qp) for s in t])
-    else:
-        eps_l, deps_l = scenario.lift.strain(t, qp), scenario.lift.dt_strain(t, qp)
+    # a block's rows go first, before the member axis of _Stacked's values
+    eps_l, deps_l = (np.moveaxis(f(np.array(t), qp), -3, 0) if block else f(t, qp)
+                     for f in (scenario.lift.strain, scenario.lift.dt_strain))
     eps = space.strain_at_qp(U) + eps_l
     deps = space.strain_at_qp(V) + deps_l
     E = m.alpha * eps + m.beta * deps
@@ -221,13 +220,9 @@ def _forcing_at(scenario, space, ts):
     _block_steps(space) times each; None without a forcing."""
     if scenario.forcing is None:
         return None
-    nq = space.n_qp
     per = _block_steps(space)
-    chunks = []
-    for i in range(0, len(ts), per):
-        tc = ts[i:i + per]
-        f = scenario.forcing.value(np.repeat(tc, nq), np.tile(space.qp, (len(tc), 1)))
-        chunks.append(np.moveaxis(f.reshape(f.shape[:-2] + (len(tc), nq, f.shape[-1])), -3, 0))
+    chunks = [np.moveaxis(scenario.forcing.value(np.array(ts[i:i + per]), space.qp), -3, 0)
+              for i in range(0, len(ts), per)]
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 

@@ -29,6 +29,10 @@ from . import constitutive as con
 from . import symtensor as st
 
 
+# points per strain-expression call of safety_margin
+SAMPLE_POINTS = 65536
+
+
 class InvalidDataError(ValueError):
     """Scenario data violate a compatibility or admissibility requirement."""
 
@@ -41,12 +45,21 @@ def canon_domain(dim, domain):
     return tuple((float(a), float(b)) for a, b in lo)
 
 
+def _time_axes(t):
+    """Leading axes of a field's values at t: () at one time, (k,) for a block
+    (np.shape would take a slow path for a float)."""
+    return t.shape if isinstance(t, np.ndarray) else ()
+
+
 class AnalyticField:
     """Smooth space-time field with analytic derivatives.
 
     Callables take (t, X) with X of shape (n, dim) and return values of
     shape (n, dim), gradients (n, dim, dim) with grad[i, j] = d u_i / d x_j,
     and Hessians (n, dim, dim, dim) with hess[i, j, k] = d_j d_k u_i.
+    t is a float, or a block: a 1-D array of k times, for which every
+    callable evaluates its factors of X once and returns its values with
+    a leading (k,) axis, row j equal bit for bit to the call at t[j].
     Missing derivative callables default to zero.  strain and dt_strain,
     when given, return the packed symmetric parts of grad and dt_grad
     directly; by default they are formed from grad and dt_grad.
@@ -54,11 +67,6 @@ class AnalyticField:
     vanish at every point of X for all t; by default a field accelerates
     wherever it declares dtt_value.  steady_rates, when given, is an
     (alpha, beta) for which alpha*strain + beta*dt_strain is constant in t.
-
-    t is a float, or for some fields an (n,) vector of per-point times:
-    product fields (_product_field) and the manufactured forcing take
-    one, so run evaluates a block of forcing times in one call; the
-    lifts of lift_static_bc and lift_timedep_bc take a float only.
     """
 
     def __init__(self, dim, value, grad=None, dt_value=None, dt_grad=None,
@@ -81,7 +89,7 @@ class AnalyticField:
         """fn(t, X) as floats, or zeros of this tensor rank when fn is not given."""
         X = np.asarray(X, dtype=float)
         if fn is None:
-            return np.zeros((X.shape[0],) + (self.dim,) * rank)
+            return np.zeros(_time_axes(t) + (X.shape[0],) + (self.dim,) * rank)
         return np.asarray(fn(t, X), dtype=float)
 
     def value(self, t, X):
@@ -130,7 +138,7 @@ class AnalyticField:
 
 
 def zero_field(dim):
-    return AnalyticField(dim, lambda t, X: np.zeros((X.shape[0], dim)))
+    return AnalyticField(dim, lambda t, X: np.zeros(_time_axes(t) + (X.shape[0], dim)))
 
 
 @dataclass
@@ -174,7 +182,7 @@ def lift_static_bc(u_init, v_init, alpha, beta):
     kept = [None, None]                    # [X, (eps_u, eps_v, u, v, v nonzero)]
 
     def mix(t, f_u, f_v):
-        return f_u + (beta / alpha) * (1.0 - np.exp(-a * t)) * f_v
+        return f_u + np.multiply.outer((beta / alpha) * (1.0 - np.exp(-a * t)), f_v)
 
     def at_start(X):
         if X is not kept[0] or X.flags.writeable:
@@ -188,18 +196,20 @@ def lift_static_bc(u_init, v_init, alpha, beta):
 
     def strain(t, X):
         eps_u, eps_v = at_start(X)[:2]
-        return eps_u.copy() if eps_v is None else mix(t, eps_u, eps_v)
+        if eps_v is not None:
+            return mix(t, eps_u, eps_v)
+        return np.repeat(eps_u[None], len(t), axis=0) if _time_axes(t) else eps_u.copy()
 
     return AnalyticField(
         u_init.dim,
         value=lambda t, X: mix(t, *at_start(X)[2:4]),
         grad=lambda t, X: mix(t, u_init.grad(0.0, X), v_init.grad(0.0, X)),
-        dt_value=lambda t, X: np.exp(-a * t) * at_start(X)[3],
-        dt_grad=lambda t, X: np.exp(-a * t) * v_init.grad(0.0, X),
-        dtt_value=lambda t, X: -a * np.exp(-a * t) * at_start(X)[3],
+        dt_value=lambda t, X: np.multiply.outer(np.exp(-a * t), at_start(X)[3]),
+        dt_grad=lambda t, X: np.multiply.outer(np.exp(-a * t), v_init.grad(0.0, X)),
+        dtt_value=lambda t, X: np.multiply.outer(-a * np.exp(-a * t), at_start(X)[3]),
         strain=strain,
-        dt_strain=lambda t, X: np.zeros((X.shape[0], st.packed_len(u_init.dim)))
-        if at_start(X)[1] is None else np.exp(-a * t) * at_start(X)[1],
+        dt_strain=lambda t, X: np.zeros(_time_axes(t) + (X.shape[0], st.packed_len(u_init.dim)))
+        if at_start(X)[1] is None else np.multiply.outer(np.exp(-a * t), at_start(X)[1]),
         accelerates=lambda X: at_start(X)[4], steady_rates=(alpha, beta),
     )
 
@@ -227,18 +237,20 @@ def lift_timedep_bc(u_ext, v_init, alpha, beta, boundary_points=None):
     def corr(t):
         return (beta / alpha) * (1.0 - np.exp(-a * t))
 
+    def gap(part, X):
+        """v_init's part minus u_ext's dt_ part, at t = 0."""
+        return getattr(v_init, part)(0.0, X) - getattr(u_ext, "dt_" + part)(0.0, X)
+
     return AnalyticField(
         dim,
-        value=lambda t, X: u_ext.value(t, X)
-        + corr(t) * (v_init.value(0.0, X) - u_ext.dt_value(0.0, X)),
-        grad=lambda t, X: u_ext.grad(t, X)
-        + corr(t) * (v_init.grad(0.0, X) - u_ext.dt_grad(0.0, X)),
+        value=lambda t, X: u_ext.value(t, X) + np.multiply.outer(corr(t), gap("value", X)),
+        grad=lambda t, X: u_ext.grad(t, X) + np.multiply.outer(corr(t), gap("grad", X)),
         dt_value=lambda t, X: u_ext.dt_value(t, X)
-        + np.exp(-a * t) * (v_init.value(0.0, X) - u_ext.dt_value(0.0, X)),
+        + np.multiply.outer(np.exp(-a * t), gap("value", X)),
         dt_grad=lambda t, X: u_ext.dt_grad(t, X)
-        + np.exp(-a * t) * (v_init.grad(0.0, X) - u_ext.dt_grad(0.0, X)),
+        + np.multiply.outer(np.exp(-a * t), gap("grad", X)),
         dtt_value=lambda t, X: u_ext.dtt_value(t, X)
-        - a * np.exp(-a * t) * (v_init.value(0.0, X) - u_ext.dt_value(0.0, X)),
+        - np.multiply.outer(a * np.exp(-a * t), gap("value", X)),
     )
 
 
@@ -251,19 +263,22 @@ def safety_margin(scenario, space):
     """L minus the sampled sup of |alpha*eps(u0) + beta*dt_eps(u0)|.
 
     Sampled over quadrature points times 64 uniform times on [0, t_end],
-    or at t=0 alone when the lift's steady_rates are the model's (the
-    expression does not depend on t); +inf for unbounded-response models.
+    in blocks of at most SAMPLE_POINTS points, or at t=0 alone when the
+    lift's steady_rates are the model's (the expression does not depend
+    on t); +inf for unbounded-response models.
     """
     L = con.limit_L(scenario.model)
     if not np.isfinite(L):
         return np.inf
     m = scenario.model
-    worst = 0.0
-    for t in [0.0] if scenario.lift.steady_rates == (m.alpha, m.beta) else \
-            np.linspace(0.0, scenario.t_end, 64):
-        E = strain_expression(scenario.lift, m.alpha, m.beta, float(t), space.qp)
-        worst = max(worst, float(np.max(st.norm(E))))
-    return L - worst
+    if scenario.lift.steady_rates == (m.alpha, m.beta):
+        blocks = [0.0]
+    else:
+        ts = np.linspace(0.0, scenario.t_end, 64)
+        per = max(1, SAMPLE_POINTS // len(space.qp))
+        blocks = [ts[i:i + per] for i in range(0, len(ts), per)]
+    return L - max(float(np.max(st.norm(strain_expression(
+        scenario.lift, m.alpha, m.beta, t, space.qp)))) for t in blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +296,15 @@ def stress_divergence(model, u_exact, t, X):
 
     d_k T = DG_n(T)^{-1} d_k E with d_k E the packed symmetric part of
     alpha*d_k grad u + beta*d_k dt_grad u, so one inversion gives T and
-    the closed-form tangent inverse at T does the rest.  t may hold one
-    time per point of X, so that one call serves a block of times.
+    the closed-form tangent inverse at T does the rest.
     """
     d = u_exact.dim
     T = exact_stress(model, u_exact, t, X)
     Ainv = con.tangent_inverse_blocks(model, T)
     dgrad = model.alpha * u_exact.hess(t, X) + model.beta * u_exact.dt_hess(t, X)
-    dE = st.sym_part(np.moveaxis(dgrad, -1, 1))               # (n, k, m)
-    dT = st.unpack(np.einsum("nab,nkb->nka", Ainv, dE), d)   # (n, k, i, j)
-    return np.einsum("nkik->ni", dT)
+    dE = st.sym_part(np.moveaxis(dgrad, -1, -3))                   # (..., n, k, m)
+    dT = st.unpack(np.einsum("...ab,...kb->...ka", Ainv, dE), d)   # (..., n, k, i, j)
+    return np.einsum("...kik->...i", dT)
 
 
 def manufactured(u_exact, model, domain, t_end=1.0):
@@ -341,10 +355,9 @@ def manufactured(u_exact, model, domain, t_end=1.0):
 def _sample_sup_strain(u_exact, model, lo, t_end):
     """Sup of |alpha*eps + beta*dt_eps| over 41 points per axis of the box
     lo and 33 times in [0, t_end]; not finite when any sample is not."""
-    X = _box_points(lo, 41)
-    return float(np.max([
-        np.max(st.norm(strain_expression(u_exact, model.alpha, model.beta, float(t), X)))
-        for t in np.linspace(0.0, t_end, 33)]))
+    E = strain_expression(u_exact, model.alpha, model.beta, np.linspace(0.0, t_end, 33),
+                          _box_points(lo, 41))
+    return float(np.max(st.norm(E)))
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +413,15 @@ def _product_field(dim, profile, amplitude, time=None):
                     if (i, g) not in evals:
                         evals.append((i, g))
                     keys.append(evals.index((i, g)))
-            terms.append(((slice(None), 0) + idx, factor, keys))
+            terms.append(((Ellipsis, 0) + idx, factor, keys))
         shape = (dim,) * rank
 
         def call(t, X):
             scale = amplitude if coef is None else amplitude * coef(t)
+            if isinstance(scale, np.ndarray):
+                scale = scale[:, None]              # a row per time of a block
             vals = [g(X[:, i]) for i, g in evals]
-            out = np.zeros((X.shape[0],) + shape)
+            out = np.zeros(_time_axes(t) + (X.shape[0],) + shape)
             for slot, factor, keys in terms:
                 prod = scale * factor
                 for k in keys:

@@ -218,14 +218,53 @@ def test_jacobian_at_zero():
             m = st.packed_len(d)
             T = sample_tensors(rng, d, 8)
             T[::3] = 0.0
-            # p < 2 has h'(0) = inf: its zero rows are not finite
-            with np.errstate(invalid="ignore"):
-                J = con.g_jacobian(model, T)
-                for i in range(len(T)):
-                    alone = con.g_jacobian(model, T[i:i + 1])[0]
-                    assert np.array_equal(J[i], alone, equal_nan=True)
-            if np.isfinite(h0):
-                assert np.array_equal(J[::3], np.broadcast_to(h0 * np.eye(m), J[::3].shape))
+            J = con.g_jacobian(model, T)
+            for i in range(len(T)):
+                alone = con.g_jacobian(model, T[i:i + 1])[0]
+                assert np.array_equal(J[i], alone)
+            # p < 2 has h'(0) = inf: an inf diagonal, zeros off it
+            want = np.where(np.eye(m, dtype=bool), h0, 0.0)
+            assert np.array_equal(J[::3], np.broadcast_to(want, J[::3].shape))
+    model = con.ConstitutiveModel(con.PowerLawPotential(1.5))
+    J = con.g_jacobian(model, np.zeros((2, 3)))
+    assert np.all(np.isposinf(np.diagonal(J, axis1=1, axis2=2)))
+    assert np.all(J[:, ~np.eye(3, dtype=bool)] == 0.0)
+
+
+def test_huge_stress_does_not_overflow():
+    # |T|^2 overflows past |T| ~ 1e154; warnings are errors.  The power
+    # law p = 3 is left out: its response r^2 itself overflows there
+    rng = np.random.default_rng(29)
+    models = [mdl for mdl in model_roster() + model_roster(16)
+              if getattr(mdl.potential, "p", 0.0) != 3.0]
+    for model in models:
+        for d in (1, 2, 3):
+            m = st.packed_len(d)
+            T = sample_tensors(rng, d, 12) * 10.0 ** rng.uniform(-3.0, 150.0, (12, 1))
+            huge = np.zeros((3, m))
+            huge[0, 0] = 1e200
+            huge[1] = -3e250 * rng.uniform(0.5, 1.0, m)
+            huge[2, -1] = 1e308
+            both = np.concatenate([T, huge])
+            G = con.g_apply(model, both)
+            B = con.tangent_inverse_blocks(model, both)
+            J = con.g_jacobian(model, both)
+            # rows up to 1e150 keep the bits of the plain norm's formulas
+            r = st.norm(T)
+            h = con.response_pair(model, r)[0]
+            assert np.array_equal(G[:12], (h / r)[:, None] * T)
+            assert np.array_equal(B[:12], con.tangent_inverse_blocks(model, T))
+            assert np.array_equal(J[:12], con.g_jacobian(model, T))
+            # huge rows: G = h(r)/r T and the blocks I / h' (there the
+            # tangential and radial eigenvalues agree, or both are floored)
+            w = np.max(np.abs(huge), axis=-1)
+            rh = w * st.norm(huge / w[:, None])
+            hh, dh = con.response_pair(model, rh)
+            assert np.all(np.isfinite(G[12:])) and np.all(np.isfinite(B[12:]))
+            assert np.allclose(G[12:], (hh / rh)[:, None] * huge, rtol=1e-14, atol=0.0)
+            assert np.allclose(B[12:], np.eye(m) / np.maximum(dh, 1e-12)[:, None, None],
+                               rtol=1e-10, atol=0.0)
+            assert np.all(np.isfinite(J[12:]))
 
 
 def test_jacobian_symmetry_and_fd():

@@ -16,13 +16,17 @@ from reference_impl import interval_space, proto_model
 
 
 def ramp_lift(slope, rate):
-    """u = (slope + rate t) x on [0,1]: eps = slope + rate t, dt_eps = rate."""
+    """u = (slope + rate t) x on [0,1]: eps = slope + rate t, dt_eps = rate.
+    t is a float or a block of times (see sc.AnalyticField)."""
+    def ones(X):
+        return np.ones((X.shape[0], 1, 1))
+
     return sc.AnalyticField(
         1,
-        value=lambda t, X: (slope + rate * t) * X,
-        grad=lambda t, X: np.full((X.shape[0], 1, 1), slope + rate * t),
-        dt_value=lambda t, X: rate * X,
-        dt_grad=lambda t, X: np.full((X.shape[0], 1, 1), rate),
+        value=lambda t, X: np.multiply.outer(slope + rate * t, X),
+        grad=lambda t, X: np.multiply.outer(slope + rate * t, ones(X)),
+        dt_value=lambda t, X: np.multiply.outer(np.full(np.shape(t), rate), X),
+        dt_grad=lambda t, X: np.multiply.outer(np.full(np.shape(t), rate), ones(X)),
     )
 
 
@@ -105,7 +109,7 @@ def test_ledger_solves_the_radius_once(monkeypatch):
 
 def test_ledger_external_power():
     m = con.ConstitutiveModel(con.LinearPotential(), alpha=1.0, beta=1.0)
-    forcing = sc.AnalyticField(1, value=lambda t, X: np.full((X.shape[0], 1), 2.0))
+    forcing = sc.AnalyticField(1, value=lambda t, X: np.full(np.shape(t) + (X.shape[0], 1), 2.0))
     scen = sc.Scenario(dim=1, domain=((0.0, 1.0),), model=m,
                        lift=ramp_lift(0.0, 0.5), forcing=forcing, t_end=1.0)
     space = interval_space(8)
@@ -118,7 +122,7 @@ def test_block_snapshot_equals_one_state_snapshots():
     # a moving lift (eps = 0.8 + t) and a time-dependent forcing, with two
     # rows beyond the strain limit, whose records are suspended
     m = proto_model(reg_n=8, beta=0.5)
-    forcing = sc.AnalyticField(1, value=lambda t, X: 2.0 + np.reshape(t, (-1, 1)) * X)
+    forcing = sc.AnalyticField(1, value=lambda t, X: 2.0 + np.multiply.outer(t, X))
     scen = sc.Scenario(dim=1, domain=((0.0, 1.0),), model=m,
                        lift=ramp_lift(0.8, 1.0), forcing=forcing, t_end=1.0)
     space = interval_space(8)

@@ -31,6 +31,73 @@ def test_zero_field_shapes():
     assert np.all(f.dtt_value(1.0, X) == 0.0)
 
 
+FIELD_PARTS = ("value", "grad", "dt_value", "dt_grad", "dtt_value", "hess", "dt_hess",
+               "strain", "dt_strain")
+
+
+def _block_fields():
+    """(name, field, points) cases of the block protocol: product fields
+    in 1D and 2D, both lift recipes and a field without time dependence."""
+    rng = np.random.default_rng(41)
+    u1 = sc._standing_wave_field(1, (0.0, 1.0), amplitude=0.3, omega=2.0)
+    u2 = sc._standing_wave_field(2, (0.0, 1.0, 0.0, 2.0), amplitude=0.2, omega=1.5)
+    v1 = sc._standing_wave_field(1, (0.0, 0.5), amplitude=0.1, omega=0.0)
+    bump = sc._pluck_field(2, ((0.0, 1.0), (0.0, 1.0)), 0.4)
+    X1, X2 = sample_points(1, rng, 17), sample_points(2, rng, 23)
+    return [("product-1d", u1, X1), ("product-2d", u2, X2), ("static-2d", bump, X2),
+            ("lift-static", sc.lift_static_bc(v1, v1, 1.3, 0.4), X1),
+            ("lift-static-rest", sc.lift_static_bc(bump, sc.zero_field(2), 1.0, 0.1), X2),
+            ("lift-timedep", sc.lift_timedep_bc(u1, v1, 1.3, 0.4), X1)]
+
+
+def _times(k):
+    """k times in [0, 2], with t=0 and a repeated time among them."""
+    ts = np.random.default_rng(k).uniform(0.0, 2.0, k)
+    ts[0] = 0.0
+    ts[-1] = ts[k // 2]
+    return ts
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_block_call_equals_the_stacked_per_time_calls(k):
+    ts = _times(k)
+    for name, field, X in _block_fields():
+        for part in FIELD_PARTS:
+            fn = getattr(field, part)
+            block = fn(ts, X)
+            alone = np.stack([fn(float(t), X) for t in ts])
+            assert block.shape == alone.shape, (name, part)
+            assert np.array_equal(block, alone), (name, part)
+            assert np.array_equal(np.signbit(block), np.signbit(alone)), (name, part)
+    # zero fields and missing derivatives take the block's time axis too
+    assert sc.zero_field(2).value(ts, np.zeros((5, 2))).shape == (k, 5, 2)
+    assert sc.zero_field(2).grad(ts, np.zeros((5, 2))).shape == (k, 5, 2, 2)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_block_forcing_equals_the_stacked_per_time_calls(k):
+    ts = _times(k) * 0.05
+    rng = np.random.default_rng(k)
+    for name, dim, reg_n in (("manufactured:standing-wave", 1, None),
+                             ("manufactured:standing-wave-2d", 2, 16)):
+        model = con.ConstitutiveModel(con.PrototypePotential(2.0), beta=0.1, reg_n=reg_n)
+        scen = sc.build_scenario(name, dim, (0.0, 1.0) * dim, model, 0.1)
+        X = sample_points(dim, rng, 19)
+        for fn in (scen.forcing.value,
+                   lambda t, X: sc.exact_stress(model, scen.exact, t, X),
+                   lambda t, X: sc.stress_divergence(model, scen.exact, t, X)):
+            block = fn(ts, X)
+            assert np.array_equal(block, np.stack([fn(float(t), X) for t in ts])), name
+    # Members: the member axis comes first, then the block's time axis
+    members = dy.Members([scen, scen.with_model(model.with_reg(4)), scen])
+    block = members.forcing.value(ts, X)
+    assert block.shape == (3, k) + X.shape
+    for j, t in enumerate(ts):
+        assert np.array_equal(block[:, j], members.forcing.value(float(t), X))
+    assert np.array_equal(block[0], block[2])
+    assert not np.array_equal(block[0], block[1])
+
+
 def test_bump_support_and_peak():
     s = np.array([-1.5, -1.0, 0.0, 0.999999, 1.0, 2.0])
     b = sc._bump(s)
@@ -433,7 +500,7 @@ def test_safety_margin_samples_a_steady_lift_once(monkeypatch):
     times, real = [], sc.strain_expression
 
     def sampled(lift, alpha, beta, t, X):
-        times.append(t)
+        times.append(np.shape(t))
         return real(lift, alpha, beta, t, X)
 
     def sampled_sup(scen):
@@ -447,7 +514,8 @@ def test_safety_margin_samples_a_steady_lift_once(monkeypatch):
     for scen in (pluck, wave, moving, other):
         times.clear()
         margin = sc.safety_margin(scen, space)
-        counts.append(len(times))
+        counts.append(sum(np.prod(shape, dtype=int) for shape in times))
+        assert times == [times[0]]           # one call, a block of times
         assert abs(margin - (1.0 - sampled_sup(scen))) <= 1e-15
     # the static lift's expression is constant in t for its own rates only
     assert counts == [1, 1, 64, 64]
@@ -480,26 +548,27 @@ def test_manufactured_linear_model_symbolic():
     alpha, beta = 1.0, 0.2
     m = con.ConstitutiveModel(con.LinearPotential(), alpha=alpha, beta=beta)
 
+    # t is a float or a block of times (see sc.AnalyticField)
     def value(t, X):
-        return np.sin(np.pi * X[:, :1]) * np.cos(t)
+        return np.multiply.outer(np.cos(t), np.sin(np.pi * X[:, :1]))
 
     def grad(t, X):
-        return np.pi * np.cos(np.pi * X[:, :1, None]) * np.cos(t)
+        return np.multiply.outer(np.cos(t), np.pi * np.cos(np.pi * X[:, :1, None]))
 
     def dt_value(t, X):
-        return -np.sin(np.pi * X[:, :1]) * np.sin(t)
+        return np.multiply.outer(np.sin(t), -np.sin(np.pi * X[:, :1]))
 
     def dt_grad(t, X):
-        return -np.pi * np.cos(np.pi * X[:, :1, None]) * np.sin(t)
+        return np.multiply.outer(np.sin(t), -np.pi * np.cos(np.pi * X[:, :1, None]))
 
     def dtt_value(t, X):
-        return -np.sin(np.pi * X[:, :1]) * np.cos(t)
+        return np.multiply.outer(np.cos(t), -np.sin(np.pi * X[:, :1]))
 
     def hess(t, X):
-        return -np.pi**2 * np.sin(np.pi * X[:, :1, None, None]) * np.cos(t)
+        return np.multiply.outer(np.cos(t), -np.pi**2 * np.sin(np.pi * X[:, :1, None, None]))
 
     def dt_hess(t, X):
-        return np.pi**2 * np.sin(np.pi * X[:, :1, None, None]) * np.sin(t)
+        return np.multiply.outer(np.sin(t), np.pi**2 * np.sin(np.pi * X[:, :1, None, None]))
 
     u = sc.AnalyticField(1, value, grad=grad, dt_value=dt_value,
                          dt_grad=dt_grad, dtt_value=dtt_value, hess=hess,
