@@ -67,9 +67,14 @@ class ConvergenceReport:
     def __post_init__(self):
         self.axis = np.asarray(self.axis, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        d = np.diff(self.axis)
-        if len(self.axis) > 1 and not (np.all(d > 0) or np.all(d < 0)):
+        if not strictly_monotone(self.axis):
             raise ValueError("report axis must be strictly monotone")
+
+
+def strictly_monotone(values):
+    """Whether values strictly increase or strictly decrease."""
+    d = np.diff(np.asarray(values, dtype=float))
+    return bool(np.all(d > 0) or np.all(d < 0))
 
 
 def fit_order(axis, values):
@@ -133,12 +138,8 @@ def ledger_table(records):
     """Arrays for the records plus trapezoidal cumulatives and the
     per-row balance residual (nan where suspended)."""
     ts, ke, ee, rate, power = _columns(EnergyLedger, records).values()
-    if len(ts) > 1:
-        d_cum = cumulative_trapezoid(rate, ts, initial=0.0)
-        p_cum = cumulative_trapezoid(power, ts, initial=0.0)
-    else:
-        d_cum = np.zeros_like(ts)
-        p_cum = np.zeros_like(ts)
+    d_cum = cumulative_trapezoid(rate, ts, initial=0.0)
+    p_cum = cumulative_trapezoid(power, ts, initial=0.0)
     resid = (ke + ee) - (ke[0] + ee[0]) + d_cum - p_cum
     return {
         "t": ts, "kinetic": ke, "elastic": ee,
@@ -218,8 +219,8 @@ def regularization_sweep(scenario, space, config, n_list):
     All levels run as one batch (dynamics.Members): they share the space
     and time grid, and each level's model differs only in reg_n.  Every
     level's states equal those of its own run bit for bit.  The
-    differences are taken as the blocks arrive, so the sweep keeps one
-    block per level, not a history.
+    differences are taken across the member axis of each block as it
+    arrives, so the sweep keeps no history.
     """
     n_list = [int(n) for n in n_list]
     if len(n_list) < 3:
@@ -227,20 +228,15 @@ def regularization_sweep(scenario, space, config, n_list):
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
     members = dyn.Members(scenario.with_model(scenario.model.with_reg(n)) for n in n_list)
-    latest = [None] * len(n_list)
     per_step = []          # per record: the successive differences
 
-    def keep(i):
-        def observe(block):
-            latest[i] = block.U
-            if i == len(n_list) - 1:          # the last member closes the records
-                gaps = space.value_at_qp(np.diff(np.stack(latest), axis=0))
-                per_step.extend(space.l2_norm_qp(gaps, rows=True).T.tolist())
-        observe.reads_fields = False
-        return (observe,)
+    def observe(block):
+        gaps = space.value_at_qp(np.diff(block.U, axis=1))
+        per_step.extend(space.l2_norm_qp(gaps, rows=True).tolist())
+    observe.reads_fields = False
 
     _annotated([f"n={n}" for n in n_list], dyn.run, members, space, config,
-               observers=[keep(i) for i in range(len(n_list))])
+               observers=(observe,))
     diffs = np.array(per_step[-1])
     max_t_diffs = [max(col) for col in zip(*per_step)]
     cauchy = bool(np.all(np.diff(diffs) < 0.0))
@@ -263,6 +259,8 @@ def refinement_study(scenario, axis, levels, config, space=None):
     """
     if len(levels) < 3:
         raise ValueError("refinement study needs at least 3 levels")
+    if not strictly_monotone(levels):
+        raise ValueError("levels must be strictly monotone")
     if axis == "h":
         if scenario.exact is None:
             raise ValueError("h-refinement needs a scenario with an exact solution")
@@ -313,8 +311,7 @@ def stability_study(scenario, space, config, delta_list, seed=0):
         raise ValueError("stability study needs at least 3 deltas")
     if any(d <= 0.0 for d in deltas):
         raise ValueError("deltas must be positive")
-    dd = np.diff(deltas)
-    if not (np.all(dd > 0) or np.all(dd < 0)):
+    if not strictly_monotone(deltas):
         raise ValueError("delta_list must be strictly monotone")
 
     rng = np.random.default_rng(seed)
@@ -325,13 +322,12 @@ def stability_study(scenario, space, config, delta_list, seed=0):
     V0 = np.stack([np.zeros(space.ndof)] + [d * direction for d in deltas])
     labels = ["base"] + [f"delta={d:g}" for d in deltas]
     start = _annotated(labels, dyn.evaluate_fields, members, space, 0.0, np.zeros_like(V0), V0)
-    finals = _annotated(labels, dyn.run, members, space, config, start=start)
-    base = finals[0]
+    final = _annotated(labels, dyn.run, members, space, config, start=start)
     factors = np.array([
-        float((np.linalg.norm(final.U - base.U) + np.linalg.norm(final.V - base.V)) / d)
-        for d, final in zip(deltas, finals[1:])])
+        float((np.linalg.norm(U - final.U[0]) + np.linalg.norm(V - final.V[0])) / d)
+        for d, U, V in zip(deltas, final.U[1:], final.V[1:])])
 
-    t_end = float(base.t)
+    t_end = float(final.t)
     g = float(np.mean(factors))
     if t_end > 0.0 and g > 0.0:
         # C e^{C t} is increasing in C, so bracket and bisect

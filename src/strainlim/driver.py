@@ -282,6 +282,15 @@ def parse_config(text):
         bad("n_list", "needs at least 3 entries")
     if values["delta_list"] is not None and any(d <= 0 for d in values["delta_list"]):
         bad("delta_list", "entries must be > 0")
+    # a study's levels in the wrong order are rejected before any of them runs
+    n_list = values["n_list"] or ()
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        bad("n_list", "entries must be strictly increasing")
+    if not dg.strictly_monotone(values["delta_list"] or ()):
+        bad("delta_list", "entries must be strictly monotone")
+    if values["study"] in ("refinement", "refinement-dt") \
+            and not dg.strictly_monotone(values["levels"] or ()):
+        bad("levels", "entries must be strictly monotone")
     return RunConfig(values=values)
 
 

@@ -9,11 +9,11 @@ implicit midpoint rule, the latter solved by a modified Newton
 iteration whose Jacobian uses the closed-form inverse of the
 constitutive tangent per quadrature point; within a run its factor is
 kept across steps and Newton starts from extrapolated velocities.
-The end-of-step fields of a block of midpoint steps are evaluated in
-one stacked call, and only when an observer reads them.
-Runs that share the space and time grid and differ only in reg_n or
-initial data step together as Members, with a leading member axis on
-every array.
+Steps go in blocks, each handed whole to the observers; the end-of-step
+fields of a midpoint block come from one stacked call, made only when an
+observer reads them.  Runs that share the space and time grid and differ
+only in reg_n or initial data step together as Members, with a member
+axis on every array, after the row axis of a block.
 """
 
 from __future__ import annotations
@@ -362,8 +362,8 @@ class _NewtonCarry:
     two states, newest first, and Newton's last midpoint stress (per-member
     rows in a batch)."""
 
-    def __init__(self, k):
-        self.lus = [None] * k
+    def __init__(self):
+        self.lus = None
         self.dt = None
         self.past = []
         self.stress = None
@@ -379,7 +379,7 @@ class _NewtonCarry:
         return V.copy()
 
 
-def step_midpoint(scenario, space, state, dt, forcing, carry=None):
+def step_midpoint(scenario, space, state, dt, f_mid, carry):
     """Implicit midpoint update solved for the midpoint velocity.
 
     With Vm the midpoint velocity, Um = U + (dt/2) Vm and the update
@@ -387,15 +387,13 @@ def step_midpoint(scenario, space, state, dt, forcing, carry=None):
     M (Vm - V) + (dt/2) [S(t_mid, Um, Vm) - F(t_mid) + M0(t_mid)] = 0
     by modified Newton with a factored Jacobian that is refreshed
     whenever an update exceeds NEWTON_RHO times the previous one.
-    forcing holds the forcing at t_mid and, for a direct call, at
-    t + dt (_step_times); its values are None without a forcing.
+    f_mid is the forcing at t_mid (_step_times), None without a forcing.
 
     carry is run's _NewtonCarry, updated in place: while dt stays the
     same, the first iteration reuses the factor of an earlier step, and
     Newton starts from the extrapolated velocities and from the last
-    midpoint stress.  The returned State then holds t, U and V only.
-    Without a carry the step factors afresh, starts from Vm = V and
-    state.stress, and returns the whole next State.
+    midpoint stress (state.stress on a fresh carry).  The returned State
+    holds t, U and V only; Newton's last midpoint stress is carry.stress.
 
     With Members each member keeps its own Newton state: its Jacobian
     factor, its refresh decision and its convergence test.  A member
@@ -411,13 +409,10 @@ def step_midpoint(scenario, space, state, dt, forcing, carry=None):
     U, V = state.U, state.V
     eps_l = scenario.lift.strain(t_mid, qp)
     deps_l = scenario.lift.dt_strain(t_mid, qp)
-    const_load = np.full(U.shape, -0.5 * dt * _loads(scenario, space, t_mid, forcing[0]))
+    const_load = np.full(U.shape, -0.5 * dt * _loads(scenario, space, t_mid, f_mid))
     mass = space.mass
     factor = 0.5 * dt * (m.beta + 0.5 * dt * m.alpha)
 
-    direct = carry is None
-    if direct:
-        carry = _NewtonCarry(k)
     if carry.dt != dt:
         carry.lus = [None] * k
         carry.dt = dt
@@ -471,10 +466,7 @@ def step_midpoint(scenario, space, state, dt, forcing, carry=None):
 
     carry.past = [V] + carry.past[:1]
     carry.stress = warm
-    U_next, V_next = U + dt * Vm, 2.0 * Vm - V
-    if direct:
-        return evaluate_fields(scenario, space, t_next, U_next, V_next, warm, forcing[1])
-    return State(t_next, U_next, V_next, None, None, None, None)
+    return State(t_next, U + dt * Vm, 2.0 * Vm - V, None, None, None, None)
 
 
 def run(scenario, space, config, observers=(), start=None):
@@ -484,39 +476,34 @@ def run(scenario, space, config, observers=(), start=None):
     coefficients (the lift carries initial and boundary data).
     Observers are the only per-step output.  Each is called in order as
     observer(block) with a block of states (see State) that it must not
-    modify: the initial state, then each RK4 state as soon as it is made
-    (the next step starts from it), or each block of midpoint states.
+    modify: the initial state, then each block of _block_steps(space)
+    steps once its last step is made.  A block's forcing comes from one
+    _forcing_at call at its steps' _step_times; midpoint steps hand each
+    other a Newton carry (see step_midpoint).
 
-    Steps go in blocks of _block_steps(space), each with its forcing at
-    its steps' _step_times from _forcing_at; midpoint steps hand each
-    other a Newton carry (see step_midpoint).  The fields of a block of
-    midpoint states come from one evaluate_fields call, made only for
-    observers that read fields: if every observer's ``reads_fields`` is
-    false, they and the return value get t, U and V alone, and without
-    observers only the final State is evaluated.  So a midpoint state
-    beyond the strain limit may be reported up to a block late.
+    The fields of a midpoint block come from one evaluate_fields call,
+    made only for observers that read them: if every observer's
+    ``reads_fields`` is false, they and the return value get t, U and V
+    alone (RK4 states too), and without observers only the final State
+    is evaluated.  So a midpoint state beyond the strain limit may be
+    reported up to a block late.
 
     scenario may be Members, stepped as one batch; a lone scenario is
-    the one-member case of the same loop, without the member axis.  For
-    Members, observers holds one sequence per member, called with that
-    member's view of each block (U and V of shape (rows, ndof)) in
-    member order, and the return value lists every member's final State.
+    the one-member case of the same loop.  For Members every block keeps
+    the member axis after its row axis (U is (rows, members, ndof)), and
+    so does the returned State.
     """
-    batch = isinstance(scenario, Members)
-    if batch and observers and len(observers) != len(scenario):
-        raise ValueError("observers need one sequence per member")
     if start is None:
-        shape = (len(scenario), space.ndof) if batch else (space.ndof,)
+        shape = (len(scenario), space.ndof) if isinstance(scenario, Members) \
+            else (space.ndof,)
         start = evaluate_fields(scenario, space, 0.0, np.zeros(shape), np.zeros(shape))
-    groups = observers if batch else [observers]
-    observed = any(groups)
-    fielded = any(getattr(o, "reads_fields", True) for obs in groups for o in obs)
+    fielded = any(getattr(o, "reads_fields", True) for o in observers)
     midpoint = config.scheme == SCHEME_MIDPOINT
     # forcing times per step: the end time serves RK4 and observed fields
     per = 1 if midpoint and not fielded else 2
-    carry = _NewtonCarry(len(scenario) if batch else 1)
+    carry = _NewtonCarry()
     state = start
-    final = _notify(groups, block_of([state]), batch)
+    final = _notify(observers, block_of([state]))
 
     grid = _steps(state.t, config.dt, config.t_end)
     while block := list(itertools.islice(grid, _block_steps(space))):
@@ -526,33 +513,27 @@ def run(scenario, space, config, observers=(), start=None):
         for j, (_, dt) in enumerate(block):
             pair = (None, None) if forcing is None else forcing[per * j:per * j + per]
             if midpoint:
-                state = step_midpoint(scenario, space, state, dt, pair, carry)
-                ends.append(state)
+                state = step_midpoint(scenario, space, state, dt, pair[0], carry)
                 warms.append(carry.stress)
             else:
                 state = step_rk4(scenario, space, state, dt, pair)
-                final = _notify(groups, block_of([state]), batch)
-        if ends and observed:
+            ends.append(state if fielded else State(state.t, state.U, state.V, *[None] * 4))
+        if observers:
             states = block_of(ends)
-            if fielded:
+            if midpoint and fielded:
                 states = evaluate_fields(scenario, space, states.t, states.U, states.V,
                                          stack_rows(warms),
                                          None if forcing is None else forcing[1::2])
-            final = _notify(groups, states, batch)
-    if midpoint and not observed and state is not start:
-        final = _notify(groups, block_of([evaluate_fields(
-            scenario, space, state.t, state.U, state.V, carry.stress)]), batch)
-    return final
+            final = _notify(observers, states)
+    if observers:
+        return final
+    if midpoint and state is not start:
+        return evaluate_fields(scenario, space, state.t, state.U, state.V, carry.stress)
+    return state
 
 
-def _notify(groups, block, batch):
-    """Hand a block (see State) to each member's group of observers, as
-    that member's view, in member order; return the block's last State
-    (for a batch, every member's view of it)."""
-    views = [_index(block, block.t, (slice(None), i)) for i in range(block.U.shape[1])] \
-        if batch else [block]
-    for obs, view in zip(groups, views):
-        for o in obs:
-            o(view)
-    last = [_index(view, view.t[-1], -1) for view in views]
-    return last if batch else last[0]
+def _notify(observers, block):
+    """Hand a block (see State) to each observer in order; return its last State."""
+    for o in observers:
+        o(block)
+    return _index(block, block.t[-1], -1)

@@ -236,9 +236,9 @@ def test_regularization_sweep_cauchy():
 
 
 def test_regularization_sweep_compares_levels_at_the_same_time(monkeypatch):
-    # the last level's observer closes the records from every level's
-    # latest block: with blocks of many steps (the default, 42 steps of
-    # 96 points here) as with blocks of one step, those hold the same times
+    # each record's differences are taken across the members of one row of
+    # a block: with blocks of many steps (the default, 42 steps of 96
+    # points here) as with blocks of one step, they are the same
     m = con.ConstitutiveModel(con.PrototypePotential(2.0), alpha=1.0, beta=0.1)
     scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), m, 0.15)
     space = interval_space(48)
@@ -266,7 +266,7 @@ def test_midpoint_sweep_skips_the_fields_nobody_reads(monkeypatch):
         return real_invert(model, E, **kw)
 
     def run_reading_fields(scenario, space, config, observers=(), **kw):
-        reading = [tuple(obs) + (lambda block: block.stress,) for obs in observers]
+        reading = tuple(observers) + (lambda block: block.stress,)
         return real_run(scenario, space, config, observers=reading, **kw)
 
     monkeypatch.setattr(con, "invert", counting_invert)
@@ -330,6 +330,20 @@ def test_refinement_study_validation():
     pluck = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.1)
     with pytest.raises(ValueError):
         dg.refinement_study(pluck, "h", [16, 32, 64], cfg)
+
+
+@pytest.mark.parametrize("axis, levels", [("h", [16, 32, 16]), ("dt", [2e-3, 2e-3, 1e-3])],
+                         ids=["h", "dt"])
+def test_refinement_study_rejects_unordered_levels_before_any_run(monkeypatch, axis, levels):
+    # the report axis would catch them only after every level had run
+    runs = []
+    monkeypatch.setattr(dg.dyn, "run", lambda *args, **kw: runs.append(args))
+    scen = sc.build_scenario("manufactured:standing-wave", 1, (0.0, 1.0),
+                             proto_model(reg_n=16), 0.3)
+    with pytest.raises(ValueError, match="levels must be strictly monotone"):
+        dg.refinement_study(scen, axis, levels, dy.SolverConfig(dt=1e-3, t_end=0.3),
+                            space=interval_space(16))
+    assert runs == []
 
 
 def test_stability_study_linear_response():
@@ -400,10 +414,15 @@ def _spy_batch(monkeypatch):
 
     def spy(members, space, config, observers=(), start=None):
         hist = [[] for _ in range(len(members))]
-        obs = [tuple(own) + (ref.per_state(lambda s, h=h: h.append((s.U, s.V))),)
-               for own, h in zip(observers or [()] * len(members), hist)]
+
+        def record(block):
+            for U, V in zip(block.U, block.V):          # rows, then members
+                for h, Ui, Vi in zip(hist, U, V):
+                    h.append((Ui, Vi))
+        record.reads_fields = False
         seen.update(members=members, start=start, hist=hist)
-        return real(members, space, config, observers=obs, start=start)
+        return real(members, space, config, observers=tuple(observers) + (record,),
+                    start=start)
 
     monkeypatch.setattr(dg.dyn, "run", spy)
     return seen, real

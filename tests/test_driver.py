@@ -105,6 +105,20 @@ def test_range_errors_carry_key_and_line():
             dr.parse_config(base_cfg(f"study = refinement\nlevels = {levels}\n"))
 
 
+@pytest.mark.parametrize("study, key, entries", [
+    ("regularization", "n_list", "4 64 16"),
+    ("regularization", "n_list", "4 16 16"),
+    ("stability", "delta_list", "0.001 1e-05 0.01"),
+    ("refinement", "levels", "16 32 16"),
+    ("refinement-dt", "levels", "2e-3 2e-3 1e-3"),
+], ids=["n_list", "n_list-repeated", "delta_list", "refinement", "refinement-dt"])
+def test_study_lists_out_of_order_are_rejected_with_their_line(study, key, entries):
+    order = "increasing" if key == "n_list" else "monotone"
+    with pytest.raises(dr.RangeError,
+                       match=rf"'{key}' at line 12: entries must be strictly {order}"):
+        dr.parse_config(base_cfg(f"study = {study}\n{key} = {entries}\n"))
+
+
 def test_domain_length_must_match_dim():
     with pytest.raises(dr.RangeError, match="'domain'"):
         dr.parse_config(base_cfg().replace("domain = 0.0 1.0",
@@ -578,24 +592,25 @@ def test_report_csv_keeps_blank_cells(tmp_path, order, n):
 
 
 def test_block_size_leaves_the_outputs_unchanged(tmp_path, monkeypatch):
-    # a midpoint standing-wave run and a midpoint regularization sweep of
-    # 10 steps on 32 quadrature points: blocks of 1 step, of 7 steps and
+    # a standing-wave run and a regularization sweep of 10 steps on 32
+    # quadrature points, midpoint and RK4: blocks of 1 step, of 7 steps and
     # one block per run write the same bytes
-    run_text = base_cfg("cells = 16\nscenario = manufactured:standing-wave\n",
-                        drop=("cells", "scenario"))
-    sweep_text = base_cfg("cells = 16\nstudy = regularization\nn_list = 4 16 64\n",
-                          drop=("cells", "reg_n"))
-    outputs = []
-    for steps in (1, 7, 10):
-        monkeypatch.setattr(dr.dy, "BLOCK_POINTS", steps * 32)
-        files = {}
-        for command, text in (("run", run_text), ("sweep", sweep_text)):
-            out = tmp_path / f"{command}-{steps}"
-            assert run_main(tmp_path, text + f"out_dir = {out}\n", command) == 0
-            files.update({(command, p.name): p.read_bytes() for p in out.iterdir()})
-        outputs.append(files)
-    assert len(outputs[0]) == 5
-    assert outputs[0] == outputs[1] == outputs[2]
+    for scheme in ("midpoint", "rk4"):
+        run_text = base_cfg(f"cells = 16\nscenario = manufactured:standing-wave\n"
+                            f"scheme = {scheme}\n", drop=("cells", "scenario"))
+        sweep_text = base_cfg(f"cells = 16\nstudy = regularization\nn_list = 4 16 64\n"
+                              f"scheme = {scheme}\n", drop=("cells", "reg_n"))
+        outputs = []
+        for steps in (1, 7, 10):
+            monkeypatch.setattr(dr.dy, "BLOCK_POINTS", steps * 32)
+            files = {}
+            for command, text in (("run", run_text), ("sweep", sweep_text)):
+                out = tmp_path / f"{scheme}-{command}-{steps}"
+                assert run_main(tmp_path, text + f"out_dir = {out}\n", command) == 0
+                files.update({(command, p.name): p.read_bytes() for p in out.iterdir()})
+            outputs.append(files)
+        assert len(outputs[0]) == 5
+        assert outputs[0] == outputs[1] == outputs[2], scheme
 
 
 @pytest.mark.parametrize("command,extra", [

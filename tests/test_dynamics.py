@@ -14,7 +14,7 @@ from strainlim import symtensor as st
 import reference_impl as ref
 from reference_impl import interval_space, proto_model
 
-# the forcing pair a stepper takes for a scenario without a forcing
+# the forcing pair step_rk4 takes for a scenario without a forcing
 NO_FORCING = (None, None)
 
 
@@ -62,7 +62,7 @@ def test_rest_state_is_stationary():
     s1 = dy.step_rk4(scen, space, state, 1e-2, NO_FORCING)
     assert np.max(np.abs(s1.U)) < 1e-14 and np.max(np.abs(s1.V)) < 1e-14
     assert s1.t == pytest.approx(1e-2)
-    s2 = dy.step_midpoint(scen, space, state, 1e-2, NO_FORCING)
+    s2 = dy.step_midpoint(scen, space, state, 1e-2, None, dy._NewtonCarry())
     assert np.max(np.abs(s2.U)) < 1e-14 and np.max(np.abs(s2.V)) < 1e-14
 
 
@@ -142,11 +142,8 @@ def test_members_differ_only_in_reg_n():
         with pytest.raises(ValueError, match="reg_n"):
             dy.Members([scen, scen.with_model(other)])
     space = interval_space(8)
-    cfg = dy.SolverConfig(dt=1e-3, t_end=2e-3)
-    with pytest.raises(ValueError, match="one sequence per member"):
-        dy.run(members, space, cfg, observers=[()])
-    finals = dy.run(members, space, cfg)
-    assert len(finals) == 2 and finals[0].U.shape == (space.ndof,)
+    final = dy.run(members, space, dy.SolverConfig(dt=1e-3, t_end=2e-3))
+    assert final.U.shape == (2, space.ndof)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +245,9 @@ def test_midpoint_stress_cache_satisfies_relation():
     scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.05)
     space = interval_space(16)
     state = dy.evaluate_fields(scen, space, 0.0, np.zeros(space.ndof), np.zeros(space.ndof))
-    nxt = dy.step_midpoint(scen, space, state, 1e-3, NO_FORCING)
+    carry = dy._NewtonCarry()
+    nxt = dy.step_midpoint(scen, space, state, 1e-3, None, carry)
+    nxt = dy.evaluate_fields(scen, space, nxt.t, nxt.U, nxt.V, carry.stress)
     gap = con.g_apply(scen.model, nxt.stress) - nxt.E
     assert float(np.max(st.norm(gap))) < 1e-10
 
@@ -260,7 +259,7 @@ def test_midpoint_no_convergence_error(monkeypatch):
     space = interval_space(16)
     state = dy.evaluate_fields(scen, space, 0.0, np.zeros(space.ndof), np.zeros(space.ndof))
     with pytest.raises(dy.MidpointNoConvergence) as err:
-        dy.step_midpoint(scen, space, state, 1e-2, NO_FORCING)
+        dy.step_midpoint(scen, space, state, 1e-2, None, dy._NewtonCarry())
     assert len(err.value.trace) == 3
 
 
@@ -340,12 +339,15 @@ def test_midpoint_run_after_mass_solves_matches_a_fresh_space():
 
 
 def _carry_free_run(scen, space, cfg):
-    """run's loop written with direct step_midpoint calls: every step
-    factors afresh and starts Newton from Vm = V."""
+    """run's loop written with direct step_midpoint calls, each with a
+    fresh carry: every step factors afresh, starts Newton from Vm = V and
+    from the stress of its own start State."""
     state = dy.evaluate_fields(scen, space, 0.0, np.zeros(space.ndof), np.zeros(space.ndof))
     while state.t < cfg.t_end - 1e-12 * max(1.0, cfg.t_end):
-        state = dy.step_midpoint(scen, space, state, min(cfg.dt, cfg.t_end - state.t),
-                                 NO_FORCING)
+        carry = dy._NewtonCarry()
+        nxt = dy.step_midpoint(scen, space, state, min(cfg.dt, cfg.t_end - state.t), None,
+                               carry)
+        state = dy.evaluate_fields(scen, space, nxt.t, nxt.U, nxt.V, carry.stress)
     return state
 
 
@@ -369,9 +371,9 @@ def _count_assemblies(monkeypatch):
     real_step, real_invert = dy.step_midpoint, dy._invert_at
     real_assemble = dy._assemble_midpoint_jacobian
 
-    def step(scenario, space, state, dt, forcing, carry=None):
+    def step(scenario, space, state, dt, f_mid, carry):
         now[:] = [dt, 0]
-        return real_step(scenario, space, state, dt, forcing, carry)
+        return real_step(scenario, space, state, dt, f_mid, carry)
 
     def invert(scenario, E, warm, space, stage, t, members=None):
         now[1] += stage.startswith("midpoint")
@@ -459,20 +461,21 @@ def test_observed_states_are_their_own_records(scheme):
 
 
 def test_member_views_are_their_own_records():
+    # every member's part of each observed state, and of the returned one,
+    # is the State that member's own evaluate_fields gives
     base = proto_model(reg_n=4)
     scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), base, 0.05)
     members = dy.Members([scen, scen.with_model(base.with_reg(64))])
     space = interval_space(16)
-    seen = [[], []]
-    finals = dy.run(members, space, dy.SolverConfig(dt=1e-3, t_end=0.01),
-                    observers=[(ref.per_state(seen[0].append),),
-                               (ref.per_state(seen[1].append),)])
-    for member, states, final in zip(members.scenarios, seen, finals):
-        assert len(states) == 11
-        _assert_same_state(final, states[-1])
-        for state in states:
-            assert state.U.shape == (space.ndof,)
-            _assert_own_record(member, space, state)
+    seen = []
+    final = dy.run(members, space, dy.SolverConfig(dt=1e-3, t_end=0.01),
+                   observers=(ref.per_state(seen.append),))
+    assert len(seen) == 11
+    _assert_same_state(final, seen[-1])
+    for state in seen:
+        assert state.U.shape == (2, space.ndof)
+        for i, member in enumerate(members.scenarios):
+            _assert_own_record(member, space, dy._index(state, state.t, i))
 
 
 def test_run_partial_final_step():
@@ -710,26 +713,45 @@ def test_midpoint_steps_do_not_depend_on_the_observers(monkeypatch):
 
 @pytest.mark.parametrize("scheme", ["midpoint", "rk4"])
 def test_members_observers_see_every_member_at_each_time(monkeypatch, scheme):
-    # each block goes to the members in member order, and to each
-    # member's observers in their order; every member's block (its view)
-    # holds the same times
+    # each block goes to the observers in their order, once, with every
+    # member at each of its times: the member axis follows the row axis
     scen = sc.build_scenario("manufactured:standing-wave", 1, (0.0, 1.0), proto_model(), 0.01)
     space = interval_space(16)
     monkeypatch.setattr(dy, "BLOCK_POINTS", 4 * space.n_qp)    # blocks of 4, 4 and 2 steps
     members = dy.Members([scen, scen.with_model(scen.model.with_reg(64))])
     calls = []
-    observers = [tuple(lambda b, k=k, i=i: calls.append((k, i, tuple(b.t), b.U.shape))
-                       for k in "ab") for i in range(2)]
+    observers = tuple(lambda b, k=k: calls.append((k, tuple(b.t), b.U.shape, b.stress.shape))
+                      for k in "ab")
     dy.run(members, space, dy.SolverConfig(dt=1e-3, t_end=0.01, scheme=scheme),
            observers=observers)
-    times = [t for k, i, ts, _ in calls if k == "a" and i == 0 for t in ts]
+    times = [t for k, ts, _, _ in calls if k == "a" for t in ts]
     assert len(times) == 11
-    # t=0, then midpoint blocks of 4, 4 and 2 states; an RK4 state is a
-    # block of its own
-    groups = [times[:1], times[1:5], times[5:9], times[9:]] if scheme == "midpoint" \
-        else [[t] for t in times]
-    assert calls == [(k, i, tuple(ts), (len(ts), space.ndof))
-                     for ts in groups for i in range(2) for k in "ab"]
+    # t=0, then blocks of 4, 4 and 2 states, for either scheme
+    groups = [times[:1], times[1:5], times[5:9], times[9:]]
+    assert calls == [(k, tuple(ts), (len(ts), 2, space.ndof), (len(ts), 2, space.n_qp, space.m))
+                     for ts in groups for k in "ab"]
+
+
+def test_rk4_blocks_hold_only_what_the_observers_read(monkeypatch):
+    # observers that read no fields get RK4 states in blocks of t, U and V
+    # alone, and so does run's return value; the steps are unchanged
+    scen = sc.build_scenario("manufactured:standing-wave", 1, (0.0, 1.0), proto_model(), 0.01)
+    space = interval_space(16)
+    cfg = dy.SolverConfig(dt=1e-3, t_end=0.01, scheme="rk4")
+    monkeypatch.setattr(dy, "BLOCK_POINTS", 4 * space.n_qp)    # blocks of 4, 4 and 2 steps
+    final = dy.run(scen, space, cfg)
+    blocks = []
+
+    def observe(block):
+        blocks.append(block)
+    observe.reads_fields = False
+
+    bare = dy.run(scen, space, cfg, observers=(observe,))
+    assert [len(b.t) for b in blocks] == [1, 4, 4, 2]
+    for state in blocks[1:] + [bare]:
+        assert (state.eps, state.E, state.stress, state.forcing) == (None,) * 4
+    assert bare.t == final.t
+    assert np.array_equal(bare.U, final.U) and np.array_equal(bare.V, final.V)
 
 
 def test_energy_records_are_complete_when_run_returns(monkeypatch):
