@@ -99,13 +99,21 @@ class PrototypePotential(ScalarPotential):
 
         Past s = 1 the shared power is w = 1 + s**-q, where s**q would
         overflow: then dphi = w**(-1/q) and d2phi = s**-(q+1) * w**(-(q+1)/q).
-        Work arrays are reused in place: fresh temporaries dominate the
-        cost on large batches.
+        A batch with no point past 1 skips that branch; a point up to 1 gets
+        the same bits either way.  Work arrays are reused in place: fresh
+        temporaries dominate the cost on large batches.
         """
         s = np.asarray(s, dtype=float)
         q = self.q
         big = s > 1.0
-        pw = s ** np.where(big, -q, q)
+        if not big.any():
+            w = s**q
+            w += 1.0
+            factor = w ** (-1.0 / q)
+            return s * factor, np.divide(factor, w, out=w)
+        with np.errstate(over="ignore"):
+            pw = s**q
+        np.power(s, -q, out=pw, where=big)
         w = pw + 1.0
         factor = w ** (-1.0 / q)
         d2 = np.divide(factor, w, out=w)
@@ -198,23 +206,18 @@ def _inv_n(model, inv_n=None):
     return 0.0 if model.reg_n is None else 1.0 / model.reg_n
 
 
-def _regularizer(model, r, inv_n=None):
-    """Regularizer term of h and its derivative: (r/n, 1/n); zeros
-    without one.  inv_n replaces the model's 1/n and broadcasts against r."""
-    if model.reg_n is None:
-        return 0.0, 0.0
-    inv = _inv_n(model, inv_n)
-    return inv * r, inv
-
-
 def response_pair(model, r, inv_n=None):
     """(h(r), h'(r)) of the effective response h = dphi + r/n at radii r >= 0.
 
     G_n, its tangent's eigenvalues h(r)/r and h'(r), the inverse and the
-    conjugate all follow from this pair; h' > 0 for r > 0."""
+    conjugate all follow from this pair; h' > 0 for r > 0.  inv_n replaces
+    the regularized model's 1/n and must not broadcast r to a larger shape."""
     h, d = model.potential.dphi_pair(r)
-    reg, dreg = _regularizer(model, r, inv_n)
-    return h + reg, d + dreg
+    if model.reg_n is not None:
+        inv = _inv_n(model, inv_n)
+        h += inv * r
+        d += inv
+    return h, d
 
 
 def _radius(T):
@@ -308,7 +311,7 @@ def jacobian_norm_bound_check(model, T):
 # inversion
 
 
-def invert_radius(model, s, warm=None, inv_n=None):
+def invert_radius(model, s, warm=None, inv_n=None, slope=None, return_slope=False):
     """Solve h(r) = s for r >= 0, vectorized over s.
 
     Without a regularizer the closed-form inverse of dphi is used and s
@@ -318,11 +321,19 @@ def invert_radius(model, s, warm=None, inv_n=None):
     also from dphi alone; bisection takes over whenever
     a Newton step leaves the bracket.  Convergence criterion:
     |h(r) - s| <= INVERT_TOL * (1 + s).  Each point is frozen once it meets it,
-    so its radius does not depend on the other points of the batch.
+    so its radius depends only on the points of its own row (the last axis
+    of s), which share the decision on a second polish step.
 
     inv_n, when given, replaces the regularized model's 1/n and
     broadcasts against s, so one call can hold points of models that
     differ only in reg_n.
+
+    slope is the (s, h') pair, stacked, that the inversion which gave warm
+    returned: its target and h' per point.  The first Newton step then
+    comes from it, r_w + (s - s_w) / h'_w, with the bracket side given by
+    the sign of s_w - s, in place of an evaluation of h at warm.  With
+    return_slope the return is (r, slope) for the next inversion; the
+    slope is None without a regularizer.
     """
     s = np.asarray(s, dtype=float)
     if (s < 0.0).any() or not np.isfinite(s).all():
@@ -336,7 +347,8 @@ def invert_radius(model, s, warm=None, inv_n=None):
             raise SupercriticalStrainError(
                 f"no regularizer and strain magnitude {worst:.6g} at or beyond limit {L:.6g}"
             )
-        return pot.dphi_inv(s)
+        r = pot.dphi_inv(s)
+        return (r, None) if return_slope else r
 
     inv = _inv_n(model, inv_n)
     hi = s / inv
@@ -350,7 +362,7 @@ def invert_radius(model, s, warm=None, inv_n=None):
         x = np.minimum(np.maximum(warm, 0.0), hi)          # clipped to [0, hi]
     else:
         # cold start s / h'(0), per point since h'(0) holds 1/n
-        d0 = response_pair(model, np.zeros(1), inv)[1]
+        d0 = response_pair(model, np.zeros(np.shape(inv) or 1), inv)[1]
         with np.errstate(divide="ignore", invalid="ignore"):
             x = np.where(np.isfinite(d0) & (d0 > 0.0), np.minimum(hi, s / d0), 0.5 * hi)
     done = s == 0.0
@@ -358,14 +370,20 @@ def invert_radius(model, s, warm=None, inv_n=None):
 
     target = INVERT_TOL * (1.0 + s)
     mid = np.empty_like(s)
+    carried = slope is not None
+    if carried:
+        # h - s and h' at warm, as the inversion that gave it left them
+        f, d = slope[0] - s, np.array(slope[1])
     # h, h' come fresh from response_pair, so the loop overwrites them in place
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(INVERT_MAX_ITER):
-            f, d = response_pair(model, x, inv)
-            f -= s
-            done |= np.abs(f) <= target
-            if done.all():
-                break
+            if not carried:
+                f, d = response_pair(model, x, inv)
+                f -= s
+                done |= np.abs(f) <= target
+                if done.all():
+                    break
+            carried = False
             # converged points keep x, so their bracket may go stale
             np.copyto(hi, x, where=f > 0.0)
             np.copyto(lo, x, where=f < 0.0)
@@ -379,26 +397,39 @@ def invert_radius(model, s, warm=None, inv_n=None):
             worst = float(np.max(np.abs(response_pair(model, x, inv)[0] - s)))
             raise NewtonConvergenceError(f"radial inversion stalled after {INVERT_MAX_ITER} "
                                          f"iterations, residual {worst:.3e}")
-        # two polish steps drive the scalar residual to its roundoff floor,
-        # so the recovered radius is accurate even when h' is O(1/n); the
-        # first reuses h - s and h' of the converged iterate
-        for k in range(2):
-            if k:
-                f, d = response_pair(model, x, inv)
-                f -= s
-            np.copyto(d, 1.0, where=~((x > 0.0) & (d > 0.0) & np.isfinite(d)))
-            step = np.divide(f, d, out=f)
-            np.copyto(step, 0.0, where=~np.isfinite(step))
-            np.maximum(np.subtract(x, step, out=x), 0.0, out=x)
-    return x
+        # polish steps drive the scalar residual to its roundoff floor, so
+        # the recovered radius is accurate even when h' is O(1/n).  The first
+        # reuses h - s and h' of the converged iterate.  What a second one
+        # corrects is quadratic in the first step, so it runs only on the
+        # rows (last axis) where some first step exceeds 2**-26 of its r
+        step = _polish(x, f, d)
+        again = (np.abs(step) > 2.0**-26 * x).any(axis=-1, keepdims=True)
+        if again.any():
+            f2, d2 = response_pair(model, x, inv)
+            f2 -= s
+            _polish(x, f2, d2, again)
+    return (x, np.stack((s, d))) if return_slope else x
 
 
-def invert(model, E, warm_stress=None, inv_n=None):
+def _polish(x, f, d, mask=True):
+    """One Newton step x -= f / d in place where mask holds, floored at 0;
+    a non-finite step is 0, and d is taken as 1 where x or d is not
+    positive or d not finite.  Returns the step, written over f."""
+    np.copyto(d, 1.0, where=~((x > 0.0) & (d > 0.0) & np.isfinite(d)))
+    step = np.divide(f, d, out=f)
+    np.copyto(step, 0.0, where=~(np.isfinite(step) & mask))
+    np.maximum(np.subtract(x, step, out=x), 0.0, out=x)
+    return step
+
+
+def invert(model, E, warm_stress=None, inv_n=None, slope=None, return_slope=False):
     """Invert the (regularized) map: return T with g_apply(T) ~= E.
 
     G keeps T and E collinear, so this is the scalar solve of
     invert_radius along E.  inv_n replaces the model's 1/n per point,
-    broadcasting against the point axes of E (see invert_radius).
+    broadcasting against the point axes of E; slope and return_slope
+    carry the first Newton step from one inversion to the next (see
+    invert_radius), and with return_slope the return is (T, slope).
     """
     E = np.asarray(E, dtype=float)
     # a finite E whose |E|^2 overflows is rejected like a non-finite one
@@ -407,9 +438,13 @@ def invert(model, E, warm_stress=None, inv_n=None):
     if not np.isfinite(s).all():
         raise ValueError("non-finite strain input")
     warm = st.norm(warm_stress) if warm_stress is not None else None
-    r = invert_radius(model, s, warm=warm, inv_n=inv_n)
+    r = invert_radius(model, s, warm=warm, inv_n=inv_n, slope=slope,
+                      return_slope=return_slope)
+    if return_slope:
+        r, slope = r
     scale = np.divide(r, s, out=np.zeros_like(s), where=s > 0.0)
-    return scale[..., None] * E
+    T = scale[..., None] * E
+    return (T, slope) if return_slope else T
 
 
 # ---------------------------------------------------------------------------

@@ -226,8 +226,8 @@ def parse_config(text):
     if values["dim"] == 1:
         if values["cells"] is None:
             raise MissingKeyError("missing required key 'cells' (dim = 1)")
-        if values["cells"] < 1:
-            bad("cells", "must be >= 1")
+        if values["cells"] < 2:
+            bad("cells", "must be >= 2 (one cell has no interior node)")
         for k in ("cells_x", "cells_y"):
             if values[k] is not None:
                 bad(k, "only valid for dim = 2 (use 'cells')")
@@ -235,8 +235,8 @@ def parse_config(text):
         for k in ("cells_x", "cells_y"):
             if values[k] is None:
                 raise MissingKeyError(f"missing required key {k!r} (dim = 2)")
-            if values[k] < 1:
-                bad(k, "must be >= 1")
+            if values[k] < 2:
+                bad(k, "must be >= 2 (one cell has no interior node)")
         if values["cells"] is not None:
             bad("cells", "only valid for dim = 1 (use 'cells_x'/'cells_y')")
     cell_keys = ("cells",) if values["dim"] == 1 else ("cells_x", "cells_y")
@@ -401,9 +401,10 @@ def cmd_run(cfg):
 
 
 def _report_rows(report):
-    """(axis, value, fitted order) rows; only the last row has an order."""
+    """(axis, value, fitted order) rows; only the last row has an order,
+    and only a finite one."""
     rows = [[a, v, _BLANK] for a, v in zip(report.axis.tolist(), report.values.tolist())]
-    if rows and report.fitted_order is not None:
+    if rows and report.fitted_order is not None and math.isfinite(report.fitted_order):
         rows[-1][2] = float(report.fitted_order)
     return np.array(rows, dtype=object)
 

@@ -8,7 +8,7 @@ analytic lift.  Two integrators are provided: classical RK4 and the
 implicit midpoint rule, the latter solved by a modified Newton
 iteration whose Jacobian uses the closed-form inverse of the
 constitutive tangent per quadrature point; within a run its factor is
-kept across steps and Newton starts from extrapolated velocities.
+kept across steps and Newton starts from extrapolated midpoint velocities.
 Steps go in blocks, each handed whole to the observers; the end-of-step
 fields of a midpoint block come from one stacked call, made only when an
 observer reads them.  Runs that share the space and time grid and differ
@@ -166,7 +166,7 @@ def evaluate_fields(scenario, space, t, U, V, warm=None, forcing=None):
     eps = space.strain_at_qp(U) + eps_l
     deps = space.strain_at_qp(V) + deps_l
     E = m.alpha * eps + m.beta * deps
-    T = _invert_at(scenario, E, warm, space, "t", t)
+    T = _invert_at(scenario, E, warm, None, space, "t", t)[0]
     if forcing is None and scenario.forcing is not None:
         forcing = _forcing_at(scenario, space, t) if block else \
             _forcing_at(scenario, space, [t])[0]
@@ -226,8 +226,10 @@ def _forcing_at(scenario, space, ts):
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
-def _invert_at(scenario, E, warm, space, stage, t, members=None):
-    """Stress at every quadrature point; failures name the stage, its time,
+def _invert_at(scenario, E, warm, slope, space, stage, t, members=None):
+    """Stress at every quadrature point and the slope of its inversion, to
+    start the next one from (see con.invert_radius; slope is this one's
+    start, None when warm has none); failures name the stage, its time,
     the worst qp and, in a batch of several, its member.
 
     For a block (t a list of times, see State) it names the time of
@@ -241,7 +243,8 @@ def _invert_at(scenario, E, warm, space, stage, t, members=None):
     if inv_n is not None and members is not None:
         inv_n = inv_n[members]
     try:
-        return con.invert(scenario.model, E, warm_stress=warm, inv_n=inv_n)
+        return con.invert(scenario.model, E, warm_stress=warm, inv_n=inv_n, slope=slope,
+                          return_slope=True)
     except (con.SupercriticalStrainError, con.NewtonConvergenceError) as exc:
         nrm = st.norm(E)
         k = int(np.argmax(nrm))
@@ -358,25 +361,27 @@ def _assemble_midpoint_jacobian(space, mass, factor, model, T):
 
 class _NewtonCarry:
     """What one run's midpoint steps hand on to the next: each member's
-    Jacobian factor, the dt it was built for, the velocities of the last
-    two states, newest first, and Newton's last midpoint stress (per-member
-    rows in a batch)."""
+    Jacobian factor, the dt it was built for, the last three midpoint
+    velocities, newest first, Newton's last midpoint stress and the slope
+    of the inversion that gave it (per-member rows in a batch)."""
 
     def __init__(self):
         self.lus = None
         self.dt = None
         self.past = []
         self.stress = None
+        self.slope = None
 
     def start(self, V):
         """Newton's first midpoint velocity: the quadratic extrapolation of
-        the last three velocities to t + dt/2, linear with only one earlier
-        velocity, V itself with none."""
-        if len(self.past) == 2:
-            return 1.875 * V - 1.25 * self.past[0] + 0.375 * self.past[1]
-        if self.past:
-            return V + 0.5 * (V - self.past[0])
-        return V.copy()
+        the last three midpoint velocities, linear with two, the last one
+        with one, V itself with none."""
+        p = self.past
+        if len(p) == 3:
+            return 3.0 * p[0] - 3.0 * p[1] + p[2]
+        if len(p) == 2:
+            return 2.0 * p[0] - p[1]
+        return (p[0] if p else V).copy()
 
 
 def step_midpoint(scenario, space, state, dt, f_mid, carry):
@@ -390,10 +395,12 @@ def step_midpoint(scenario, space, state, dt, f_mid, carry):
     f_mid is the forcing at t_mid (_step_times), None without a forcing.
 
     carry is run's _NewtonCarry, updated in place: while dt stays the
-    same, the first iteration reuses the factor of an earlier step, and
-    Newton starts from the extrapolated velocities and from the last
-    midpoint stress (state.stress on a fresh carry).  The returned State
-    holds t, U and V only; Newton's last midpoint stress is carry.stress.
+    same to 1e-9 relative, the first iteration reuses the factor of an
+    earlier step.  Newton starts from the extrapolated midpoint velocities
+    of earlier steps, and each inversion from the last midpoint stress
+    and the slope of its inversion (state.stress, and no slope, on a
+    fresh carry).  The returned State holds t, U and V only; Newton's
+    last midpoint stress is carry.stress.
 
     With Members each member keeps its own Newton state: its Jacobian
     factor, its refresh decision and its convergence test.  A member
@@ -413,13 +420,17 @@ def step_midpoint(scenario, space, state, dt, f_mid, carry):
     mass = space.mass
     factor = 0.5 * dt * (m.beta + 0.5 * dt * m.alpha)
 
-    if carry.dt != dt:
+    # the last step of a run differs from dt by rounding alone
+    if carry.dt is None or abs(carry.dt - dt) > 1e-9 * dt:
         carry.lus = [None] * k
         carry.dt = dt
     lus = carry.lus
     Vm = carry.start(V)
     rows = Vm.reshape(k, ndof)             # each member's Vm, a view (a lone one too)
     warm = state.stress if carry.stress is None else carry.stress
+    slope = carry.slope
+    # the carry lets go of both, so that each is freed once Newton replaces it
+    carry.stress = carry.slope = None
     traces = [[] for _ in range(k)]
     prev = [np.inf] * k
     active = list(range(k))
@@ -429,13 +440,16 @@ def step_midpoint(scenario, space, state, dt, f_mid, carry):
         Um = U[sel] + 0.5 * dt * Vm[sel]
         E = m.alpha * (space.strain_at_qp(Um) + eps_l[sel]) \
             + m.beta * (space.strain_at_qp(Vm[sel]) + deps_l[sel])
-        T = _invert_at(scenario, E, None if warm is None else warm[sel], space,
-                       "midpoint stage t", t_mid, members=active)
+        T, inv_slope = _invert_at(scenario, E, None if warm is None else warm[sel],
+                                  None if slope is None else slope[:, sel], space,
+                                  "midpoint stage t", t_mid, members=active)
         if len(active) == k:
-            warm = T
+            warm, slope = T, inv_slope
         else:
-            # a full iteration came first, so warm is this step's own T
+            # a full iteration came first, so warm and slope are this step's own
             warm[active] = T
+            if slope is not None:
+                slope[:, active] = inv_slope
         R = space.mass_apply(Vm[sel] - V[sel]) + 0.5 * dt * space.load_from_stress(T) \
             + const_load[sel]
         T_rows = T.reshape(len(active), nq, mcomp)
@@ -464,8 +478,8 @@ def step_midpoint(scenario, space, state, dt, f_mid, carry):
             traces[i],
         ), i)
 
-    carry.past = [V] + carry.past[:1]
-    carry.stress = warm
+    carry.past = [Vm] + carry.past[:2]
+    carry.stress, carry.slope = warm, slope
     return State(t_next, U + dt * Vm, 2.0 * Vm - V, None, None, None, None)
 
 

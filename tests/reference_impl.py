@@ -12,6 +12,7 @@ blocks to a callable of one State, live here too for several test modules.
 """
 
 import csv
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -335,12 +336,14 @@ def write_table(path, table):
 
 
 def report_rows(report):
-    """A study report as text cells; the fitted order fills only the last row."""
+    """A study report as text cells; a finite fitted order fills only the
+    last row."""
     rows = []
     n = len(report.axis)
     for i in range(n):
         order = ""
-        if i == n - 1 and report.fitted_order is not None:
+        if i == n - 1 and report.fitted_order is not None \
+                and math.isfinite(report.fitted_order):
             order = repr(float(report.fitted_order))
         rows.append([repr(float(report.axis[i])), repr(float(report.values[i])), order])
     return rows

@@ -142,7 +142,7 @@ def test_criterion_07_regularization_cauchy():
     ok = (bool(np.all(np.diff(diffs) < 0.0)) and diffs[-1] <= diffs[0] / 4.0
           and dt_wall < 300.0)
     check(7, "regularization-cauchy", ok,
-          f"successive diffs {np.array2string(diffs, precision=2)}, "
+          f"successive diffs [{' '.join(f'{d:.2e}' for d in diffs)}], "
           f"final/first {diffs[-1] / diffs[0]:.3f} (need <= 0.25), {dt_wall:.0f}s")
 
 

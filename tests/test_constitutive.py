@@ -415,10 +415,11 @@ def test_invert_radius_nonconvergence_raises(monkeypatch):
         con.invert_radius(model, np.array([0.5]))
 
 
-def _reference_invert_radius(model, s, warm=None, tol=1e-12, max_iter=100):
+def _reference_invert_radius(model, s, warm=None, tol=1e-12, max_iter=100, slope=None):
     """The regularized branch of invert_radius written plainly: separate
     h and h' evaluations and np.where updates.  The reference that the
-    in-place kernel must reproduce."""
+    in-place kernel must reproduce.  slope, the (s_w, h'_w) of the
+    inversion that gave warm, stands in for the first evaluation."""
     s = np.asarray(s, dtype=float)
     inv = 1.0 / model.reg_n
     hi = s / inv
@@ -436,15 +437,18 @@ def _reference_invert_radius(model, s, warm=None, tol=1e-12, max_iter=100):
     x = np.where(s == 0.0, 0.0, x)
     target = tol * (1.0 + s)
     done = s == 0.0
-    for _ in range(max_iter):
-        f = con.response_pair(model, x)[0] - s
-        done = done | (np.abs(f) <= target)
-        if np.all(done):
-            break
+    for k in range(max_iter):
+        if slope is not None and k == 0:
+            f, d = slope[0] - s, slope[1]
+        else:
+            f = con.response_pair(model, x)[0] - s
+            done = done | (np.abs(f) <= target)
+            if np.all(done):
+                break
+            d = con.response_pair(model, np.where(~done, x, 1.0))[1]
         act = ~done
         hi = np.where(act & (f > 0.0), x, hi)
         lo = np.where(act & (f < 0.0), x, lo)
-        d = con.response_pair(model, np.where(act, x, 1.0))[1]
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(act & (d > 0.0) & np.isfinite(d), f / d, 0.0)
         xn = x - step
@@ -453,12 +457,17 @@ def _reference_invert_radius(model, s, warm=None, tol=1e-12, max_iter=100):
         x = np.where(act, xn, x)
     else:
         raise con.NewtonConvergenceError("reference stalled")
+    # the second polish step is taken only on the rows (last axis) where some
+    # first step exceeds 2**-26 of its radius
+    again = True
     for _ in range(2):
         f = con.response_pair(model, x)[0] - s
         d = con.response_pair(model, np.where(x > 0.0, x, 1.0))[1]
         d = np.where((x > 0.0) & np.isfinite(d) & (d > 0.0), d, 1.0)
         step = f / d
-        x = np.maximum(0.0, x - np.where(np.isfinite(step), step, 0.0))
+        step = np.where(np.isfinite(step) & again, step, 0.0)
+        x = np.maximum(0.0, x - step)
+        again = np.any(np.abs(step) > 2.0**-26 * x, axis=-1, keepdims=True)
     return x
 
 
@@ -479,6 +488,43 @@ def test_invert_radius_matches_reference(pot, reg_n):
     warm = ref * (1.0 + 0.05 * rng.standard_normal(s.size))
     ref_w = _reference_invert_radius(model, s, warm=warm)
     assert np.all(np.abs(con.invert_radius(model, s, warm=warm) - ref_w) <= 1e-14 * ref_w)
+
+
+@pytest.mark.parametrize("pot", _KERNEL_MODELS, ids=["q1", "q2", "q10", "power1.5"])
+@pytest.mark.parametrize("reg_n", [4, 16, 64, 256])
+def test_invert_radius_from_a_carried_slope_matches_reference(pot, reg_n):
+    # the next inversion starts from the targets and slopes the last one
+    # returned, in place of an evaluation at its radii; some targets stay
+    model = con.ConstitutiveModel(pot, reg_n=reg_n)
+    rng = np.random.default_rng(28)
+    s = np.concatenate([[0.0], np.linspace(1e-9, 3.0, 400), rng.uniform(0.0, 3.0, 400),
+                        10.0 ** rng.uniform(-300.0, 300.0, 100)])
+    s_w = s * (1.0 + 0.05 * rng.standard_normal(s.size))
+    s_w[::7] = s[::7]
+    r_w, slope = con.invert_radius(model, s_w, return_slope=True)
+    assert np.array_equal(slope[0], s_w)
+    got = con.invert_radius(model, s, warm=r_w, slope=slope)
+    ref = _reference_invert_radius(model, s, warm=r_w, slope=slope)
+    assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+    assert np.all(np.abs(con.response_pair(model, got)[0] - s) <= 1e-12 * (1.0 + s))
+
+
+@pytest.mark.parametrize("pot", _KERNEL_MODELS, ids=["q1", "q2", "q10", "power1.5"])
+def test_invert_radius_mixed_reg_n_batch_with_a_carried_slope_matches_separate_calls(pot):
+    reg_ns = [4, 16, 64, 256]
+    rng = np.random.default_rng(29)
+    s = np.concatenate([[0.0], rng.uniform(0.0, 3.0, 150), 10.0 ** rng.uniform(-300.0, 300.0, 50)])
+    S = np.stack([rng.permutation(s) for _ in reg_ns])
+    S_next = S * (1.0 + 1e-3 * rng.standard_normal(S.shape))
+    models = [con.ConstitutiveModel(pot, reg_n=n) for n in reg_ns]
+    inv_n = np.array([[1.0 / n] for n in reg_ns])
+    R, slope = con.invert_radius(models[0], S, inv_n=inv_n, return_slope=True)
+    batch = con.invert_radius(models[0], S_next, warm=R, inv_n=inv_n, slope=slope)
+    for i, model in enumerate(models):
+        r, own = con.invert_radius(model, S[i], return_slope=True)
+        assert np.array_equal(r, R[i]) and np.array_equal(own, slope[:, i]), reg_ns[i]
+        alone = con.invert_radius(model, S_next[i], warm=r, slope=own)
+        assert np.array_equal(batch[i], alone), reg_ns[i]
 
 
 @pytest.mark.parametrize("pot", _KERNEL_MODELS, ids=["q1", "q2", "q10", "power1.5"])

@@ -461,11 +461,11 @@ def _count_newton(monkeypatch):
     now = [None]
     real_invert, real_assemble = dy._invert_at, dy._assemble_midpoint_jacobian
 
-    def invert(scenario, E, warm, space, stage, t, members=None):
+    def invert(scenario, E, warm, slope, space, stage, t, members=None):
         if stage.startswith("midpoint"):
             now[0] = t
             iters.update((i, t) for i in members)
-        return real_invert(scenario, E, warm, space, stage, t, members)
+        return real_invert(scenario, E, warm, slope, space, stage, t, members)
 
     def assemble(space, mass, factor, model, T):
         facts[(model.reg_n, now[0])] += 1

@@ -278,17 +278,21 @@ def test_cmd_run_2d(tmp_path):
     assert len(rows) == 6 * 6 * 2 * 3  # three quadrature points per triangle
 
 
-@pytest.mark.parametrize("cells", ["cells = 1", "cells_x = 1\ncells_y = 1"], ids=["1d", "2d"])
-def test_cmd_run_without_interior_dofs(tmp_path, cells):
-    # one cell leaves every node on the boundary: the lift carries the
-    # whole run, on empty operators and an empty coupling pattern
+@pytest.mark.parametrize("key,text,line", [
+    ("cells", "dim = 1\ndomain = 0.0 1.0\ncells = 1\n", 3),
+    ("cells_x", "dim = 2\ndomain = 0.0 1.0 0.0 1.0\ncells_x = 1\ncells_y = 4\n", 3),
+    ("cells_y", "dim = 2\ndomain = 0.0 1.0 0.0 1.0\ncells_x = 4\ncells_y = 1\n", 4),
+], ids=["cells", "cells_x", "cells_y"])
+def test_one_cell_is_rejected_with_its_line(tmp_path, capsys, monkeypatch, key, text, line):
+    # one cell leaves every node on the boundary, so a run would have no
+    # unknowns: the config exits 1 before any mesh is built
+    monkeypatch.setattr(dr.fe, "box_mesh", lambda *a: pytest.fail("a mesh was built"))
     out = tmp_path / "out"
-    dim, domain = ("1", "0.0 1.0") if cells == "cells = 1" else ("2", "0.0 1.0 0.0 1.0")
-    text = (f"dim = {dim}\ndomain = {domain}\n{cells}\nmodel = prototype\nbeta = 0.1\n"
-            f"reg_n = 16\ndt = 0.005\nt_end = 0.02\nscenario = gaussian-pluck\nout_dir = {out}\n")
-    assert run_main(tmp_path, text, "run") == 0
-    _, rows = read_csv(out / "energy.csv")
-    assert len(rows) == 5 and all(float(r[1]) == 0.0 for r in rows)
+    text += (f"model = prototype\nbeta = 0.1\nreg_n = 16\ndt = 0.005\nt_end = 0.02\n"
+             f"scenario = gaussian-pluck\nout_dir = {out}\n")
+    assert run_main(tmp_path, text, "run") == 1
+    assert f"key {key!r} at line {line}: must be >= 2" in capsys.readouterr().out
+    assert not out.exists()
 
 
 def test_cmd_run_safety_violation_exits_1(tmp_path, capsys, monkeypatch):
@@ -588,7 +592,8 @@ def test_report_csv_keeps_blank_cells(tmp_path, order, n):
     ref.write_csv(tmp_path / "report_ref.csv", header, ref.report_rows(report))
     text = (tmp_path / "report.csv").read_bytes()
     assert text == (tmp_path / "report_ref.csv").read_bytes()
-    assert text.endswith(b",\r\n") == (order is None)
+    # a fitted order that is not finite is left blank, like a missing one
+    assert text.endswith(b",\r\n") == (order is None or np.isnan(order))
 
 
 def test_block_size_leaves_the_outputs_unchanged(tmp_path, monkeypatch):
@@ -654,6 +659,18 @@ def test_cmd_sweep_refinement_dt(tmp_path):
     assert run_main(tmp_path, text, "sweep") == 0
     _, rows = read_csv(out / "report.csv")
     assert len(rows) == 3 and float(rows[2][2]) > 1.0
+
+
+def test_cmd_sweep_exact_levels_leave_the_order_blank(tmp_path):
+    # constant strain is reproduced exactly at every dt: the errors are 0,
+    # their fitted order is nan, and the report leaves that cell empty
+    out = tmp_path / "s"
+    text = base_cfg(f"out_dir = {out}\nstudy = refinement-dt\nlevels = 0.02 0.01 0.005\n"
+                    "cells = 8\nscenario = manufactured:constant-strain\n",
+                    drop=("cells", "scenario"))
+    assert run_main(tmp_path, text, "sweep") == 0
+    _, rows = read_csv(out / "report.csv")
+    assert [r[1:] for r in rows] == [["0.0", ""]] * 3
 
 
 def test_cmd_sweep_refinement_dt_2d_steps_on_the_configured_mesh(tmp_path, capsys,

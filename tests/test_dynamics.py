@@ -375,9 +375,9 @@ def _count_assemblies(monkeypatch):
         now[:] = [dt, 0]
         return real_step(scenario, space, state, dt, f_mid, carry)
 
-    def invert(scenario, E, warm, space, stage, t, members=None):
+    def invert(scenario, E, warm, slope, space, stage, t, members=None):
         now[1] += stage.startswith("midpoint")
-        return real_invert(scenario, E, warm, space, stage, t, members)
+        return real_invert(scenario, E, warm, slope, space, stage, t, members)
 
     def assemble(space, mass, factor, model, T):
         made.append(tuple(now))
@@ -405,6 +405,41 @@ def test_run_refactors_for_a_shorter_last_step(monkeypatch):
     # the shorter step's first iteration already solves with a new factor
     last = [it for dt, it in made if dt != 1e-3]
     assert last and last[0] == 1
+
+
+def test_midpoint_newton_work_on_the_standing_wave(monkeypatch):
+    # the 1D 256-cell standing wave: Newton starts from the extrapolated past
+    # midpoint velocities, so no step after the third takes a third
+    # iteration, and each of its inversions starts from the slope the one
+    # before left, so it evaluates (h, h') at most twice on average
+    scen = sc.build_scenario("manufactured:standing-wave", 1, (0.0, 1.0),
+                             proto_model(reg_n=16, beta=0.1), 0.35)
+    iters, evals = [], []
+    real_step, real_invert, real_pair = dy.step_midpoint, dy._invert_at, con.response_pair
+    made = [0]
+
+    def step(*args):
+        iters.append(0)
+        return real_step(*args)
+
+    def invert(scenario, E, warm, slope, space, stage, t, members=None):
+        before = made[0]
+        out = real_invert(scenario, E, warm, slope, space, stage, t, members)
+        if stage.startswith("midpoint"):
+            iters[-1] += 1
+            evals.append(made[0] - before)
+        return out
+
+    def pair(*args):
+        made[0] += 1
+        return real_pair(*args)
+
+    monkeypatch.setattr(dy, "step_midpoint", step)
+    monkeypatch.setattr(dy, "_invert_at", invert)
+    monkeypatch.setattr(con, "response_pair", pair)
+    dy.run(scen, interval_space(256), dy.SolverConfig(dt=1e-3, t_end=0.35))
+    assert len(iters) == 350 and max(iters[3:]) <= 2
+    assert sum(evals) <= 2.0 * len(evals)
 
 
 # ---------------------------------------------------------------------------
