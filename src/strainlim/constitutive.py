@@ -37,6 +37,19 @@ INVERT_TOL = 1e-12
 INVERT_MAX_ITER = 100
 
 
+class InvalidDataError(ValueError):
+    """Problem data violate a compatibility or admissibility requirement."""
+
+
+class FieldError(InvalidDataError):
+    """A value its owner rejects: ``field`` names it, ``rule`` says what it must be."""
+
+    def __init__(self, field, rule):
+        super().__init__(f"{field}: {rule}")
+        self.field = field
+        self.rule = rule
+
+
 class SupercriticalStrainError(ValueError):
     """Unregularized inversion requested at or beyond the response limit L."""
 
@@ -82,7 +95,7 @@ class PrototypePotential(ScalarPotential):
     def __init__(self, q):
         q = float(q)
         if q < 1.0:
-            raise ValueError(f"q must be >= 1, got {q}")
+            raise FieldError("q", f"must be >= 1, got {q}")
         self.q = q
 
     def phi(self, s):
@@ -139,7 +152,7 @@ class PowerLawPotential(ScalarPotential):
     def __init__(self, p):
         p = float(p)
         if p <= 1.0:
-            raise ValueError(f"p must be > 1, got {p}")
+            raise FieldError("p", f"must be > 1, got {p}")
         self.p = p
 
     def phi(self, s):
@@ -182,12 +195,12 @@ class ConstitutiveModel:
 
     def __post_init__(self):
         if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+            raise FieldError("alpha", f"must be > 0, got {self.alpha}")
         if not self.beta > 0.0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
+            raise FieldError("beta", f"must be > 0, got {self.beta}")
         if self.reg_n is not None:
             if int(self.reg_n) != self.reg_n or self.reg_n < 1:
-                raise ValueError(f"reg_n must be an integer >= 1, got {self.reg_n}")
+                raise FieldError("reg_n", f"must be an integer >= 1 or none, got {self.reg_n}")
 
     def with_reg(self, reg_n):
         return replace(self, reg_n=reg_n)

@@ -73,8 +73,20 @@ class ConvergenceReport:
 
 def strictly_monotone(values):
     """Whether values strictly increase or strictly decrease."""
-    d = np.diff(np.asarray(values, dtype=float))
-    return bool(np.all(d > 0) or np.all(d < 0))
+    pairs = list(zip(values, values[1:]))
+    return all(a < b for a, b in pairs) or all(a > b for a, b in pairs)
+
+
+def check_study_list(field, values, increasing=False):
+    """The rule of every study's list of levels, checked before any level
+    runs: at least 3 entries, all > 0, strictly increasing or monotone."""
+    if len(values) < 3:
+        raise con.FieldError(field, "needs at least 3 entries")
+    if not all(v > 0 for v in values):
+        raise con.FieldError(field, "entries must be > 0")
+    order = "increasing" if increasing else "monotone"
+    if not strictly_monotone(values) or increasing and values[1] < values[0]:
+        raise con.FieldError(field, f"entries must be strictly {order}")
 
 
 def fit_order(axis, values):
@@ -223,10 +235,7 @@ def regularization_sweep(scenario, space, config, n_list):
     arrives, so the sweep keeps no history.
     """
     n_list = [int(n) for n in n_list]
-    if len(n_list) < 3:
-        raise ValueError("regularization sweep needs at least 3 levels")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be strictly increasing")
+    check_study_list("n_list", n_list, increasing=True)
     members = dyn.Members(scenario.with_model(scenario.model.with_reg(n)) for n in n_list)
     per_step = []          # per record: the successive differences
 
@@ -257,14 +266,11 @@ def refinement_study(scenario, axis, levels, config, space=None):
     space and errors are differences against a reference run at
     min(levels)/4, so the fixed spatial error cancels.
     """
-    if len(levels) < 3:
-        raise ValueError("refinement study needs at least 3 levels")
-    if not strictly_monotone(levels):
-        raise ValueError("levels must be strictly monotone")
+    check_study_list("levels", levels)
     if axis == "h":
         if scenario.exact is None:
             raise ValueError("h-refinement needs a scenario with an exact solution")
-        cellcounts = [int(c) for c in levels]
+        cellcounts = [fe.cell_count("levels", c) for c in levels]
         hs, errs = [], []
         for c in cellcounts:
             sp_c = fe.FESpace(fe.box_mesh(scenario.domain, (c,) * scenario.dim))
@@ -307,12 +313,7 @@ def stability_study(scenario, space, config, delta_list, seed=0):
     each member equal bit for bit to its own run.
     """
     deltas = [float(d) for d in delta_list]
-    if len(deltas) < 3:
-        raise ValueError("stability study needs at least 3 deltas")
-    if any(d <= 0.0 for d in deltas):
-        raise ValueError("deltas must be positive")
-    if not strictly_monotone(deltas):
-        raise ValueError("delta_list must be strictly monotone")
+    check_study_list("delta_list", deltas)
 
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(space.ndof)

@@ -52,8 +52,9 @@ MAX_STEPS = 10_000_000
 # counted over the config's cell keys and over each refinement level; a
 # config asking for more is rejected before any mesh is built
 MAX_CELLS = 2 ** 20
-SCHEMES = (dy.SCHEME_RK4, dy.SCHEME_MIDPOINT)
-STUDIES = ("regularization", "refinement", "refinement-dt", "stability")
+# each study, and the key of the list of levels it reads
+STUDIES = {"regularization": "n_list", "refinement": "levels", "refinement-dt": "levels",
+           "stability": "delta_list"}
 
 # failures of a run that started from a valid config: exit code 2
 RUNTIME_ERRORS = (con.SupercriticalStrainError, con.NewtonConvergenceError,
@@ -142,16 +143,12 @@ class RunConfig:
     # -- builders ---------------------------------------------------------
 
     def build_model(self):
-        name = self.values["model"]
-        if name == "prototype":
-            pot = con.PrototypePotential(self.values["q"])
-        elif name == "powerlaw":
-            pot = con.PowerLawPotential(self.values["p"])
-        else:
-            pot = con.LinearPotential()
-        return con.ConstitutiveModel(pot, alpha=self.values["alpha"],
-                                     beta=self.values["beta"],
-                                     reg_n=self.values["reg_n"])
+        """The config's model; both potentials are built, to check q and p."""
+        v = self.values
+        pots = {"prototype": con.PrototypePotential(v["q"]),
+                "powerlaw": con.PowerLawPotential(v["p"]), "linear": con.LinearPotential()}
+        return con.ConstitutiveModel(pots[v["model"]], alpha=v["alpha"], beta=v["beta"],
+                                     reg_n=v["reg_n"])
 
     def build_space(self):
         v = self.values
@@ -215,83 +212,46 @@ def parse_config(text):
             raise RangeError(f"key{'s' * (len(keys) > 1)} {where}: {what} = {shown:.3g} "
                              f"{unit}, more than the maximum of {limit}")
 
-    if values["dim"] not in (1, 2):
+    dim, study = values["dim"], values["study"]
+    if dim not in (1, 2):
         bad("dim", "must be 1 or 2")
-    dom = values["domain"]
-    if len(dom) != 2 * values["dim"]:
-        bad("domain", f"needs {2 * values['dim']} numbers for dim {values['dim']}")
-    lo = np.asarray(dom).reshape(values["dim"], 2)
-    if np.any(lo[:, 1] <= lo[:, 0]):
-        bad("domain", "each axis needs lo < hi")
-    if values["dim"] == 1:
-        if values["cells"] is None:
-            raise MissingKeyError("missing required key 'cells' (dim = 1)")
-        if values["cells"] < 2:
-            bad("cells", "must be >= 2 (one cell has no interior node)")
-        for k in ("cells_x", "cells_y"):
-            if values[k] is not None:
-                bad(k, "only valid for dim = 2 (use 'cells')")
-    else:
-        for k in ("cells_x", "cells_y"):
-            if values[k] is None:
-                raise MissingKeyError(f"missing required key {k!r} (dim = 2)")
-            if values[k] < 2:
-                bad(k, "must be >= 2 (one cell has no interior node)")
-        if values["cells"] is not None:
-            bad("cells", "only valid for dim = 1 (use 'cells_x'/'cells_y')")
-    cell_keys = ("cells",) if values["dim"] == 1 else ("cells_x", "cells_y")
+    cell_keys = ("cells",) if dim == 1 else ("cells_x", "cells_y")
+    for k in ("cells", "cells_x", "cells_y"):
+        if k in cell_keys and values[k] is None:
+            raise MissingKeyError(f"missing required key {k!r} (dim = {dim})")
+        if k not in cell_keys and values[k] is not None:
+            bad(k, f"not a key for dim = {dim} (use {' and '.join(map(repr, cell_keys))})")
+    for key, names in (("model", MODELS), ("scenario", sc.SCENARIO_NAMES), ("study", STUDIES)):
+        if values[key] is not None and values[key] not in names:
+            bad(key, f"must be one of {', '.join(names)}")
+    cfg = RunConfig(values=values)
+    # the rules that the constructors and studies own, named by their keys
+    list_key = STUDIES.get(study)
+    levels = None if list_key is None else values[list_key]
+    try:
+        sc.canon_domain(dim, values["domain"])
+        for k in cell_keys:
+            fe.cell_count(k, values[k])
+        cfg.build_model()
+        cfg.solver_config()
+        if levels is not None:
+            if study == "refinement":
+                for lv in levels:
+                    fe.cell_count("levels", lv)
+            dg.check_study_list(list_key, levels, increasing=list_key == "n_list")
+    except con.FieldError as exc:
+        bad(exc.field, exc.rule)
     bound(cell_keys, " * ".join(cell_keys), math.prod(values[k] for k in cell_keys),
           MAX_CELLS, "cells")
-    if values["model"] not in MODELS:
-        bad("model", f"must be one of {', '.join(MODELS)}")
-    if values["q"] < 1.0:
-        bad("q", "must be >= 1")
-    if values["p"] <= 1.0:
-        bad("p", "must be > 1")
-    if not values["alpha"] > 0.0:
-        bad("alpha", "must be > 0")
-    if not values["beta"] > 0.0:
-        bad("beta", "must be > 0")
-    if values["reg_n"] is not None and values["reg_n"] < 1:
-        bad("reg_n", "must be >= 1 or none")
-    if values["scheme"] not in SCHEMES:
-        bad("scheme", f"must be one of {', '.join(SCHEMES)}")
-    if not values["dt"] > 0.0:
-        bad("dt", "must be > 0")
-    if not values["t_end"] >= 0.0:
-        bad("t_end", "must be >= 0")
     bound(("t_end", "dt"), "t_end / dt", values["t_end"] / values["dt"], MAX_STEPS, "steps")
-    if values["scenario"] not in sc.SCENARIO_NAMES:
-        bad("scenario", f"must be one of {', '.join(sc.SCENARIO_NAMES)}")
-    if values["study"] is not None and values["study"] not in STUDIES:
-        bad("study", f"must be one of {', '.join(STUDIES)}")
-    if values["study"] == "refinement-dt" and values["levels"]:
+    if study == "refinement-dt" and levels is not None:
         # the levels are time steps, and the reference run steps at min(levels) / 4
-        if not all(lv > 0.0 for lv in values["levels"]):
-            bad("levels", "entries must be > 0 for the refinement-dt study")
-        dt_ref = min(values["levels"]) / 4.0
         bound(("levels", "t_end"), "t_end / (min(levels) / 4)",
-              values["t_end"] / dt_ref if dt_ref > 0.0 else np.inf, MAX_STEPS, "steps")
-    if values["study"] == "refinement" and values["levels"]:
+              4.0 * values["t_end"] / min(levels), MAX_STEPS, "steps")
+    if study == "refinement" and levels is not None:
         # the levels are cell counts per direction of a square mesh
-        if not all(lv >= 1.0 and lv == int(lv) for lv in values["levels"]):
-            bad("levels", "entries must be integers >= 1 for the refinement study")
-        bound(("levels",), f"max(levels) ** {values['dim']}",
-              int(max(values["levels"])) ** values["dim"], MAX_CELLS, "cells")
-    if values["n_list"] is not None and len(values["n_list"]) < 3:
-        bad("n_list", "needs at least 3 entries")
-    if values["delta_list"] is not None and any(d <= 0 for d in values["delta_list"]):
-        bad("delta_list", "entries must be > 0")
-    # a study's levels in the wrong order are rejected before any of them runs
-    n_list = values["n_list"] or ()
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        bad("n_list", "entries must be strictly increasing")
-    if not dg.strictly_monotone(values["delta_list"] or ()):
-        bad("delta_list", "entries must be strictly monotone")
-    if values["study"] in ("refinement", "refinement-dt") \
-            and not dg.strictly_monotone(values["levels"] or ()):
-        bad("levels", "entries must be strictly monotone")
-    return RunConfig(values=values)
+        bound(("levels",), f"max(levels) ** {dim}", int(max(levels)) ** dim, MAX_CELLS, "cells")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +374,7 @@ def cmd_sweep(cfg):
     if study is None:
         print("invalid configuration: key 'study' is required for sweep")
         return 1
-    key = {"regularization": "n_list", "stability": "delta_list"}.get(study, "levels")
+    key = STUDIES[study]
     if cfg.values[key] is None:
         print(f"invalid configuration: {key!r} is required for the {study} study")
         return 1
@@ -424,19 +384,17 @@ def cmd_sweep(cfg):
     out = cfg.values["out_dir"]
     path = os.path.join(out, "report.csv")
     solver = cfg.solver_config()
+    levels = list(cfg.values[key])
     try:
         os.makedirs(out, exist_ok=True)
         if study == "regularization":
-            report = dg.regularization_sweep(scenario, space, solver,
-                                             list(cfg.values["n_list"]))
+            report = dg.regularization_sweep(scenario, space, solver, levels)
         elif study == "refinement":
-            report = dg.refinement_study(scenario, "h", list(cfg.values["levels"]), solver)
+            report = dg.refinement_study(scenario, "h", levels, solver)
         elif study == "refinement-dt":
-            report = dg.refinement_study(scenario, "dt", list(cfg.values["levels"]),
-                                         solver, space=space)
+            report = dg.refinement_study(scenario, "dt", levels, solver, space=space)
         else:
-            report = dg.stability_study(scenario, space, solver,
-                                        list(cfg.values["delta_list"]),
+            report = dg.stability_study(scenario, space, solver, levels,
                                         seed=cfg.values["seed"])
         _write_csv(path, ["axis_value", "error_or_diff", "fitted_order"],
                    _report_rows(report))

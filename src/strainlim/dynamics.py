@@ -85,11 +85,11 @@ class SolverConfig:
 
     def __post_init__(self):
         if not self.dt > 0.0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+            raise con.FieldError("dt", f"must be > 0, got {self.dt}")
         if not self.t_end >= 0.0:
-            raise ValueError(f"t_end must be >= 0, got {self.t_end}")
+            raise con.FieldError("t_end", f"must be >= 0, got {self.t_end}")
         if self.scheme not in (SCHEME_RK4, SCHEME_MIDPOINT):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise con.FieldError("scheme", f"must be {SCHEME_RK4} or {SCHEME_MIDPOINT}")
 
 
 class _Stacked:
@@ -434,6 +434,15 @@ def step_midpoint(scenario, space, state, dt, f_mid, carry):
     traces = [[] for _ in range(k)]
     prev = [np.inf] * k
     active = list(range(k))
+
+    def factored(i, T_i):
+        # SuperLU raises RuntimeError on a Jacobian that an overflowed scale left singular
+        try:
+            return _assemble_midpoint_jacobian(space, mass, factor, models[i], T_i)
+        except RuntimeError as exc:
+            msg = f"midpoint Jacobian cannot be factored at t={state.t:.6g} ({exc})"
+            raise _for_member(MidpointNoConvergence(msg, traces[i]), i)
+
     for _ in range(NEWTON_MAX):
         # all members (views, no copies) until the first one converges
         sel = slice(None) if len(active) == k else active
@@ -456,7 +465,7 @@ def step_midpoint(scenario, space, state, dt, f_mid, carry):
         R_rows = R.reshape(len(active), ndof)
         for j, i in enumerate(active):
             if lus[i] is None:
-                lus[i] = _assemble_midpoint_jacobian(space, mass, factor, models[i], T_rows[j])
+                lus[i] = factored(i, T_rows[j])
             delta = lus[i].solve(R_rows[j])
             rows[i] = rows[i] - delta
             dn = float(np.linalg.norm(delta)) / (1.0 + float(np.linalg.norm(rows[i])))
@@ -465,7 +474,7 @@ def step_midpoint(scenario, space, state, dt, f_mid, carry):
                 # contraction stalling: refresh the frozen Jacobian, dropping
                 # the old factor first so that only one is ever alive
                 lus[i] = None
-                lus[i] = _assemble_midpoint_jacobian(space, mass, factor, models[i], T_rows[j])
+                lus[i] = factored(i, T_rows[j])
             prev[i] = dn
         active = [i for i in active if traces[i][-1] > NEWTON_TOL]
         if not active:

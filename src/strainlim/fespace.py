@@ -30,6 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from . import constitutive as con
 from . import symtensor as st
 
 
@@ -62,8 +63,6 @@ def interval_mesh(a, b, cells):
     """Uniform mesh of [a, b] with the given number of cells."""
     if not b > a:
         raise ValueError("need b > a")
-    if cells < 1:
-        raise ValueError("need at least one cell")
     elems = np.column_stack([np.arange(cells), np.arange(1, cells + 1)])
     boundary = ~np.pad(np.ones(cells - 1, dtype=bool), 1)     # the two end nodes
     return Mesh(1, np.linspace(a, b, cells + 1)[:, None], elems.astype(np.int64), boundary)
@@ -73,8 +72,6 @@ def rectangle_mesh(a, b, c, d, nx, ny):
     """Structured triangulation of [a,b] x [c,d]; each cell split in two."""
     if not (b > a and d > c):
         raise ValueError("need b > a and d > c")
-    if nx < 1 or ny < 1:
-        raise ValueError("need at least one cell per direction")
     X, Y = np.meshgrid(np.linspace(a, b, nx + 1), np.linspace(c, d, ny + 1), indexing="xy")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
     # cell by cell, row by row: triangles (n00, n10, n01) and (n10, n11, n01)
@@ -86,10 +83,18 @@ def rectangle_mesh(a, b, c, d, nx, ny):
     return Mesh(2, nodes, elems, boundary)
 
 
+def cell_count(field, count):
+    """count as an int, if whole and >= 2: one cell leaves every node on the boundary."""
+    if not (count >= 2 and count == int(count)):
+        raise con.FieldError(field, "must be >= 2 and whole (one cell has no interior node)")
+    return int(count)
+
+
 def box_mesh(domain, cells):
     """Mesh of a ((lo, hi), ...) box with one cell count per axis."""
     make = interval_mesh if len(domain) == 1 else rectangle_mesh
-    return make(*[x for pair in domain for x in pair], *cells)
+    return make(*[x for pair in domain for x in pair],
+                *[cell_count("cells", c) for c in cells])
 
 
 # reference quadrature:  1D Gauss-2 on [0,1]; 2D edge midpoints on the

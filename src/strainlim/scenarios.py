@@ -27,21 +27,20 @@ import numpy as np
 
 from . import constitutive as con
 from . import symtensor as st
+from .constitutive import InvalidDataError
 
 
 # points per strain-expression call of safety_margin
 SAMPLE_POINTS = 65536
 
 
-class InvalidDataError(ValueError):
-    """Scenario data violate a compatibility or admissibility requirement."""
-
-
 def canon_domain(dim, domain):
     """Domain as a ((lo, hi), ...) tuple with one pair per axis."""
+    if np.size(domain) != 2 * dim:
+        raise con.FieldError("domain", f"needs {2 * dim} numbers for dim {dim}")
     lo = np.asarray(domain, dtype=float).reshape(dim, 2)
     if np.any(lo[:, 1] <= lo[:, 0]):
-        raise InvalidDataError(f"degenerate domain {domain!r}")
+        raise con.FieldError("domain", f"each axis needs lo < hi, got {domain!r}")
     return tuple((float(a), float(b)) for a, b in lo)
 
 

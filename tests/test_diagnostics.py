@@ -340,7 +340,7 @@ def test_refinement_study_rejects_unordered_levels_before_any_run(monkeypatch, a
     monkeypatch.setattr(dg.dyn, "run", lambda *args, **kw: runs.append(args))
     scen = sc.build_scenario("manufactured:standing-wave", 1, (0.0, 1.0),
                              proto_model(reg_n=16), 0.3)
-    with pytest.raises(ValueError, match="levels must be strictly monotone"):
+    with pytest.raises(ValueError, match="levels: entries must be strictly monotone"):
         dg.refinement_study(scen, axis, levels, dy.SolverConfig(dt=1e-3, t_end=0.3),
                             space=interval_space(16))
     assert runs == []

@@ -98,24 +98,28 @@ def test_range_errors_carry_key_and_line():
     for levels in ("0.004 0.0 0.001", "0.004 -0.002 0.001"):
         with pytest.raises(dr.RangeError, match=r"'levels' at line 12: entries must be > 0"):
             dr.parse_config(base_cfg(f"study = refinement-dt\nlevels = {levels}\n"))
-    # refinement levels are cell counts: fractions are not truncated
-    for levels in ("4.7 8.2 16.9", "8 16 32.5", "0 8 16", "-4 8 16"):
+    # refinement levels are cell counts: fractions are not truncated, and
+    # one cell has no interior node
+    for levels in ("4.7 8.2 16.9", "8 16 32.5", "0 8 16", "-4 8 16", "1 2 4"):
         with pytest.raises(dr.RangeError,
-                           match=r"'levels' at line 12: entries must be integers >= 1"):
+                           match=r"'levels' at line 12: must be >= 2 and whole"):
             dr.parse_config(base_cfg(f"study = refinement\nlevels = {levels}\n"))
 
 
-@pytest.mark.parametrize("study, key, entries", [
-    ("regularization", "n_list", "4 64 16"),
-    ("regularization", "n_list", "4 16 16"),
-    ("stability", "delta_list", "0.001 1e-05 0.01"),
-    ("refinement", "levels", "16 32 16"),
-    ("refinement-dt", "levels", "2e-3 2e-3 1e-3"),
-], ids=["n_list", "n_list-repeated", "delta_list", "refinement", "refinement-dt"])
-def test_study_lists_out_of_order_are_rejected_with_their_line(study, key, entries):
-    order = "increasing" if key == "n_list" else "monotone"
-    with pytest.raises(dr.RangeError,
-                       match=rf"'{key}' at line 12: entries must be strictly {order}"):
+@pytest.mark.parametrize("study, key, entries, rule", [
+    ("regularization", "n_list", "4 64 16", "entries must be strictly increasing"),
+    ("regularization", "n_list", "4 16 16", "entries must be strictly increasing"),
+    ("stability", "delta_list", "0.001 1e-05 0.01", "entries must be strictly monotone"),
+    ("refinement", "levels", "16 32 16", "entries must be strictly monotone"),
+    ("refinement-dt", "levels", "2e-3 2e-3 1e-3", "entries must be strictly monotone"),
+    ("refinement", "levels", "16 32", "needs at least 3 entries"),
+    ("refinement-dt", "levels", "2e-3 1e-3", "needs at least 3 entries"),
+    ("stability", "delta_list", "0.001 1e-05", "needs at least 3 entries"),
+], ids=["n_list", "n_list-repeated", "delta_list", "refinement", "refinement-dt",
+        "refinement-short", "refinement-dt-short", "delta_list-short"])
+def test_study_lists_out_of_order_are_rejected_with_their_line(study, key, entries, rule):
+    # rejected at parse: no mesh is built and no level runs
+    with pytest.raises(dr.RangeError, match=rf"'{key}' at line 12: {rule}"):
         dr.parse_config(base_cfg(f"study = {study}\n{key} = {entries}\n"))
 
 
@@ -528,6 +532,25 @@ def test_module_entry_point_keeps_stderr_clean(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr == ""
     assert "cannot read config" in proc.stdout
+
+
+def test_singular_midpoint_jacobian_exits_2_naming_the_time(tmp_path):
+    # 0.5*dt*(beta + 0.5*dt*alpha) overflows to inf, so SuperLU finds the
+    # Jacobian singular; that is a failed step, not a traceback
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dr.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cfg = tmp_path / "singular.cfg"
+    cfg.write_text("dim = 1\ndomain = 0 0.00763\ncells = 3\nmodel = powerlaw\np = 3.77\n"
+                   "alpha = 1.39e-6\nbeta = 1e308\nreg_n = none\nscheme = midpoint\n"
+                   "dt = 26.2\nt_end = 78.6\nscenario = near-limit\n"
+                   f"out_dir = {tmp_path / 'o'}\n")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "strainlim.driver", "run", str(cfg)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout.startswith("run failed: midpoint Jacobian cannot be factored at t=0 ")
+    assert proc.stderr == ""
 
 
 def test_blowup_past_the_strain_recorder_keeps_stderr_clean(tmp_path):
