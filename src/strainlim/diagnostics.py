@@ -67,14 +67,6 @@ class ConvergenceReport:
     def __post_init__(self):
         self.axis = np.asarray(self.axis, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if not strictly_monotone(self.axis):
-            raise ValueError("report axis must be strictly monotone")
-
-
-def strictly_monotone(values):
-    """Whether values strictly increase or strictly decrease."""
-    pairs = list(zip(values, values[1:]))
-    return all(a < b for a, b in pairs) or all(a > b for a, b in pairs)
 
 
 def check_study_list(field, values, increasing=False):
@@ -85,16 +77,15 @@ def check_study_list(field, values, increasing=False):
     if not all(v > 0 for v in values):
         raise con.FieldError(field, "entries must be > 0")
     order = "increasing" if increasing else "monotone"
-    if not strictly_monotone(values) or increasing and values[1] < values[0]:
+    pairs = list(zip(values, values[1:]))
+    if not (all(a < b for a, b in pairs) or not increasing and all(a > b for a, b in pairs)):
         raise con.FieldError(field, f"entries must be strictly {order}")
 
 
 def fit_order(axis, values):
-    """Least-squares log-log slope; needs >= 3 positive samples."""
+    """Least-squares log-log slope; nan unless every value is positive."""
     axis = np.asarray(axis, dtype=float)
     values = np.asarray(values, dtype=float)
-    if len(axis) < 3:
-        raise ValueError("order fit needs at least 3 samples")
     if np.any(values <= 0.0):
         return float("nan")
     return float(np.polyfit(np.log(axis), np.log(values), 1)[0])
@@ -111,7 +102,7 @@ def energy_snapshot(block, space, scenario):
     m = scenario.model
     qp, qw = space.qp, space.qw
     v_full = space.value_at_qp(block.V) + scenario.lift.dt_value(np.array(block.t), qp)
-    kinetic = 0.5 * space.l2_norm_qp(v_full, rows=True) ** 2
+    kinetic = 0.5 * space.l2_norm_qp(v_full) ** 2
 
     eps = block.eps
     T = block.stress
@@ -241,7 +232,7 @@ def regularization_sweep(scenario, space, config, n_list):
 
     def observe(block):
         gaps = space.value_at_qp(np.diff(block.U, axis=1))
-        per_step.extend(space.l2_norm_qp(gaps, rows=True).tolist())
+        per_step.extend(space.l2_norm_qp(gaps).tolist())
     observe.reads_fields = False
 
     _annotated([f"n={n}" for n in n_list], dyn.run, members, space, config,

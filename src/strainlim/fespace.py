@@ -11,9 +11,9 @@ construction time, straight into CSR from per-element index arrays:
     B: interior coefficients -> packed strains at quadrature points
 
 Loads are the transposes against quadrature weights, and the consistent
-mass matrix is N^T W N.  Quadrature: 2-point Gauss per interval in 1D,
-3-point edge-midpoint rule per triangle in 2D; both integrate P1 mass
-integrands exactly.
+mass matrix is N^T W N.  Elements are affine images of the reference
+simplex, with 2-point Gauss quadrature per interval and the 3 edge
+midpoints per triangle; both integrate P1 mass integrands exactly.
 
 Every operator also takes a stack of members (coefficients (k, ndof),
 per-qp values (k, n_qp, ...)) and serves them with one sparse product
@@ -61,8 +61,6 @@ class Mesh:
 
 def interval_mesh(a, b, cells):
     """Uniform mesh of [a, b] with the given number of cells."""
-    if not b > a:
-        raise ValueError("need b > a")
     elems = np.column_stack([np.arange(cells), np.arange(1, cells + 1)])
     boundary = ~np.pad(np.ones(cells - 1, dtype=bool), 1)     # the two end nodes
     return Mesh(1, np.linspace(a, b, cells + 1)[:, None], elems.astype(np.int64), boundary)
@@ -70,8 +68,6 @@ def interval_mesh(a, b, cells):
 
 def rectangle_mesh(a, b, c, d, nx, ny):
     """Structured triangulation of [a,b] x [c,d]; each cell split in two."""
-    if not (b > a and d > c):
-        raise ValueError("need b > a and d > c")
     X, Y = np.meshgrid(np.linspace(a, b, nx + 1), np.linspace(c, d, ny + 1), indexing="xy")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
     # cell by cell, row by row: triangles (n00, n10, n01) and (n10, n11, n01)
@@ -97,12 +93,12 @@ def box_mesh(domain, cells):
                 *[cell_count("cells", c) for c in cells])
 
 
-# reference quadrature:  1D Gauss-2 on [0,1]; 2D edge midpoints on the
-# unit triangle.  Local weights are fractions of the element measure.
-_QP_1D = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
-_QW_1D = np.array([0.5, 0.5])
-_QP_2D = np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
-_QW_2D = np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0])
+# reference quadrature by dimension: points xi (k, d) of the unit simplex,
+# weights as fractions of the element measure (1D Gauss-2, 2D edge midpoints)
+_QUADRATURE = {
+    1: (np.array([[0.5 - 0.5 / np.sqrt(3.0)], [0.5 + 0.5 / np.sqrt(3.0)]]), np.array([0.5, 0.5])),
+    2: (np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]]), np.full(3, 1.0 / 3.0)),
+}
 
 
 @dataclass(frozen=True)
@@ -149,11 +145,13 @@ class FESpace:
         d = mesh.dim
         self.dim = d
         self.m = st.packed_len(d)
-        meas = mesh.measures()
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            meas = mesh.measures()
+            inv_meas = 1.0 / meas
         if np.any(meas <= 0.0):
             raise ValueError("mesh has a non-positive element measure")
-        with np.errstate(over="ignore", divide="ignore"):
-            inv_meas = 1.0 / meas
+        if not np.all(np.isfinite(meas)):
+            raise ValueError("cells too large: an element measure overflows float64")
         if not np.all(np.isfinite(inv_meas)):
             raise ValueError(f"cell width too small: element measure {np.min(meas):.3g} "
                              f"has no finite inverse")
@@ -163,23 +161,21 @@ class FESpace:
         self._dof_of_node[self.interior_nodes] = np.arange(self.interior_nodes.size)
         self.ndof = self.interior_nodes.size * d
 
-        verts = mesh.nodes[mesh.elems]             # (ne, nv, d)
-        if d == 1:
-            nloc = np.stack([1.0 - _QP_1D, _QP_1D], axis=1)          # (k, nv)
-            qp = verts[:, 0, :][:, None, :] + _QP_1D[None, :, None] * (
-                verts[:, 1, :] - verts[:, 0, :]
-            )[:, None, :]
-            wloc = _QW_1D
-            grads = np.stack([-inv_meas, inv_meas], axis=1)[:, :, None]  # (ne, nv, d)
-        else:
-            lam = np.column_stack([1.0 - _QP_2D.sum(axis=1), _QP_2D[:, 0], _QP_2D[:, 1]])
-            nloc = lam                                               # (k, nv)
-            qp = np.einsum("kv,evd->ekd", lam, verts)
-            wloc = _QW_2D
-            J = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]], axis=-1)
-            Jinv = np.linalg.inv(J)                                  # (ne, 2, 2)
-            gref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-            grads = np.einsum("vr,erd->evd", gref, Jinv)
+        # the affine map x = v_0 + sum_r xi_r (v_{r+1} - v_0) of the reference
+        # simplex: shape values [1 - sum(xi), xi], gradients gref J^-1
+        xi, wloc = _QUADRATURE[d]
+        nloc = np.column_stack([1.0 - xi.sum(axis=1), xi])          # (k, nv)
+        verts = mesh.nodes[mesh.elems]                               # (ne, nv, d)
+        edges = verts[:, 1:] - verts[:, :1]                          # (ne, r, d)
+        # v_0 plus the edge terms summed in r order: 1D points take this form
+        # bit for bit, and the barycentric sum would move a quarter of them
+        shift = xi[:, 0, None] * edges[:, None, 0]                   # (ne, k, d)
+        for r in range(1, d):
+            shift = shift + xi[:, r, None] * edges[:, None, r]
+        qp = verts[:, None, 0] + shift
+        Jinv = np.linalg.inv(edges.transpose(0, 2, 1))               # (ne, r, d)
+        gref = np.vstack([-np.ones(d), np.eye(d)])                   # (nv, r)
+        grads = np.einsum("vr,erd->evd", gref, Jinv)
 
         k = len(wloc)
         ne = mesh.n_elems
@@ -253,13 +249,10 @@ class FESpace:
         """Assemble entries sum_qp w * stress : strain(basis)."""
         return _apply_rows(self._B_T, self._w_m * _flat_qp(stress))
 
-    def l2_norm_qp(self, vals, rows=False):
-        """L2 norm of values at the quadrature points, (n_qp,) or (n_qp, k);
-        with rows, the array of the norms of each row of a stack of them."""
-        vals = np.asarray(vals)
-        sq = vals * vals if vals.ndim == 1 + rows else st.dot(vals, vals)
-        norms = np.sqrt(np.sum(self.qw * sq, axis=-1))
-        return norms if rows else float(norms)
+    def l2_norm_qp(self, vals):
+        """L2 norms of vector values (..., n_qp, c) at the quadrature points,
+        one for each index of the leading axes."""
+        return np.sqrt(np.sum(self.qw * st.dot(vals, vals), axis=-1))
 
     # -- mass -------------------------------------------------------------
 

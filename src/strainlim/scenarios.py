@@ -39,8 +39,11 @@ def canon_domain(dim, domain):
     if np.size(domain) != 2 * dim:
         raise con.FieldError("domain", f"needs {2 * dim} numbers for dim {dim}")
     lo = np.asarray(domain, dtype=float).reshape(dim, 2)
-    if np.any(lo[:, 1] <= lo[:, 0]):
-        raise con.FieldError("domain", f"each axis needs lo < hi, got {domain!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = lo[:, 1] - lo[:, 0]
+    if not np.all((width > 0.0) & np.isfinite(width)):
+        raise con.FieldError("domain", f"each axis needs lo < hi and a width hi - lo "
+                                       f"finite in float64, got {domain!r}")
     return tuple((float(a), float(b)) for a, b in lo)
 
 

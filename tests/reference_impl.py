@@ -5,7 +5,8 @@ against: each recomputes a quantity by a different route (full tensor
 Newton, a scalar root find, finite differences, barycentric shape
 values, an integrating-factor reconstruction, numpy's own reduction,
 the csv module, the loop-and-COO construction of the mesh, the operators
-and the coupling pattern) or reads a recorded run.
+and the coupling pattern, a branch per dimension of the element map) or
+reads a recorded run.
 Nothing in the package calls them.  The helpers that make the prototype
 model and the unit-interval space, and per_state, which feeds run()'s
 blocks to a callable of one State, live here too for several test modules.
@@ -174,15 +175,51 @@ def loop_rectangle_mesh(a, b, c, d, nx, ny):
     return fe.Mesh(2, nodes, elems, boundary)
 
 
+_QP_1D = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+_QW_1D = np.array([0.5, 0.5])
+_QP_2D = np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
+_QW_2D = np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0])
+
+
+def branch_geometry(mesh):
+    """(shape values (k, nv), quadrature points (n_qp, d), weights (n_qp,),
+    gradients (ne, nv, d)) of the P1 element map by one hand-written branch
+    per dimension: in 1D the points v_0 + xi (v_1 - v_0) and gradients
+    [-1/h, 1/h], in 2D the barycentric sums of the vertices and the inverse
+    of the edge matrix.  fe.FESpace's one affine map agrees with it bit for
+    bit in 1D; in 2D its points v_0 + sum_r xi_r (v_{r+1} - v_0) can round
+    one ulp apart where a vertex difference rounds (the 1 x 1 mesh of
+    [0.1, 0.7] x [-0.3, 1.9] has 0.4 against 0.39999999999999997)."""
+    d = mesh.dim
+    meas = mesh.measures()
+    inv_meas = 1.0 / meas
+    verts = mesh.nodes[mesh.elems]             # (ne, nv, d)
+    if d == 1:
+        nloc = np.stack([1.0 - _QP_1D, _QP_1D], axis=1)          # (k, nv)
+        qp = verts[:, 0, :][:, None, :] + _QP_1D[None, :, None] * (
+            verts[:, 1, :] - verts[:, 0, :]
+        )[:, None, :]
+        wloc = _QW_1D
+        grads = np.stack([-inv_meas, inv_meas], axis=1)[:, :, None]  # (ne, nv, d)
+    else:
+        lam = np.column_stack([1.0 - _QP_2D.sum(axis=1), _QP_2D[:, 0], _QP_2D[:, 1]])
+        nloc = lam                                               # (k, nv)
+        qp = np.einsum("kv,evd->ekd", lam, verts)
+        wloc = _QW_2D
+        J = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]], axis=-1)
+        Jinv = np.linalg.inv(J)                                  # (ne, 2, 2)
+        gref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+        grads = np.einsum("vr,erd->evd", gref, Jinv)
+    k, ne = len(wloc), mesh.n_elems
+    return nloc, qp.reshape(ne * k, d), np.repeat(meas, k) * np.tile(wloc, ne), grads
+
+
 def coo_operators(space):
     """(N, B, local strain matrices) of the space, N and B from broadcast
     (row, column, value) triplets through scipy's COO-to-CSR conversion."""
     mesh = space.mesh
     d, m, ne, nv = space.dim, space.m, mesh.n_elems, space.dim + 1
-    if d == 1:
-        nloc = np.stack([1.0 - fe._QP_1D, fe._QP_1D], axis=1)
-    else:
-        nloc = np.column_stack([1.0 - fe._QP_2D.sum(axis=1), fe._QP_2D[:, 0], fe._QP_2D[:, 1]])
+    nloc = branch_geometry(mesh)[0]
     k = nloc.shape[0]
     dofs = space._dof_of_node[mesh.elems]
     keep = dofs >= 0

@@ -462,6 +462,31 @@ def test_subnormal_cell_width_exits_1(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_overflowing_domain_width_exits_1_naming_the_domain(tmp_path, capsys):
+    # -1e308 and 1e308 are float64 numbers, the width hi - lo = 2e308 is not
+    text = f"dim = 1\ndomain = -1e308 1e308\n{SMALL}out_dir = {tmp_path / 'o'}\n"
+    with pytest.raises(dr.RangeError, match="key 'domain' at line 2: .*finite in float64"):
+        dr.parse_config(text)
+    assert run_main(tmp_path, text, "run") == 1
+    out, err = capsys.readouterr()
+    assert "key 'domain' at line 2" in out and err == ""
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("scenario", ["manufactured:standing-wave-2d", "gaussian-pluck"],
+                         ids=["manufactured", "pluck"])
+def test_overflowing_element_measure_exits_1(tmp_path, capsys, scenario):
+    # 4 x 3 cells of a 1e308 x 1e308 box: each width fits in float64, a
+    # triangle's area does not
+    text = (TWO_D.format(nx=4, ny=3).replace("0.0 1.0 0.0 1.0", "0 1e308 0 1e308")
+            .replace("gaussian-pluck", scenario) + f"out_dir = {tmp_path / 'o'}\n")
+    assert run_main(tmp_path, text, "run") == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("invalid configuration: cells too large: an element measure overflows")
+    assert err == ""
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command,extra", [
     ("run", ""), ("sweep", "study = stability\ndelta_list = 0.001 1e-05 1e-07\n"),
 ], ids=["run", "sweep"])

@@ -37,10 +37,14 @@ def test_rectangle_mesh_basics():
 
 
 def test_mesh_validation():
-    with pytest.raises(ValueError):
-        fe.interval_mesh(1.0, 0.0, 4)
-    with pytest.raises(ValueError):
-        fe.rectangle_mesh(0, 1, 1, 0, 2, 2)
+    # the builders take a box as given: a reversed axis gives reversed
+    # elements, and 2.5e307 x 3.3e307 cells have areas past float64
+    for mesh, rule in ((fe.interval_mesh(1.0, 0.0, 4), "non-positive element measure"),
+                       (fe.rectangle_mesh(0, 1, 1, 0, 2, 2), "non-positive element measure"),
+                       (fe.rectangle_mesh(0.0, 1e308, 0.0, 1e308, 4, 3),
+                        "element measure overflows")):
+        with pytest.raises(ValueError, match=rule):
+            fe.FESpace(mesh)
 
 
 def test_subnormal_element_measure_raises():
@@ -190,7 +194,13 @@ def test_interpolate_reproduces_linears():
 def test_l2_norms_of_rows_are_each_rows_norm(shape):
     space = fe.FESpace(fe.interval_mesh(0.0, 1.0, 4))
     vals = np.random.default_rng(5).standard_normal(shape)
-    norms = space.l2_norm_qp(vals, rows=True)
+    if len(shape) == 2:
+        # scalar fields go in as one-component vectors, with the bits of
+        # the scalar sum, since st.dot adds +0.0 to each square
+        bare = np.sqrt(np.sum(space.qw * vals * vals, axis=-1))
+        vals = vals[..., None]
+        assert space.l2_norm_qp(vals).tolist() == bare.tolist()
+    norms = space.l2_norm_qp(vals)
     assert norms.shape == shape[:1]
     assert norms.tolist() == [space.l2_norm_qp(row) for row in vals]
 
@@ -254,8 +264,8 @@ def _same_sparse(A, B):
                     for f in ("indptr", "indices", "data")))
 
 
-@pytest.mark.parametrize("cells", [(1,), (2,), (7,), (1, 1), (1, 5), (5, 1), (3, 4), (64, 64)],
-                         ids=lambda c: "x".join(map(str, c)))
+@pytest.mark.parametrize("cells", [(1,), (2,), (7,), (256,), (1, 1), (1, 5), (5, 1), (3, 4),
+                                   (17, 5), (64, 64)], ids=lambda c: "x".join(map(str, c)))
 def test_construction_matches_loop_and_coo_route(cells):
     if len(cells) == 1:
         mesh = fe.interval_mesh(-0.5, 2.0, *cells)
@@ -265,6 +275,10 @@ def test_construction_matches_loop_and_coo_route(cells):
         for name in ("nodes", "elems", "boundary"):
             assert _same_array(getattr(mesh, name), getattr(loop, name)), name
     space = fe.FESpace(mesh)
+    _, qp, qw, grads = ref.branch_geometry(mesh)
+    for name, got, want in (("qp", space.qp, qp), ("qw", space.qw, qw),
+                            ("grads", space._grads, grads)):
+        assert _same_array(got, want), name
     N, B, strain = ref.coo_operators(space)
     assert _same_sparse(space.N, N)
     assert _same_sparse(space.B, B)

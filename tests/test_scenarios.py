@@ -718,3 +718,6 @@ def test_canon_domain_validation():
     assert sc.canon_domain(2, (0, 1, -1, 1)) == ((0.0, 1.0), (-1.0, 1.0))
     with pytest.raises(sc.InvalidDataError):
         sc.canon_domain(1, (1.0, 1.0))
+    # each end fits in float64, the width 2e308 does not
+    with pytest.raises(sc.InvalidDataError, match="finite in float64"):
+        sc.canon_domain(2, (0.0, 1.0, -1e308, 1e308))
