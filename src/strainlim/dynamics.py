@@ -8,12 +8,14 @@ analytic lift.  Two integrators are provided: classical RK4 and the
 implicit midpoint rule, the latter solved by a modified Newton
 iteration whose Jacobian uses the closed-form inverse of the
 constitutive tangent per quadrature point; within a run its factor is
-kept across steps and Newton starts from extrapolated midpoint velocities.
+kept across steps and Newton starts from extrapolated midpoint velocities,
+quartic in time once the steps converge within QUARTIC_GATE iterations.
 Steps go in blocks, each handed whole to the observers; the end-of-step
-fields of a midpoint block come from one stacked call, made only when an
-observer reads them.  Runs that share the space and time grid and differ
-only in reg_n or initial data step together as Members, with a member
-axis on every array, after the row axis of a block.
+fields of a midpoint block come from one stacked call, started from
+Newton's last stresses and slopes and made only when an observer reads
+them.  Runs that share the space and time grid and differ only in reg_n
+or initial data step together as Members, with a member axis on every
+array, after the row axis of a block.
 """
 
 from __future__ import annotations
@@ -38,9 +40,12 @@ NEWTON_MAX = 50
 # a Newton update larger than NEWTON_RHO times the previous one refreshes
 # the frozen Jacobian factor
 NEWTON_RHO = 0.1
+# a member whose last step converged within QUARTIC_GATE Newton iterations
+# starts the next from the quartic extrapolation of its midpoint velocities
+QUARTIC_GATE = 4
 # quadrature points per stacked call: each of run's blocks holds as many
 # steps (at least one), and each forcing call as many times
-BLOCK_POINTS = 4096
+BLOCK_POINTS = 8192
 
 
 class NonFiniteStrainError(RuntimeError):
@@ -149,14 +154,17 @@ class Members:
         return len(self.scenarios)
 
 
-def evaluate_fields(scenario, space, t, U, V, warm=None, forcing=None):
+def evaluate_fields(scenario, space, t, U, V, warm=None, forcing=None, slope=None):
     """The State at (t, U, V): its strain, strain expression, stress and
     forcing at the quadrature points (per member when scenario is
-    Members).  warm is a stress to start the inversion from; forcing is
-    the forcing at t from run's block, evaluated here when not given.
+    Members).  warm is a stress to start the inversion from, and slope
+    the slope of the inversion that gave it (see con.invert_radius);
+    forcing is the forcing at t from run's block, evaluated here when
+    not given.
 
     For a list of times t, U, V, warm and forcing hold a leading row per
-    time, and the block of those states comes from one inversion."""
+    time, and slope holds one after its (s, h') axis; the block of those
+    states comes from one inversion."""
     m = scenario.model
     qp = space.qp
     block = isinstance(t, list)
@@ -166,7 +174,7 @@ def evaluate_fields(scenario, space, t, U, V, warm=None, forcing=None):
     eps = space.strain_at_qp(U) + eps_l
     deps = space.strain_at_qp(V) + deps_l
     E = m.alpha * eps + m.beta * deps
-    T = _invert_at(scenario, E, warm, None, space, "t", t)[0]
+    T = _invert_at(scenario, E, warm, slope, space, "t", t)[0]
     if forcing is None and scenario.forcing is not None:
         forcing = _forcing_at(scenario, space, t) if block else \
             _forcing_at(scenario, space, [t])[0]
@@ -313,24 +321,26 @@ def step_rk4(scenario, space, state, dt, forcing):
     the stress of the stage before (the returned State from stage 3's, as
     stage 4).  forcing is the pair of the forcing at the half-step and
     end times (_step_times), or of Nones without a forcing.  With Members
-    every operation acts on all members at once.
+    every operation acts on all members at once.  An unstable step may
+    overflow; the inversion's non-finite check then ends the run.
     """
     t, U, V = state.t, state.U, state.V
     t_half, t_next = _step_times(t, dt)
     f_half, f_next = forcing
-    a1 = _accel(scenario, space, state)
-    s2 = evaluate_fields(scenario, space, t_half, U + 0.5 * dt * V,
-                         V + 0.5 * dt * a1, state.stress, f_half)
-    a2 = _accel(scenario, space, s2)
-    s3 = evaluate_fields(scenario, space, t_half, U + 0.5 * dt * s2.V,
-                         V + 0.5 * dt * a2, s2.stress, f_half)
-    a3 = _accel(scenario, space, s3)
-    s4 = evaluate_fields(scenario, space, t_next, U + dt * s3.V, V + dt * a3, s3.stress,
-                         f_next)
-    a4 = _accel(scenario, space, s4)
-    Un = U + (dt / 6.0) * (V + 2.0 * s2.V + 2.0 * s3.V + s4.V)
-    Vn = V + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-    return evaluate_fields(scenario, space, t_next, Un, Vn, s3.stress, f_next)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a1 = _accel(scenario, space, state)
+        s2 = evaluate_fields(scenario, space, t_half, U + 0.5 * dt * V,
+                             V + 0.5 * dt * a1, state.stress, f_half)
+        a2 = _accel(scenario, space, s2)
+        s3 = evaluate_fields(scenario, space, t_half, U + 0.5 * dt * s2.V,
+                             V + 0.5 * dt * a2, s2.stress, f_half)
+        a3 = _accel(scenario, space, s3)
+        s4 = evaluate_fields(scenario, space, t_next, U + dt * s3.V, V + dt * a3,
+                             s3.stress, f_next)
+        a4 = _accel(scenario, space, s4)
+        Un = U + (dt / 6.0) * (V + 2.0 * s2.V + 2.0 * s3.V + s4.V)
+        Vn = V + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        return evaluate_fields(scenario, space, t_next, Un, Vn, s3.stress, f_next)
 
 
 # contraction order of B_e^T A_e B_e: (B_e^T A_e) first, then B_e; a fixed
@@ -361,24 +371,31 @@ def _assemble_midpoint_jacobian(space, mass, factor, model, T):
 
 class _NewtonCarry:
     """What one run's midpoint steps hand on to the next: each member's
-    Jacobian factor, the dt it was built for, the last three midpoint
-    velocities, newest first, Newton's last midpoint stress and the slope
-    of the inversion that gave it (per-member rows in a batch)."""
+    Jacobian factor, the dt it was built for, the last five midpoint
+    velocities, newest first, whether each member's last step converged
+    within QUARTIC_GATE iterations, Newton's last midpoint stress and the
+    slope of the inversion that gave it (per-member rows in a batch)."""
 
     def __init__(self):
         self.lus = None
         self.dt = None
         self.past = []
+        self.gate = None
         self.stress = None
         self.slope = None
 
     def start(self, V):
-        """Newton's first midpoint velocity: the quadratic extrapolation of
-        the last three midpoint velocities, linear with two, the last one
-        with one, V itself with none."""
+        """Newton's first midpoint velocity: the quartic extrapolation of
+        the last five midpoint velocities for a member whose gate is open,
+        else the quadratic one of the last three, linear with two, the
+        last one with one, V itself with none."""
         p = self.past
-        if len(p) == 3:
-            return 3.0 * p[0] - 3.0 * p[1] + p[2]
+        if len(p) >= 3:
+            Vm = 3.0 * p[0] - 3.0 * p[1] + p[2]
+            if len(p) == 5 and self.gate.any():
+                quartic = 5.0 * p[0] - 10.0 * p[1] + 10.0 * p[2] - 5.0 * p[3] + p[4]
+                Vm = np.where(self.gate.reshape(Vm.shape[:-1] + (1,)), quartic, Vm)
+            return Vm
         if len(p) == 2:
             return 2.0 * p[0] - p[1]
         return (p[0] if p else V).copy()
@@ -487,7 +504,8 @@ def step_midpoint(scenario, space, state, dt, f_mid, carry):
             traces[i],
         ), i)
 
-    carry.past = [Vm] + carry.past[:2]
+    carry.past = [Vm] + carry.past[:4]
+    carry.gate = np.array([len(tr) <= QUARTIC_GATE for tr in traces])
     carry.stress, carry.slope = warm, slope
     return State(t_next, U + dt * Vm, 2.0 * Vm - V, None, None, None, None)
 
@@ -505,6 +523,7 @@ def run(scenario, space, config, observers=(), start=None):
     other a Newton carry (see step_midpoint).
 
     The fields of a midpoint block come from one evaluate_fields call,
+    warm-started from each step's last Newton stress and slope, and
     made only for observers that read them: if every observer's
     ``reads_fields`` is false, they and the return value get t, U and V
     alone (RK4 states too), and without observers only the final State
@@ -532,26 +551,29 @@ def run(scenario, space, config, observers=(), start=None):
     while block := list(itertools.islice(grid, _block_steps(space))):
         forcing = _forcing_at(scenario, space,
                               [s for t, dt in block for s in _step_times(t, dt)[:per]])
-        ends, warms = [], []
+        ends, warms = [], []               # warms: each step's Newton (stress, slope)
         for j, (_, dt) in enumerate(block):
             pair = (None, None) if forcing is None else forcing[per * j:per * j + per]
             if midpoint:
                 state = step_midpoint(scenario, space, state, dt, pair[0], carry)
-                warms.append(carry.stress)
+                warms.append((carry.stress, carry.slope))
             else:
                 state = step_rk4(scenario, space, state, dt, pair)
             ends.append(state if fielded else State(state.t, state.U, state.V, *[None] * 4))
         if observers:
             states = block_of(ends)
             if midpoint and fielded:
+                T, S = zip(*warms)
                 states = evaluate_fields(scenario, space, states.t, states.U, states.V,
-                                         stack_rows(warms),
-                                         None if forcing is None else forcing[1::2])
+                                         stack_rows(T),
+                                         None if forcing is None else forcing[1::2],
+                                         None if S[0] is None else np.stack(S, axis=1))
             final = _notify(observers, states)
     if observers:
         return final
     if midpoint and state is not start:
-        return evaluate_fields(scenario, space, state.t, state.U, state.V, carry.stress)
+        return evaluate_fields(scenario, space, state.t, state.U, state.V, carry.stress,
+                               slope=carry.slope)
     return state
 
 

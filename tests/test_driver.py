@@ -596,6 +596,26 @@ def test_blowup_past_the_strain_recorder_keeps_stderr_clean(tmp_path):
     assert proc.stderr == ""
 
 
+def test_rk4_stage_overflow_exits_2_with_a_clean_stderr(tmp_path):
+    # dt = 9.1e184 overflows RK4's stage arithmetic before any inversion
+    # sees the state; with warnings as errors the sweep still exits 2,
+    # naming the time where the strain expression stops being finite
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dr.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text("dim = 2\ndomain = 0 1 0 1\ncells_x = 4\ncells_y = 3\nmodel = prototype\n"
+                   "q = 2\nbeta = 3.7e-240\nscheme = rk4\ndt = 9.1e184\nt_end = 1e186\n"
+                   "scenario = gaussian-pluck\nstudy = regularization\nn_list = 4 16 64\n"
+                   f"out_dir = {tmp_path / 'o'}\n")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "strainlim.driver", "sweep",
+         str(cfg)], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout.startswith("sweep failed: non-finite strain expression [t=4.55e+184, ")
+    assert proc.stderr == ""
+
+
 def test_package_resolves_submodules_by_attribute():
     for name in strainlim.__all__:
         assert getattr(strainlim, name).__name__ == f"strainlim.{name}"

@@ -340,21 +340,30 @@ def test_midpoint_run_after_mass_solves_matches_a_fresh_space():
 
 def _carry_free_run(scen, space, cfg):
     """run's loop written with direct step_midpoint calls, each with a
-    fresh carry: every step factors afresh, starts Newton from Vm = V and
-    from the stress of its own start State."""
+    fresh carry and the forcing at its own t_mid: every step factors
+    afresh, starts Newton from Vm = V and from the stress of its own
+    start State."""
     state = dy.evaluate_fields(scen, space, 0.0, np.zeros(space.ndof), np.zeros(space.ndof))
     while state.t < cfg.t_end - 1e-12 * max(1.0, cfg.t_end):
         carry = dy._NewtonCarry()
-        nxt = dy.step_midpoint(scen, space, state, min(cfg.dt, cfg.t_end - state.t), None,
-                               carry)
+        dt = min(cfg.dt, cfg.t_end - state.t)
+        f_mid = None if scen.forcing is None else \
+            dy._forcing_at(scen, space, [dy._step_times(state.t, dt)[0]])[0]
+        nxt = dy.step_midpoint(scen, space, state, dt, f_mid, carry)
         state = dy.evaluate_fields(scen, space, nxt.t, nxt.U, nxt.V, carry.stress)
     return state
 
 
-@pytest.mark.parametrize("dim", [1, 2], ids=["1d-64", "2d-16x16"])
-def test_run_carry_matches_carry_free_steps(dim):
+@pytest.mark.parametrize("name, dim", [
+    ("gaussian-pluck", 1), ("gaussian-pluck", 2),
+    ("manufactured:standing-wave", 1), ("manufactured:standing-wave-2d", 2)],
+    ids=["1d-64", "2d-16x16", "wave-1d-64", "wave-2d-16x16"])
+def test_run_carry_matches_carry_free_steps(name, dim):
+    # run's carry (the factor, the extrapolated start, quartic once the
+    # steps converge within QUARTIC_GATE iterations, the carried stress and
+    # slope) moves the steps by Newton's tolerance only
     dom = ((0.0, 1.0),) * dim
-    scen = sc.build_scenario("gaussian-pluck", dim, dom, proto_model(), 0.03)
+    scen = sc.build_scenario(name, dim, dom, proto_model(), 0.03)
     space = fe.FESpace(fe.box_mesh(dom, (64,) if dim == 1 else (16, 16)))
     cfg = dy.SolverConfig(dt=1e-3, t_end=0.03)
     state = dy.run(scen, space, cfg)
@@ -409,9 +418,10 @@ def test_run_refactors_for_a_shorter_last_step(monkeypatch):
 
 def test_midpoint_newton_work_on_the_standing_wave(monkeypatch):
     # the 1D 256-cell standing wave: Newton starts from the extrapolated past
-    # midpoint velocities, so no step after the third takes a third
-    # iteration, and each of its inversions starts from the slope the one
-    # before left, so it evaluates (h, h') at most twice on average
+    # midpoint velocities, quartic once five are known and the last step
+    # took at most QUARTIC_GATE iterations, so every step from the sixth on
+    # takes one iteration; each of its inversions starts from the slope the
+    # one before left, so it evaluates (h, h') at most twice on average
     scen = sc.build_scenario("manufactured:standing-wave", 1, (0.0, 1.0),
                              proto_model(reg_n=16, beta=0.1), 0.35)
     iters, evals = [], []
@@ -438,8 +448,66 @@ def test_midpoint_newton_work_on_the_standing_wave(monkeypatch):
     monkeypatch.setattr(dy, "_invert_at", invert)
     monkeypatch.setattr(con, "response_pair", pair)
     dy.run(scen, interval_space(256), dy.SolverConfig(dt=1e-3, t_end=0.35))
-    assert len(iters) == 350 and max(iters[3:]) <= 2
+    assert len(iters) == 350 and max(iters[3:]) <= 2 and set(iters[5:]) == {1}
     assert sum(evals) <= 2.0 * len(evals)
+
+
+def test_newton_start_is_quartic_behind_an_open_gate():
+    # midpoint velocities quartic in t, at t = 1..5 (newest first) with
+    # integer coefficients, so every extrapolation is exact in floats; member
+    # 0's gate is open and its start is the value at t = 6, member 1's is
+    # closed and its start keeps the quadratic extrapolation's bits
+    coef = np.array([[[3.0, -2.0], [5.0, 1.0]], [[2.0, 1.0], [4.0, -1.0]],
+                     [[2.0, -3.0], [0.0, 1.0]], [[-1.0, 2.0], [1.0, 1.0]],
+                     [[1.0, 3.0], [-2.0, 1.0]]])
+
+    def velocities(t):
+        """(members, dofs) velocities at t, of degree 4 in t."""
+        return sum(c * t**k for k, c in enumerate(coef))
+
+    carry = dy._NewtonCarry()
+    carry.past = [velocities(t) for t in (5.0, 4.0, 3.0, 2.0, 1.0)]
+    carry.gate = np.array([True, False])
+    V = np.zeros((2, 2))
+    got = carry.start(V)
+    p = carry.past
+    assert np.array_equal(got[0], velocities(6.0)[0])
+    assert np.array_equal(got[1], (3.0 * p[0] - 3.0 * p[1] + p[2])[1])
+    assert not np.array_equal(got[1], velocities(6.0)[1])
+    # a lone run's velocities have no member axis
+    lone = dy._NewtonCarry()
+    lone.past, lone.gate = [v[0] for v in p], np.array([True])
+    assert np.array_equal(lone.start(V[0]), velocities(6.0)[0])
+    lone.gate = np.array([False])
+    assert np.array_equal(lone.start(V[0]), (3.0 * p[0] - 3.0 * p[1] + p[2])[0])
+    # with four past velocities the start stays quadratic
+    lone.past, lone.gate = lone.past[:4], np.array([True])
+    assert np.array_equal(lone.start(V[0]), (3.0 * p[0] - 3.0 * p[1] + p[2])[0])
+
+
+def test_members_with_different_start_gates_match_their_own_runs(monkeypatch):
+    # the reg_n = 4 member needs more than QUARTIC_GATE iterations on steps
+    # where the reg_n = 256 one needs fewer, so their starts differ in kind
+    base = proto_model(reg_n=4)
+    scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), base, 0.06)
+    members = dy.Members([scen, scen.with_model(base.with_reg(256))])
+    space = interval_space(24)
+    cfg = dy.SolverConfig(dt=2e-3, t_end=0.06)
+    gates, real_step = [], dy.step_midpoint
+
+    def step(scenario, space, state, dt, f_mid, carry):
+        out = real_step(scenario, space, state, dt, f_mid, carry)
+        gates.append(carry.gate.copy())
+        return out
+
+    monkeypatch.setattr(dy, "step_midpoint", step)
+    batch, _ = _recorded_run(members, space, cfg)
+    assert len(gates) == 30 and any(g[0] != g[1] for g in gates)
+    for i, member in enumerate(members.scenarios):
+        alone, _ = _recorded_run(member, space, cfg)
+        assert len(alone) == len(batch) == 31
+        assert all(np.array_equal(b.U[i], a.U) and np.array_equal(b.V[i], a.V)
+                   for b, a in zip(batch, alone)), i
 
 
 # ---------------------------------------------------------------------------
