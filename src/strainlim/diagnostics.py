@@ -313,7 +313,7 @@ def stability_study(scenario, space, config, delta_list, seed=0):
     members = dyn.Members([scenario] * (len(deltas) + 1))
     V0 = np.stack([np.zeros(space.ndof)] + [d * direction for d in deltas])
     labels = ["base"] + [f"delta={d:g}" for d in deltas]
-    start = _annotated(labels, dyn.evaluate_fields, members, space, 0.0, np.zeros_like(V0), V0)
+    start = dyn.State(0.0, np.zeros_like(V0), V0, *[None] * 5)
     final = _annotated(labels, dyn.run, members, space, config, start=start)
     factors = np.array([
         float((np.linalg.norm(U - final.U[0]) + np.linalg.norm(V - final.V[0])) / d)

@@ -123,23 +123,6 @@ class RunConfig:
 
     values: dict
 
-    def serialize(self):
-        lines = []
-        for key in _KEYS:
-            v = self.values.get(key)
-            if v is None and _KEYS[key][1] in (None, _REQUIRED):
-                continue
-            if isinstance(v, tuple):
-                txt = " ".join(repr(x) if isinstance(x, float) else str(x) for x in v)
-            elif isinstance(v, float):
-                txt = repr(v)
-            elif v is None:
-                txt = "none"
-            else:
-                txt = str(v)
-            lines.append(f"{key} = {txt}")
-        return "\n".join(lines) + "\n"
-
     # -- builders ---------------------------------------------------------
 
     def build_model(self):

@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partialmethod
+from functools import partial, partialmethod
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import constitutive as con
+from . import scenarios as sc
 from . import symtensor as st
 
 SCHEME_RK4 = "rk4"
@@ -63,14 +64,17 @@ class MidpointNoConvergence(RuntimeError):
 @dataclass
 class State:
     """One configuration of the discrete system: time, interior
-    coefficients, and at every quadrature point the strain eps, the strain
-    expression E = alpha*eps + beta*dt_eps and the stress that solves the
-    constitutive relation G(stress) = E to the inversion tolerance, and the
-    forcing there at t (None without a forcing).
+    coefficients, and at every quadrature point the strain eps (None
+    unless an observer reads it), the strain expression
+    E = alpha*eps + beta*dt_eps, the stress that solves G(stress) = E to
+    the inversion tolerance, the forcing at t (None without a forcing),
+    and the slope of the inversion that gave the stress, to start the
+    next one from (see con.invert_radius).
 
     evaluate_fields builds one from (t, U, V); the steppers return one.
     A block of states is one State whose t is the list of their times
-    and whose arrays carry a leading row per state.
+    and whose arrays carry a leading row per state, the slope after its
+    (s, h') axis.
     """
 
     t: float
@@ -80,6 +84,7 @@ class State:
     E: np.ndarray
     stress: np.ndarray
     forcing: np.ndarray
+    slope: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -106,6 +111,8 @@ class _Stacked:
     def __init__(self, fields):
         self.fields = tuple(fields)
         self._distinct = {id(f): f for f in self.fields}
+        rates = {f.steady_rates for f in self.fields}
+        self.steady_rates = rates.pop() if len(rates) == 1 else None
 
     def _stack(self, name, t, X):
         vals = {i: getattr(f, name)(t, X) for i, f in self._distinct.items()}
@@ -154,50 +161,77 @@ class Members:
         return len(self.scenarios)
 
 
-def evaluate_fields(scenario, space, t, U, V, warm=None, forcing=None, slope=None):
-    """The State at (t, U, V): its strain, strain expression, stress and
-    forcing at the quadrature points (per member when scenario is
-    Members).  warm is a stress to start the inversion from, and slope
-    the slope of the inversion that gave it (see con.invert_radius);
-    forcing is the forcing at t from run's block, evaluated here when
-    not given.
+def _at_times(f, t, qp):
+    """f(t, qp) of a lift; for a list of times t (a block), with the
+    block's rows first, before the member axis of _Stacked's values."""
+    return np.moveaxis(f(np.array(t), qp), -3, 0) if isinstance(t, list) else f(t, qp)
+
+
+class _LiftTerms:
+    """A scenario's lift at a space's quadrature points for the steps of one
+    run: whether it accelerates there, and its strain expression
+    E_l = alpha*strain + beta*dt_strain, computed once if sc.steady_expression."""
+
+    def __init__(self, scenario, space):
+        m, self.qp = scenario.model, space.qp
+        self.accelerates = scenario.lift.accelerates(self.qp)
+        self._of_t = partial(sc.strain_expression, scenario.lift, m.alpha, m.beta)
+        self.steady = self._of_t(0.0, self.qp) if sc.steady_expression(scenario.lift, m) else None
+
+    def expression(self, t):
+        """E_l at t as _at_times gives it; a steady one serves every row."""
+        return _at_times(self._of_t, t, self.qp) if self.steady is None else self.steady
+
+
+def evaluate_fields(scenario, space, t, U, V, warm=None, forcing=None, slope=None,
+                    terms=None, observed=True):
+    """The State at (t, U, V) (per member when scenario is Members), its
+    strain eps only when observed.  warm is a stress to start the inversion
+    from, and slope the slope of the inversion that gave it; forcing is the
+    forcing at t from run's block, and terms the run's _LiftTerms, each
+    made here when not given.  E = B(alpha U + beta V) + E_l(t) takes one
+    strain product, and eps = B U + the lift's strain a second.
 
     For a list of times t, U, V, warm and forcing hold a leading row per
     time, and slope holds one after its (s, h') axis; the block of those
     states comes from one inversion."""
     m = scenario.model
-    qp = space.qp
-    block = isinstance(t, list)
-    # a block's rows go first, before the member axis of _Stacked's values
-    eps_l, deps_l = (np.moveaxis(f(np.array(t), qp), -3, 0) if block else f(t, qp)
-                     for f in (scenario.lift.strain, scenario.lift.dt_strain))
-    eps = space.strain_at_qp(U) + eps_l
-    deps = space.strain_at_qp(V) + deps_l
-    E = m.alpha * eps + m.beta * deps
-    T = _invert_at(scenario, E, warm, slope, space, "t", t)[0]
+    terms = terms or _LiftTerms(scenario, space)
+    eps = None
+    if observed:
+        eps = space.strain_at_qp(U) + _at_times(scenario.lift.strain, t, space.qp)
+    E = space.strain_at_qp(m.alpha * U + m.beta * V) + terms.expression(t)
+    T, slope = _invert_at(scenario, E, warm, slope, space, "t", t)
     if forcing is None and scenario.forcing is not None:
-        forcing = _forcing_at(scenario, space, t) if block else \
+        forcing = _forcing_at(scenario, space, t) if isinstance(t, list) else \
             _forcing_at(scenario, space, [t])[0]
-    return State(t, U, V, eps, E, T, forcing)
+    return State(t, U, V, eps, E, T, forcing, slope)
 
 
-def stack_rows(arrays):
-    """The arrays stacked along a new leading axis; a lone one as a view."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+def stack_rows(arrays, axis=0):
+    """The arrays stacked along a new axis, the leading one by default; a
+    lone one as a view."""
+    return np.expand_dims(arrays[0], axis) if len(arrays) == 1 else np.stack(arrays, axis)
 
 
 def block_of(states):
     """The block (see State) of states: each field that is not None
     stacked by stack_rows, so a lone State's by views."""
-    fields = zip(*((s.U, s.V, s.eps, s.E, s.stress, s.forcing) for s in states))
+    fields = zip(*((s.U, s.V, s.eps, s.E, s.stress, s.forcing, s.slope) for s in states))
     return State([s.t for s in states],
-                 *(None if a[0] is None else stack_rows(a) for a in fields))
+                 *(None if a[0] is None else stack_rows(a, axis)
+                   for a, axis in zip(fields, _ROW_AXES)))
 
 
 def _index(state, t, ix):
     """The State at time t whose arrays are state's indexed by ix (views)."""
-    return State(t, *(None if a is None else a[ix] for a in (
-        state.U, state.V, state.eps, state.E, state.stress, state.forcing)))
+    return State(t, *(None if a is None else a[(slice(None),) * axis + (ix,)]
+                      for a, axis in zip((state.U, state.V, state.eps, state.E, state.stress,
+                                          state.forcing, state.slope), _ROW_AXES)))
+
+
+# the axis of a block's rows in each array of a State, from U to slope
+_ROW_AXES = (0, 0, 0, 0, 0, 0, 1)
 
 
 def _step_times(t, dt):
@@ -291,7 +325,7 @@ def _for_member(exc, member):
     return exc
 
 
-def _loads(scenario, space, t, forcing):
+def _loads(scenario, space, t, forcing, terms=None):
     """Load of the forcing values at the quadrature points (None without a
     forcing) minus the lift inertia load at time t (may be scalar 0)."""
     load = 0.0
@@ -299,48 +333,52 @@ def _loads(scenario, space, t, forcing):
         load = space.load_from_values(forcing)
     # a lift that never accelerates here (a static lift started at rest)
     # is not evaluated at all
-    if scenario.lift.accelerates(space.qp):
+    if (terms or _LiftTerms(scenario, space)).accelerates:
         a0 = scenario.lift.dtt_value(t, space.qp)
         if np.any(a0):
             load = load - space.load_from_values(a0)
     return load
 
 
-def _accel(scenario, space, state):
+def _accel(scenario, space, state, terms=None):
     """Acceleration at one State."""
-    resid = _loads(scenario, space, state.t, state.forcing) \
+    resid = _loads(scenario, space, state.t, state.forcing, terms) \
         - space.load_from_stress(state.stress)
     return space.mass_solve(resid)
 
 
-def step_rk4(scenario, space, state, dt, forcing):
+# an unstable step may overflow; the inversion's non-finite check or a
+# singular Jacobian then ends the run
+@np.errstate(over="ignore", invalid="ignore")
+def step_rk4(scenario, space, state, dt, forcing, terms=None, observed=True):
     """Classical four-stage explicit update.
 
-    Stage 1 is state itself, with the stress and forcing it carries;
-    stages 2-4 and the returned State each invert once, warm-started from
-    the stress of the stage before (the returned State from stage 3's, as
-    stage 4).  forcing is the pair of the forcing at the half-step and
-    end times (_step_times), or of Nones without a forcing.  With Members
-    every operation acts on all members at once.  An unstable step may
-    overflow; the inversion's non-finite check then ends the run.
+    Stage 1 is state itself, with the stress, slope and forcing it
+    carries; stages 2-4 and the returned State each invert once, started
+    from the stress and slope of the stage before (the returned State from
+    stage 4's).  Only the returned State gets eps, when observed (see
+    evaluate_fields).  forcing is the pair of the forcing at the half-step
+    and end times (_step_times), or of Nones without a forcing.  With
+    Members every operation acts on all members at once.
     """
+    terms = terms or _LiftTerms(scenario, space)
     t, U, V = state.t, state.U, state.V
     t_half, t_next = _step_times(t, dt)
     f_half, f_next = forcing
-    with np.errstate(over="ignore", invalid="ignore"):
-        a1 = _accel(scenario, space, state)
-        s2 = evaluate_fields(scenario, space, t_half, U + 0.5 * dt * V,
-                             V + 0.5 * dt * a1, state.stress, f_half)
-        a2 = _accel(scenario, space, s2)
-        s3 = evaluate_fields(scenario, space, t_half, U + 0.5 * dt * s2.V,
-                             V + 0.5 * dt * a2, s2.stress, f_half)
-        a3 = _accel(scenario, space, s3)
-        s4 = evaluate_fields(scenario, space, t_next, U + dt * s3.V, V + dt * a3,
-                             s3.stress, f_next)
-        a4 = _accel(scenario, space, s4)
-        Un = U + (dt / 6.0) * (V + 2.0 * s2.V + 2.0 * s3.V + s4.V)
-        Vn = V + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        return evaluate_fields(scenario, space, t_next, Un, Vn, s3.stress, f_next)
+    a1 = _accel(scenario, space, state, terms)
+    s2 = evaluate_fields(scenario, space, t_half, U + 0.5 * dt * V, V + 0.5 * dt * a1,
+                         state.stress, f_half, state.slope, terms, False)
+    a2 = _accel(scenario, space, s2, terms)
+    s3 = evaluate_fields(scenario, space, t_half, U + 0.5 * dt * s2.V, V + 0.5 * dt * a2,
+                         s2.stress, f_half, s2.slope, terms, False)
+    a3 = _accel(scenario, space, s3, terms)
+    s4 = evaluate_fields(scenario, space, t_next, U + dt * s3.V, V + dt * a3,
+                         s3.stress, f_next, s3.slope, terms, False)
+    a4 = _accel(scenario, space, s4, terms)
+    Un = U + (dt / 6.0) * (V + 2.0 * s2.V + 2.0 * s3.V + s4.V)
+    Vn = V + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+    return evaluate_fields(scenario, space, t_next, Un, Vn, s4.stress, f_next, s4.slope,
+                           terms, observed)
 
 
 # contraction order of B_e^T A_e B_e: (B_e^T A_e) first, then B_e; a fixed
@@ -370,13 +408,14 @@ def _assemble_midpoint_jacobian(space, mass, factor, model, T):
 
 
 class _NewtonCarry:
-    """What one run's midpoint steps hand on to the next: each member's
-    Jacobian factor, the dt it was built for, the last five midpoint
+    """What one run's midpoint steps hand on to the next: the run's
+    _LiftTerms, each member's Jacobian factor, the dt it was built for, the last five midpoint
     velocities, newest first, whether each member's last step converged
     within QUARTIC_GATE iterations, Newton's last midpoint stress and the
     slope of the inversion that gave it (per-member rows in a batch)."""
 
-    def __init__(self):
+    def __init__(self, terms=None):
+        self.terms = terms
         self.lus = None
         self.dt = None
         self.past = []
@@ -401,6 +440,7 @@ class _NewtonCarry:
         return (p[0] if p else V).copy()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def step_midpoint(scenario, space, state, dt, f_mid, carry):
     """Implicit midpoint update solved for the midpoint velocity.
 
@@ -416,8 +456,9 @@ def step_midpoint(scenario, space, state, dt, f_mid, carry):
     earlier step.  Newton starts from the extrapolated midpoint velocities
     of earlier steps, and each inversion from the last midpoint stress
     and the slope of its inversion (state.stress, and no slope, on a
-    fresh carry).  The returned State holds t, U and V only; Newton's
-    last midpoint stress is carry.stress.
+    fresh carry); E = B(alpha Um + beta Vm) + E_l(t_mid) takes one strain
+    product.  The returned State holds t, U and V only; Newton's last
+    midpoint stress is carry.stress.
 
     With Members each member keeps its own Newton state: its Jacobian
     factor, its refresh decision and its convergence test.  A member
@@ -431,9 +472,9 @@ def step_midpoint(scenario, space, state, dt, f_mid, carry):
     qp = space.qp
     ndof, nq, mcomp = space.ndof, space.n_qp, space.m
     U, V = state.U, state.V
-    eps_l = scenario.lift.strain(t_mid, qp)
-    deps_l = scenario.lift.dt_strain(t_mid, qp)
-    const_load = np.full(U.shape, -0.5 * dt * _loads(scenario, space, t_mid, f_mid))
+    terms = carry.terms = carry.terms or _LiftTerms(scenario, space)
+    E_l = terms.expression(t_mid)
+    const_load = np.full(U.shape, -0.5 * dt * _loads(scenario, space, t_mid, f_mid, terms))
     mass = space.mass
     factor = 0.5 * dt * (m.beta + 0.5 * dt * m.alpha)
 
@@ -464,8 +505,7 @@ def step_midpoint(scenario, space, state, dt, f_mid, carry):
         # all members (views, no copies) until the first one converges
         sel = slice(None) if len(active) == k else active
         Um = U[sel] + 0.5 * dt * Vm[sel]
-        E = m.alpha * (space.strain_at_qp(Um) + eps_l[sel]) \
-            + m.beta * (space.strain_at_qp(Vm[sel]) + deps_l[sel])
+        E = space.strain_at_qp(m.alpha * Um + m.beta * Vm[sel]) + E_l[sel]
         T, inv_slope = _invert_at(scenario, E, None if warm is None else warm[sel],
                                   None if slope is None else slope[:, sel], space,
                                   "midpoint stage t", t_mid, members=active)
@@ -507,43 +547,48 @@ def step_midpoint(scenario, space, state, dt, f_mid, carry):
     carry.past = [Vm] + carry.past[:4]
     carry.gate = np.array([len(tr) <= QUARTIC_GATE for tr in traces])
     carry.stress, carry.slope = warm, slope
-    return State(t_next, U + dt * Vm, 2.0 * Vm - V, None, None, None, None)
+    return State(t_next, U + dt * Vm, 2.0 * Vm - V, *[None] * 5)
 
 
 def run(scenario, space, config, observers=(), start=None):
     """Integrate from t=0 to t_end; return the final State.
 
     start is the State at t=0, by default that of zero interior
-    coefficients (the lift carries initial and boundary data).
+    coefficients (the lift carries initial and boundary data); a start
+    that holds t, U and V alone is evaluated here.
     Observers are the only per-step output.  Each is called in order as
     observer(block) with a block of states (see State) that it must not
     modify: the initial state, then each block of _block_steps(space)
     steps once its last step is made.  A block's forcing comes from one
     _forcing_at call at its steps' _step_times; midpoint steps hand each
-    other a Newton carry (see step_midpoint).
+    other a Newton carry (see step_midpoint), and every step shares the
+    run's _LiftTerms.
 
     The fields of a midpoint block come from one evaluate_fields call,
     warm-started from each step's last Newton stress and slope, and
     made only for observers that read them: if every observer's
     ``reads_fields`` is false, they and the return value get t, U and V
     alone (RK4 states too), and without observers only the final State
-    is evaluated.  So a midpoint state beyond the strain limit may be
-    reported up to a block late.
+    is evaluated, without its strain eps.  So a midpoint state beyond the
+    strain limit may be reported up to a block late.
 
     scenario may be Members, stepped as one batch; a lone scenario is
     the one-member case of the same loop.  For Members every block keeps
     the member axis after its row axis (U is (rows, members, ndof)), and
     so does the returned State.
     """
+    terms = _LiftTerms(scenario, space)
     if start is None:
         shape = (len(scenario), space.ndof) if isinstance(scenario, Members) \
             else (space.ndof,)
-        start = evaluate_fields(scenario, space, 0.0, np.zeros(shape), np.zeros(shape))
+        start = State(0.0, np.zeros(shape), np.zeros(shape), *[None] * 5)
+    if start.stress is None:
+        start = evaluate_fields(scenario, space, start.t, start.U, start.V, terms=terms)
     fielded = any(getattr(o, "reads_fields", True) for o in observers)
     midpoint = config.scheme == SCHEME_MIDPOINT
     # forcing times per step: the end time serves RK4 and observed fields
     per = 1 if midpoint and not fielded else 2
-    carry = _NewtonCarry()
+    carry = _NewtonCarry(terms)
     state = start
     final = _notify(observers, block_of([state]))
 
@@ -558,8 +603,8 @@ def run(scenario, space, config, observers=(), start=None):
                 state = step_midpoint(scenario, space, state, dt, pair[0], carry)
                 warms.append((carry.stress, carry.slope))
             else:
-                state = step_rk4(scenario, space, state, dt, pair)
-            ends.append(state if fielded else State(state.t, state.U, state.V, *[None] * 4))
+                state = step_rk4(scenario, space, state, dt, pair, terms, fielded)
+            ends.append(state if fielded else State(state.t, state.U, state.V, *[None] * 5))
         if observers:
             states = block_of(ends)
             if midpoint and fielded:
@@ -567,13 +612,13 @@ def run(scenario, space, config, observers=(), start=None):
                 states = evaluate_fields(scenario, space, states.t, states.U, states.V,
                                          stack_rows(T),
                                          None if forcing is None else forcing[1::2],
-                                         None if S[0] is None else np.stack(S, axis=1))
+                                         None if S[0] is None else stack_rows(S, 1), terms)
             final = _notify(observers, states)
     if observers:
         return final
     if midpoint and state is not start:
         return evaluate_fields(scenario, space, state.t, state.U, state.V, carry.stress,
-                               slope=carry.slope)
+                               slope=carry.slope, terms=terms, observed=False)
     return state
 
 

@@ -49,9 +49,10 @@ class Mesh:
     def n_elems(self):
         return self.elems.shape[0]
 
-    def measures(self):
-        """Length/area of every element."""
-        v = self.nodes[self.elems]
+    def measures(self, verts=None):
+        """Length/area of every element; verts are its vertices
+        nodes[elems] when already gathered."""
+        v = self.nodes[self.elems] if verts is None else verts
         if self.dim == 1:
             return v[:, 1, 0] - v[:, 0, 0]
         e1 = v[:, 1] - v[:, 0]
@@ -145,8 +146,9 @@ class FESpace:
         d = mesh.dim
         self.dim = d
         self.m = st.packed_len(d)
+        verts = mesh.nodes[mesh.elems]                               # (ne, nv, d)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            meas = mesh.measures()
+            meas = mesh.measures(verts)
             inv_meas = 1.0 / meas
         if np.any(meas <= 0.0):
             raise ValueError("mesh has a non-positive element measure")
@@ -165,7 +167,6 @@ class FESpace:
         # simplex: shape values [1 - sum(xi), xi], gradients gref J^-1
         xi, wloc = _QUADRATURE[d]
         nloc = np.column_stack([1.0 - xi.sum(axis=1), xi])          # (k, nv)
-        verts = mesh.nodes[mesh.elems]                               # (ne, nv, d)
         edges = verts[:, 1:] - verts[:, :1]                          # (ne, r, d)
         # v_0 plus the edge terms summed in r order: 1D points take this form
         # bit for bit, and the barycentric sum would move a quarter of them

@@ -261,6 +261,13 @@ def strain_expression(lift, alpha, beta, t, X):
     return alpha * lift.strain(t, X) + beta * lift.dt_strain(t, X)
 
 
+def steady_expression(lift, model):
+    """Whether the lift's strain expression under model does not depend on
+    t, so that its value at t=0 serves every time: the lift's
+    steady_rates are the model's (alpha, beta)."""
+    return lift.steady_rates == (model.alpha, model.beta)
+
+
 def safety_margin(scenario, space):
     """L minus the sampled sup of |alpha*eps(u0) + beta*dt_eps(u0)|.
 
@@ -273,7 +280,7 @@ def safety_margin(scenario, space):
     if not np.isfinite(L):
         return np.inf
     m = scenario.model
-    if scenario.lift.steady_rates == (m.alpha, m.beta):
+    if steady_expression(scenario.lift, m):
         blocks = [0.0]
     else:
         ts = np.linspace(0.0, scenario.t_end, 64)

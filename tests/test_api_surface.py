@@ -13,9 +13,6 @@ import pathlib
 
 import strainlim
 
-# RunConfig.serialize writes the resolved config, which a planned run
-# manifest will record
-ALLOWED = {"RunConfig.serialize"}
 DEFS = (ast.FunctionDef, ast.ClassDef)
 
 
@@ -41,7 +38,6 @@ def test_every_definition_is_referenced_in_src():
                 defs.append((fname, ".".join([d.name for d in inside] + [node.name]), node))
     unused = [f"{fname}:{qual}" for fname, qual, node in defs
               if not (node.name.startswith("__") and node.name.endswith("__"))
-              and qual not in ALLOWED
               and not any(node not in inside for inside in refs.get(node.name, ()))]
     assert not unused, f"defined in src but referenced only by tests or itself: {unused}"
 

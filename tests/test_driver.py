@@ -145,16 +145,6 @@ def test_malformed_line_rejected():
         dr.parse_config("just words\n" + BASE)
 
 
-def test_serialize_round_trip():
-    text = base_cfg("study = regularization\nn_list = 4 16 64\n"
-                    "levels = 0.004 0.002 0.001\ndelta_list = 0.001 1e-05\n"
-                    "seed = 7\nout_dir = /tmp/x\n")
-    cfg = dr.parse_config(text)
-    again = dr.parse_config(cfg.serialize())
-    assert again.values == cfg.values
-    assert dr.parse_config(again.serialize()).values == cfg.values
-
-
 _TOKEN = hs.one_of(
     hs.floats().map(repr),
     hs.integers(-3, 300).map(str),
@@ -613,6 +603,42 @@ def test_rk4_stage_overflow_exits_2_with_a_clean_stderr(tmp_path):
          str(cfg)], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
     assert proc.returncode == 2
     assert proc.stdout.startswith("sweep failed: non-finite strain expression [t=4.55e+184, ")
+    assert proc.stderr == ""
+
+
+def _module_run(tmp_path, text):
+    """The completed `python -W error::RuntimeWarning -m strainlim.driver run`
+    of config text, writing to tmp_path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dr.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(text + f"out_dir = {tmp_path / 'o'}\n")
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "strainlim.driver", "run", str(cfg)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+
+
+def test_midpoint_load_overflow_exits_2_with_a_clean_stderr(tmp_path):
+    # -0.5 * dt * load overflows at dt = 5.5e283; the Jacobian's scale
+    # overflows too, so the step fails there, exit 2, with no warning
+    proc = _module_run(tmp_path, "dim = 1\ndomain = 1.475 2.475\ncells = 3\nmodel = linear\n"
+                                 "reg_n = 16\nbeta = 4.9e102\nscheme = midpoint\ndt = 5.5e283\n"
+                                 "t_end = 5.5e283\nscenario = manufactured:standing-wave\n")
+    assert proc.returncode == 2
+    assert proc.stdout.startswith("run failed: midpoint Jacobian cannot be factored at t=0 ")
+    assert proc.stderr == ""
+
+
+def test_midpoint_jacobian_block_overflow_exits_2_with_a_clean_stderr(tmp_path):
+    # a cell height of 8e-272 makes the element blocks K_e huge, and
+    # factor * K_e overflows; SuperLU finds the Jacobian singular
+    proc = _module_run(tmp_path, "dim = 2\ndomain = 0.604 1.604 0 8.287e-272\ncells_x = 2\n"
+                                 "cells_y = 6\nmodel = linear\nreg_n = 4\nbeta = 6.4e229\n"
+                                 "scheme = midpoint\ndt = 0.01\nt_end = 0.01\n"
+                                 "scenario = manufactured:constant-strain\n")
+    assert proc.returncode == 2
+    assert proc.stdout.startswith("run failed: midpoint Jacobian cannot be factored at t=0 ")
     assert proc.stderr == ""
 
 

@@ -195,6 +195,133 @@ def test_rk4_stage_reuse_matches_fresh_stage():
     assert np.max(np.abs(state.V - fresh.V)) <= 1e-14 * scale
 
 
+def _evaluations_per_warm_inversion(monkeypatch):
+    """Per inversion that starts from a stress: the (h, h') evaluations it makes."""
+    evals, made = [], [0]
+    real_invert, real_pair = dy._invert_at, con.response_pair
+
+    def invert(scenario, E, warm, slope, space, stage, t, members=None):
+        before = made[0]
+        out = real_invert(scenario, E, warm, slope, space, stage, t, members)
+        if warm is not None:
+            evals.append(made[0] - before)
+        return out
+
+    def pair(*args):
+        made[0] += 1
+        return real_pair(*args)
+
+    monkeypatch.setattr(dy, "_invert_at", invert)
+    monkeypatch.setattr(con, "response_pair", pair)
+    return evals
+
+
+def test_rk4_stages_start_from_the_carried_slope(monkeypatch):
+    # every stage inversion starts from the stress and (s, h') slope of the
+    # one before: the State that closes a step from stage 4's, and the next
+    # step's stage 2 from that State's; a bare warm stress costs 2.9
+    # evaluations per inversion on this sweep
+    scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(reg_n=4), 0.1)
+    space = interval_space(64)
+    evals = _evaluations_per_warm_inversion(monkeypatch)
+    dg.regularization_sweep(scen, space, dy.SolverConfig(dt=2e-4, t_end=0.1, scheme="rk4"),
+                            [4, 16, 64, 256])
+    assert len(evals) == 4 * 500
+    assert sum(evals) <= 1.7 * len(evals)
+
+
+def _moving_lift_scenario(model):
+    """A 1D scenario whose lift moves its boundary values: no steady rates."""
+    wave = sc._standing_wave_field(1, ((0.0, 1.0),))
+    lift = sc.lift_timedep_bc(wave, sc.zero_field(1), model.alpha, model.beta,
+                              boundary_points=np.array([[0.0], [1.0]]))
+    return sc.Scenario(dim=1, domain=((0.0, 1.0),), model=model, lift=lift)
+
+
+def _expression_times(monkeypatch):
+    """The times of every sc.strain_expression call."""
+    times, real = [], sc.strain_expression
+
+    def expression(lift, alpha, beta, t, X):
+        times.append(t)
+        return real(lift, alpha, beta, t, X)
+
+    monkeypatch.setattr(sc, "strain_expression", expression)
+    return times
+
+
+def test_static_lift_expression_is_a_run_constant(monkeypatch):
+    # a static lift that starts moving (v_init nonzero): its strain
+    # expression is the same at every time, to round-off, and a run
+    # evaluates it once
+    m = proto_model()
+    u0 = sc._pluck_field(1, ((0.0, 1.0),), 0.3)
+    v0 = sc._pluck_field(1, ((0.0, 1.0),), 0.2)
+    lift = sc.lift_static_bc(u0, v0, m.alpha, m.beta)
+    scen = sc.Scenario(dim=1, domain=((0.0, 1.0),), model=m, lift=lift)
+    space = interval_space(16)
+    terms = dy._LiftTerms(scen, space)
+    assert terms.accelerates
+    ts = np.linspace(0.0, 3.0, 13)
+    want = sc.strain_expression(lift, m.alpha, m.beta, ts, space.qp)
+    assert terms.expression(list(ts)) is terms.steady
+    assert np.max(np.abs(want - terms.steady)) <= 1e-15 * np.max(np.abs(want))
+    times = _expression_times(monkeypatch)
+    dy.run(scen, space, dy.SolverConfig(dt=1e-3, t_end=5e-3, scheme="rk4"))
+    dy.run(scen, space, dy.SolverConfig(dt=1e-3, t_end=5e-3))
+    assert times == [0.0, 0.0]
+
+
+def test_moving_lift_expression_is_evaluated_at_every_stage_time(monkeypatch):
+    m = proto_model()
+    scen = _moving_lift_scenario(m)
+    space = interval_space(16)
+    assert dy._LiftTerms(scen, space).steady is None
+    times = _expression_times(monkeypatch)
+    seen, _ = _recorded_run(scen, space, dy.SolverConfig(dt=1e-3, t_end=3e-3, scheme="rk4"))
+    # t=0, then stages 2 and 3 at the half-step time, stage 4 and the
+    # closing State at the end time
+    want = [0.0]
+    for t, dt in dy._steps(0.0, 1e-3, 3e-3):
+        t_half, t_next = dy._step_times(t, dt)
+        want += [t_half, t_half, t_next, t_next]
+    assert times == want
+    monkeypatch.undo()
+    for state in seen:
+        E_l = sc.strain_expression(scen.lift, m.alpha, m.beta, state.t, space.qp)
+        assert np.array_equal(state.E, space.strain_at_qp(m.alpha * state.U + m.beta * state.V)
+                              + E_l)
+
+
+def test_rk4_observers_add_only_the_strain(monkeypatch):
+    # observers that read fields get eps on every state; the steps are
+    # those of an unobserved run, bit for bit, whose States have no eps
+    scen = sc.build_scenario("manufactured:standing-wave", 1, (0.0, 1.0), proto_model(), 0.01)
+    space = interval_space(16)
+    cfg = dy.SolverConfig(dt=1e-3, t_end=0.01, scheme="rk4")
+    steps, real = [], dy.step_rk4
+
+    def step(*args):
+        steps.append(real(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(dy, "step_rk4", step)
+    final = dy.run(scen, space, cfg)
+    monkeypatch.undo()
+    seen, last = _recorded_run(scen, space, cfg)
+    assert len(seen) == len(steps) + 1 == 11
+    assert final is steps[-1] and final.eps is None
+    assert np.array_equal(seen[0].eps, scen.lift.strain(0.0, space.qp))
+    for state, bare in zip(seen[1:], steps):
+        assert bare.eps is None
+        assert np.array_equal(state.eps, space.strain_at_qp(state.U)
+                              + scen.lift.strain(state.t, space.qp))
+        assert state.t == bare.t
+        for name in ("U", "V", "E", "stress", "slope", "forcing"):
+            assert np.array_equal(getattr(state, name), getattr(bare, name)), name
+    _assert_same_state(last, seen[-1])
+
+
 def test_midpoint_self_convergence_order_2():
     scen = sc.build_scenario("gaussian-pluck", 1, (0.0, 1.0), proto_model(), 0.1)
     space = interval_space(32)

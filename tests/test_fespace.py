@@ -36,6 +36,25 @@ def test_rectangle_mesh_basics():
     assert np.array_equal(mesh.boundary, on_edge)
 
 
+@pytest.mark.parametrize("mesh", [fe.interval_mesh(-0.3, 1.7, 8),
+                                  fe.rectangle_mesh(0.1, 0.7, -0.3, 1.9, 4, 3)],
+                         ids=["1d", "2d"])
+def test_measures_of_gathered_vertices_are_unchanged(mesh):
+    # FESpace hands Mesh.measures the vertices it gathered for its own map:
+    # the same bits as the measures gathered afresh, and as the weights
+    v = mesh.nodes[mesh.elems]
+    if mesh.dim == 1:
+        want = v[:, 1, 0] - v[:, 0, 0]
+    else:
+        e1, e2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+        want = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    assert np.array_equal(mesh.measures(v), want)
+    assert np.array_equal(mesh.measures(), want)
+    space = fe.FESpace(mesh)
+    w = fe._QUADRATURE[mesh.dim][1]
+    assert np.array_equal(space.qw, np.repeat(want, len(w)) * np.tile(w, mesh.n_elems))
+
+
 def test_mesh_validation():
     # the builders take a box as given: a reversed axis gives reversed
     # elements, and 2.5e307 x 3.3e307 cells have areas past float64
