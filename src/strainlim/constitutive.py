@@ -514,8 +514,8 @@ def fenchel_residual(model, T):
     return np.abs(psi + conj - st.dot(G, T))
 
 
-def dissipation_pair(model, T, T0):
-    """(T - T0) : (G(T) - G(T0)); nonnegative by monotonicity."""
-    T = np.asarray(T, dtype=float)
-    T0 = np.asarray(T0, dtype=float)
-    return st.dot(T - T0, g_apply(model, T) - g_apply(model, T0))
+def dissipation_pair(T, T0, E, E0):
+    """(T - T0) : (G(T) - G(T0)) of stresses whose images E = G(T) and
+    E0 = G(T0) are known, as (T - T0) : (E - E0); nonnegative by
+    monotonicity."""
+    return st.dot(T - T0, E - E0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.optimize import brentq
+from scipy.special import lambertw
 
 from . import constitutive as con
 from . import dynamics as dyn
@@ -69,6 +69,18 @@ class ConvergenceReport:
         self.values = np.asarray(self.values, dtype=float)
 
 
+class NonFiniteNormError(RuntimeError):
+    """A study case's L2 error or difference is not finite in float64."""
+
+
+def _finite_error(norm, label):
+    """norm, the L2 error of study case label, unless it overflowed or is
+    nan: then NonFiniteNormError names the case."""
+    if not np.isfinite(norm):
+        raise NonFiniteNormError(f"non-finite L2 error {norm:.6g} [study case {label}]")
+    return norm
+
+
 def check_study_list(field, values, increasing=False):
     """The rule of every study's list of levels, checked before any level
     runs: at least 3 entries, all > 0, strictly increasing or monotone."""
@@ -104,8 +116,7 @@ def energy_snapshot(block, space, scenario):
     v_full = space.value_at_qp(block.V) + scenario.lift.dt_value(np.array(block.t), qp)
     kinetic = 0.5 * space.l2_norm_qp(v_full) ** 2
 
-    eps = block.eps
-    T = block.stress
+    eps, E, T, slope = block.eps, block.E, block.stress, block.slope
     e = m.alpha * st.norm(eps)
     # records whose strain is at or beyond the limit have a divergent
     # conjugate energy, and their balance residual is suspended
@@ -114,14 +125,19 @@ def energy_snapshot(block, space, scenario):
     L = con.limit_L(m)
     ok = ~(np.isfinite(L) & (np.max(e, axis=-1) >= L))
     if not ok.all():
-        eps, T, e = eps[ok], T[ok], e[ok]
+        eps, E, T, e = eps[ok], E[ok], T[ok], e[ok]
+        slope = None if slope is None else slope[:, ok]
     if len(e):
-        T0 = con.invert(m, m.alpha * eps, warm_stress=T)
+        E0 = m.alpha * eps
+        # T and its slope solve h(|T|) = |E|, so they start the inversion
+        # at alpha*eps without an evaluation at T
+        T0 = con.invert(m, E0, warm_stress=T, slope=slope)
         # the conjugate is stationary in the radius at h(r) = e, so the
         # radius of T0 serves it without a second solve
         elastic[ok] = np.sum(qw * con.effective_conjugate(
             m, e, radius=st.norm(T0)), axis=-1) / m.alpha
-        rate[ok] = np.sum(qw * con.dissipation_pair(m, T, T0), axis=-1) / m.beta
+        # G(T) = E and G(T0) = alpha*eps by construction
+        rate[ok] = np.sum(qw * con.dissipation_pair(T, T0, E, E0), axis=-1) / m.beta
 
     if block.forcing is None:
         power = np.zeros(len(block.t))
@@ -255,7 +271,8 @@ def refinement_study(scenario, axis, levels, config, space=None):
     own mesh at config.dt and reports the L2 displacement error against
     the exact solution at t_end.  axis="dt": levels are time steps on
     space and errors are differences against a reference run at
-    min(levels)/4, so the fixed spatial error cancels.
+    min(levels)/4, so the fixed spatial error cancels.  An error that is
+    not finite in float64 ends the study with NonFiniteNormError.
     """
     check_study_list("levels", levels)
     if axis == "h":
@@ -266,10 +283,11 @@ def refinement_study(scenario, axis, levels, config, space=None):
         for c in cellcounts:
             sp_c = fe.FESpace(fe.box_mesh(scenario.domain, (c,) * scenario.dim))
             final = _annotated(f"cells={c}", dyn.run, scenario, sp_c, config)
-            vals = (sp_c.value_at_qp(final.U)
-                    + scenario.lift.value(final.t, sp_c.qp)
-                    - scenario.exact.value(final.t, sp_c.qp))
-            errs.append(sp_c.l2_norm_qp(vals))
+            with np.errstate(over="ignore", invalid="ignore"):
+                err = sp_c.l2_norm_qp(sp_c.value_at_qp(final.U)
+                                      + scenario.lift.value(final.t, sp_c.qp)
+                                      - scenario.exact.value(final.t, sp_c.qp))
+            errs.append(_finite_error(err, f"cells={c}"))
             dom = np.asarray(scenario.domain, dtype=float)
             hs.append(float(np.max(dom[:, 1] - dom[:, 0])) / c)
         return ConvergenceReport(
@@ -285,7 +303,9 @@ def refinement_study(scenario, axis, levels, config, space=None):
         errs = []
         for d in dts:
             final = _annotated(f"dt={d:g}", dyn.run, scenario, space, replace(config, dt=d))
-            errs.append(space.l2_norm_qp(space.value_at_qp(final.U - ref.U)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                err = space.l2_norm_qp(space.value_at_qp(final.U - ref.U))
+            errs.append(_finite_error(err, f"dt={d:g}"))
         return ConvergenceReport(
             axis=np.array(dts), values=np.array(errs),
             fitted_order=fit_order(dts, errs),
@@ -321,15 +341,8 @@ def stability_study(scenario, space, config, delta_list, seed=0):
 
     t_end = float(final.t)
     g = float(np.mean(factors))
-    if t_end > 0.0 and g > 0.0:
-        # C e^{C t} is increasing in C, so bracket and bisect
-        fun = lambda cc: cc * np.exp(cc * t_end) - g
-        hi = 1.0
-        while fun(hi) < 0.0 and hi < 1e6:
-            hi *= 2.0
-        C = float(brentq(fun, 0.0, hi)) if fun(hi) >= 0.0 else np.inf
-    else:
-        C = np.nan
+    # C t e^{C t} = g t, so C t is the principal branch of Lambert's W at g t
+    C = float(lambertw(g * t_end).real) / t_end if t_end > 0.0 and g > 0.0 else np.nan
     return ConvergenceReport(
         axis=np.array(deltas), values=factors,
         fitted_order=fit_order(deltas, factors),

@@ -58,7 +58,7 @@ STUDIES = {"regularization": "n_list", "refinement": "levels", "refinement-dt": 
 
 # failures of a run that started from a valid config: exit code 2
 RUNTIME_ERRORS = (con.SupercriticalStrainError, con.NewtonConvergenceError,
-                  dy.MidpointNoConvergence, dy.NonFiniteStrainError)
+                  dy.MidpointNoConvergence, dy.NonFiniteStrainError, dg.NonFiniteNormError)
 
 
 def _parse_int(s):
@@ -246,18 +246,29 @@ def parse_config(text):
 _CSV_BLOCK = 2048
 
 
-# a cell left empty: the writer prints the repr of every cell
-_BLANK = type("Blank", (), {"__repr__": lambda self: ""})()
-
-
 def _write_csv(path, header, rows):
     """Write a header line and a 2-D array of floats: comma separated,
-    \r\n line ends, each value as Python's shortest round-trip repr."""
+    \r\n line ends, each value as Python's shortest round-trip repr.
+
+    Each block of rows formats each distinct float64 bit pattern once
+    (so -0.0 and every NaN keep their own text) and gathers the texts by
+    index.  The cells a masked array masks are left empty."""
+    blank = np.ma.getmaskarray(rows)
+    rows = np.ascontiguousarray(np.ma.getdata(rows), dtype=float)
+    # text cells interleaved with their separators, reused by every block
+    cells = np.empty((min(len(rows), _CSV_BLOCK), 2 * rows.shape[1]), dtype=object)
+    cells[:, 1::2] = ","
+    cells[:, -1] = "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for i in range(0, len(rows), _CSV_BLOCK):
-            fh.write("".join([",".join(map(repr, row)) + "\r\n"
-                              for row in rows[i:i + _CSV_BLOCK].tolist()]))
+            block = rows[i:i + _CSV_BLOCK]
+            bits, where = np.unique(block.view(np.int64), return_inverse=True)
+            texts = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+            out = cells[:len(block)]
+            out[:, ::2] = texts[where.reshape(block.shape)]
+            out[:, ::2][blank[i:i + _CSV_BLOCK]] = ""
+            fh.write("".join(out.ravel().tolist()))
 
 
 def _write_table(path, table):
@@ -344,12 +355,14 @@ def cmd_run(cfg):
 
 
 def _report_rows(report):
-    """(axis, value, fitted order) rows; only the last row has an order,
-    and only a finite one."""
-    rows = [[a, v, _BLANK] for a, v in zip(report.axis.tolist(), report.values.tolist())]
-    if rows and report.fitted_order is not None and math.isfinite(report.fitted_order):
-        rows[-1][2] = float(report.fitted_order)
-    return np.array(rows, dtype=object)
+    """(axis, value, fitted order) rows, masked where a cell is left empty:
+    only the last row has an order, and only a finite one."""
+    rows = np.ma.masked_array(np.column_stack([report.axis, report.values,
+                                               np.zeros(len(report.axis))]))
+    rows[:, 2] = np.ma.masked
+    if len(rows) and report.fitted_order is not None and math.isfinite(report.fitted_order):
+        rows[-1, 2] = report.fitted_order
+    return rows
 
 
 def cmd_sweep(cfg):

@@ -102,7 +102,8 @@ def test_ledger_solves_the_radius_once(monkeypatch):
     cold = float(np.sum(space.qw * con.effective_conjugate(m, e))) / m.alpha
     assert led.elastic == pytest.approx(cold, rel=1e-14)
     T0 = con.invert(m, m.alpha * state.eps)
-    rate = float(np.sum(space.qw * con.dissipation_pair(m, state.stress, T0))) / m.beta
+    gap = con.g_apply(m, state.stress) - con.g_apply(m, T0)
+    rate = float(np.sum(space.qw * st.dot(state.stress - T0, gap))) / m.beta
     assert led.dissipation_rate == pytest.approx(rate, rel=1e-12)
     assert led.dissipation_rate > 0.0
 

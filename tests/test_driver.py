@@ -606,17 +606,48 @@ def test_rk4_stage_overflow_exits_2_with_a_clean_stderr(tmp_path):
     assert proc.stderr == ""
 
 
-def _module_run(tmp_path, text):
-    """The completed `python -W error::RuntimeWarning -m strainlim.driver run`
-    of config text, writing to tmp_path."""
+def _module_run(tmp_path, text, command="run"):
+    """The completed `python -W error::RuntimeWarning -m strainlim.driver
+    <command>` of config text, writing to tmp_path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(dr.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     cfg = tmp_path / "case.cfg"
     cfg.write_text(text + f"out_dir = {tmp_path / 'o'}\n")
     return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "strainlim.driver", "run", str(cfg)],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "strainlim.driver", command,
+         str(cfg)], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+
+
+def test_stability_growth_constant_of_huge_factors_is_positive(tmp_path):
+    # factors near 1e70 over t_end = 3.7e101: C is about 1e-99, far below
+    # the absolute tolerance of a root search, and exp(C t_end) overflows
+    # for a bracket of C = 1
+    proc = _module_run(tmp_path, "dim = 1\ndomain = 3.09 1.4e68\ncells = 4\nmodel = prototype\n"
+                                 "q = 13.1\nalpha = 52.5\nreg_n = 293872337\nscheme = midpoint\n"
+                                 "dt = 3.7e101\nt_end = 3.7e101\nscenario = near-limit\n"
+                                 "study = stability\ndelta_list = 1e-3 1e-4 1e-5\n", "sweep")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    line, = [ln for ln in proc.stdout.splitlines() if ln.startswith("  growth_constant =")]
+    C = float(line.split("=")[1])
+    _, rows = read_csv(tmp_path / "o" / "report.csv")
+    g = float(np.mean([float(row[1]) for row in rows]))
+    assert 0.0 < C < 1e-98
+    assert C * np.exp(C * 3.7e101) == pytest.approx(g, rel=1e-12)
+
+
+def test_refinement_dt_overflowing_error_exits_2_naming_its_level(tmp_path):
+    # the errors of a 3.2e272-wide domain are finite, but their squares
+    # overflow: the first level's L2 error is inf
+    proc = _module_run(tmp_path, "dim = 2\ndomain = 0 3.2e272 0 1\ncells_x = 3\ncells_y = 6\n"
+                                 "model = powerlaw\np = 4.35\nalpha = 4.6e65\nbeta = 2.09\n"
+                                 "reg_n = 16\nscheme = rk4\ndt = 1.70\nt_end = 1.70\n"
+                                 "scenario = near-limit\nstudy = refinement-dt\n"
+                                 "levels = 1.70 0.851 0.425\n", "sweep")
+    assert proc.returncode == 2
+    assert proc.stdout == "sweep failed: non-finite L2 error inf [study case dt=1.7]\n"
+    assert proc.stderr == ""
 
 
 def test_midpoint_load_overflow_exits_2_with_a_clean_stderr(tmp_path):
@@ -664,8 +695,17 @@ def test_write_csv_matches_csv_module_bytes(tmp_path):
     rows[:len(SPECIAL), 0] = SPECIAL
     rows[-len(SPECIAL):, -1] = SPECIAL
     rows[dr._CSV_BLOCK - 1:dr._CSV_BLOCK + 1] = np.nan
+    # values repeated across rows and columns, as on a mesh, with 0.0 next
+    # to -0.0 and NaNs of both signs in one block, and runs of repeats that
+    # straddle the block boundaries
+    pool = np.array([0.0, -0.0, np.nan, -np.nan, 0.1, -0.1, 1e16, 5e-324, np.inf, 1 / 3])
+    repeats = pool[rng.integers(0, len(pool), (n, 6))]
+    repeats[dr._CSV_BLOCK - 3:dr._CSV_BLOCK + 3] = repeats[0]
+    repeats[2 * dr._CSV_BLOCK - 2:] = repeats[:9]
+    repeats[:, 1] = repeats[:, 0]
+    repeats[5, 2:] = [0.0, -0.0, np.nan, -np.nan]
     header = [f"c{i}" for i in range(6)]
-    for name, data in (("full", rows), ("empty", rows[:0])):
+    for name, data in (("full", rows), ("repeats", repeats), ("empty", rows[:0])):
         dr._write_csv(tmp_path / f"{name}.csv", header, data)
         ref.write_csv(tmp_path / f"{name}_ref.csv", header, data)
         assert (tmp_path / f"{name}.csv").read_bytes() == \
